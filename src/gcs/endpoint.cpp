@@ -346,9 +346,7 @@ void GroupCommEndpoint::reconfigure(GroupId group, const GroupConfig& next) {
     // Proposer-unique: endpoint id in the high half, local counter in the
     // low one, so an install can name exactly which proposal it honoured.
     change.nonce = (static_cast<std::uint64_t>(id_.value()) << 32) | ++reconfig_seq_;
-    Encoder e;
-    encode(e, change);
-    Bytes payload = std::move(e).take();
+    Bytes payload = encode_to_bytes(change);
     // Synthetic root span, as for bare multicasts: the proposal is ordinary
     // ordered traffic as far as the trace is concerned.
     obs::SpanContext span;
@@ -843,9 +841,7 @@ void GroupCommEndpoint::apply_config_delivery(Group& g, const DataMsg& msg) {
 
     ConfigChangeMsg change;
     try {
-        Decoder d(msg.payload);
-        decode(d, change);
-        if (!d.exhausted()) throw DecodeError("trailing bytes in config payload");
+        change = decode_from_bytes<ConfigChangeMsg>(msg.payload);
     } catch (const DecodeError& err) {
         NEWTOP_WARN("endpoint " << id_ << ": bad config payload: " << err.what());
         return;

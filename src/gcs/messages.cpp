@@ -1,321 +1,13 @@
 #include "gcs/messages.hpp"
 
-#include "util/check.hpp"
-
 namespace newtop {
 
-namespace {
-
-enum class Tag : std::uint8_t {
-    kData = 1,
-    kNack = 2,
-    kOrder = 3,
-    kJoin = 4,
-    kLeave = 5,
-    kSuspect = 6,
-    kPropose = 7,
-    kFlush = 8,
-    kInstall = 9,
-};
-
-}  // namespace
-
-void encode(Encoder& e, const obs::SpanContext& v) {
-    e.put_u64(v.trace);
-    e.put_u64(v.span);
-}
-void decode(Decoder& d, obs::SpanContext& v) {
-    v.trace = d.get_u64();
-    v.span = d.get_u64();
-}
-
-void encode(Encoder& e, const MsgRef& v) {
-    encode(e, v.sender);
-    encode(e, v.seq);
-}
-void decode(Decoder& d, MsgRef& v) {
-    decode(d, v.sender);
-    decode(d, v.seq);
-}
-
-void encode(Encoder& e, const KnowledgeEntry& v) {
-    encode(e, v.group);
-    encode(e, v.epoch);
-    encode(e, v.sender);
-    encode(e, v.count);
-}
-void decode(Decoder& d, KnowledgeEntry& v) {
-    decode(d, v.group);
-    decode(d, v.epoch);
-    decode(d, v.sender);
-    decode(d, v.count);
-}
-
-void encode(Encoder& e, const DataMsg& v) {
-    encode(e, v.group);
-    encode(e, v.epoch);
-    encode(e, v.sender);
-    encode(e, v.seq);
-    encode(e, v.ts);
-    e.put_u8(static_cast<std::uint8_t>(v.kind));
-    encode(e, v.knowledge);
-    encode(e, v.payload);
-    encode(e, v.batch);
-    encode(e, v.received_counts);
-    encode(e, v.causal_vc);
-    e.put_i64(v.sent_at);
-    encode(e, v.span);
-    encode(e, v.batch_spans);
-}
-void decode(Decoder& d, DataMsg& v) {
-    decode(d, v.group);
-    decode(d, v.epoch);
-    decode(d, v.sender);
-    decode(d, v.seq);
-    decode(d, v.ts);
-    const std::uint8_t kind = d.get_u8();
-    if (kind > static_cast<std::uint8_t>(DataKind::kConfig)) throw DecodeError("bad DataKind");
-    v.kind = static_cast<DataKind>(kind);
-    decode(d, v.knowledge);
-    decode(d, v.payload);
-    decode(d, v.batch);
-    decode(d, v.received_counts);
-    decode(d, v.causal_vc);
-    v.sent_at = d.get_i64();
-    decode(d, v.span);
-    decode(d, v.batch_spans);
-}
-
-void encode(Encoder& e, const GroupConfig& v) {
-    e.put_u8(static_cast<std::uint8_t>(v.order));
-    e.put_u8(static_cast<std::uint8_t>(v.liveness));
-    e.put_i64(v.time_silence);
-    e.put_i64(v.ack_delay);
-    e.put_i64(v.suspicion_timeout);
-    e.put_i64(v.view_change_timeout);
-    e.put_i64(v.stability_period);
-    e.put_u64(v.order_window);
-    e.put_u64(v.order_max_batch);
-    e.put_u64(v.adaptive_asym_threshold);
-    e.put_u64(v.phi_threshold_milli);
-    e.put_i64(v.phi_floor);
-    e.put_i64(v.phi_ceiling);
-}
-void decode(Decoder& d, GroupConfig& v) {
-    const std::uint8_t order = d.get_u8();
-    if (order > static_cast<std::uint8_t>(OrderMode::kCausal)) {
-        throw DecodeError("bad OrderMode");
-    }
-    v.order = static_cast<OrderMode>(order);
-    const std::uint8_t liveness = d.get_u8();
-    if (liveness > static_cast<std::uint8_t>(LivenessMode::kEventDriven)) {
-        throw DecodeError("bad LivenessMode");
-    }
-    v.liveness = static_cast<LivenessMode>(liveness);
-    v.time_silence = d.get_i64();
-    v.ack_delay = d.get_i64();
-    v.suspicion_timeout = d.get_i64();
-    v.view_change_timeout = d.get_i64();
-    v.stability_period = d.get_i64();
-    v.order_window = static_cast<std::size_t>(d.get_u64());
-    v.order_max_batch = static_cast<std::size_t>(d.get_u64());
-    v.adaptive_asym_threshold = static_cast<std::size_t>(d.get_u64());
-    v.phi_threshold_milli = d.get_u64();
-    v.phi_floor = d.get_i64();
-    v.phi_ceiling = d.get_i64();
-}
-
-void encode(Encoder& e, const ConfigChangeMsg& v) {
-    encode(e, v.group);
-    encode(e, v.next);
-    e.put_u64(v.nonce);
-}
-void decode(Decoder& d, ConfigChangeMsg& v) {
-    decode(d, v.group);
-    decode(d, v.next);
-    v.nonce = d.get_u64();
-}
-
-namespace {
-
-void encode_body(Encoder& e, const NackMsg& v) {
-    encode(e, v.group);
-    encode(e, v.epoch);
-    encode(e, v.requester);
-    encode(e, v.missing);
-}
-void decode_body(Decoder& d, NackMsg& v) {
-    decode(d, v.group);
-    decode(d, v.epoch);
-    decode(d, v.requester);
-    decode(d, v.missing);
-}
-
-void encode_body(Encoder& e, const OrderMsg& v) {
-    encode(e, v.group);
-    encode(e, v.epoch);
-    encode(e, v.first_order);
-    encode(e, v.refs);
-}
-void decode_body(Decoder& d, OrderMsg& v) {
-    decode(d, v.group);
-    decode(d, v.epoch);
-    decode(d, v.first_order);
-    decode(d, v.refs);
-}
-
-void encode_body(Encoder& e, const JoinReq& v) {
-    encode(e, v.group);
-    encode(e, v.joiner);
-}
-void decode_body(Decoder& d, JoinReq& v) {
-    decode(d, v.group);
-    decode(d, v.joiner);
-}
-
-void encode_body(Encoder& e, const LeaveReq& v) {
-    encode(e, v.group);
-    encode(e, v.leaver);
-}
-void decode_body(Decoder& d, LeaveReq& v) {
-    decode(d, v.group);
-    decode(d, v.leaver);
-}
-
-void encode_body(Encoder& e, const SuspectMsg& v) {
-    encode(e, v.group);
-    encode(e, v.epoch);
-    encode(e, v.reporter);
-    encode(e, v.suspects);
-}
-void decode_body(Decoder& d, SuspectMsg& v) {
-    decode(d, v.group);
-    decode(d, v.epoch);
-    decode(d, v.reporter);
-    decode(d, v.suspects);
-}
-
-void encode_body(Encoder& e, const ProposeMsg& v) {
-    encode(e, v.group);
-    encode(e, v.old_epoch);
-    encode(e, v.new_epoch);
-    encode(e, v.coordinator);
-    encode(e, v.proposed_members);
-}
-void decode_body(Decoder& d, ProposeMsg& v) {
-    decode(d, v.group);
-    decode(d, v.old_epoch);
-    decode(d, v.new_epoch);
-    decode(d, v.coordinator);
-    decode(d, v.proposed_members);
-}
-
-void encode_body(Encoder& e, const FlushMsg& v) {
-    encode(e, v.group);
-    encode(e, v.new_epoch);
-    encode(e, v.coordinator);
-    encode(e, v.sender);
-    encode(e, v.unstable);
-    encode(e, v.orders);
-}
-void decode_body(Decoder& d, FlushMsg& v) {
-    decode(d, v.group);
-    decode(d, v.new_epoch);
-    decode(d, v.coordinator);
-    decode(d, v.sender);
-    decode(d, v.unstable);
-    decode(d, v.orders);
-}
-
-void encode_body(Encoder& e, const InstallMsg& v) {
-    encode(e, v.group);
-    encode(e, v.view);
-    encode(e, v.coordinator);
-    encode(e, v.cut);
-    encode(e, v.orders);
-    encode(e, v.config);
-    encode(e, v.config_epoch);
-    e.put_u64(v.applied_nonce);
-}
-void decode_body(Decoder& d, InstallMsg& v) {
-    decode(d, v.group);
-    decode(d, v.view);
-    decode(d, v.coordinator);
-    decode(d, v.cut);
-    decode(d, v.orders);
-    decode(d, v.config);
-    decode(d, v.config_epoch);
-    v.applied_nonce = d.get_u64();
-}
-
-template <typename T>
-GcsMessage decode_as(Decoder& d) {
-    T v;
-    if constexpr (std::is_same_v<T, DataMsg>) {
-        decode(d, v);
-    } else {
-        decode_body(d, v);
-    }
-    if (!d.exhausted()) throw DecodeError("trailing bytes in GCS message");
-    return v;
-}
-
-}  // namespace
-
-namespace {
-
-void write_gcs_message(Encoder& e, const GcsMessage& msg) {
-    std::visit(
-        [&e](const auto& body) {
-            using T = std::decay_t<decltype(body)>;
-            Tag tag{};
-            if constexpr (std::is_same_v<T, DataMsg>) tag = Tag::kData;
-            else if constexpr (std::is_same_v<T, NackMsg>) tag = Tag::kNack;
-            else if constexpr (std::is_same_v<T, OrderMsg>) tag = Tag::kOrder;
-            else if constexpr (std::is_same_v<T, JoinReq>) tag = Tag::kJoin;
-            else if constexpr (std::is_same_v<T, LeaveReq>) tag = Tag::kLeave;
-            else if constexpr (std::is_same_v<T, SuspectMsg>) tag = Tag::kSuspect;
-            else if constexpr (std::is_same_v<T, ProposeMsg>) tag = Tag::kPropose;
-            else if constexpr (std::is_same_v<T, FlushMsg>) tag = Tag::kFlush;
-            else tag = Tag::kInstall;
-            e.put_u8(static_cast<std::uint8_t>(tag));
-            if constexpr (std::is_same_v<T, DataMsg>) {
-                encode(e, body);
-            } else {
-                encode_body(e, body);
-            }
-        },
-        msg);
-}
-
-}  // namespace
-
 Bytes encode_gcs_message(const GcsMessage& msg) {
-    // Counting pass first, so the real encode reserves the exact size and
-    // performs at most one allocation regardless of message size.
-    Encoder counter = Encoder::counter();
-    write_gcs_message(counter, msg);
-    Encoder e;
-    e.reserve(counter.size());
-    write_gcs_message(e, msg);
-    return std::move(e).take();
+    // encode_to_bytes counts first, so the real encode reserves the exact
+    // size and performs at most one allocation regardless of message size.
+    return encode_to_bytes(msg);
 }
 
-GcsMessage decode_gcs_message(BytesView wire) {
-    Decoder d(wire);
-    const auto tag = static_cast<Tag>(d.get_u8());
-    switch (tag) {
-        case Tag::kData: return decode_as<DataMsg>(d);
-        case Tag::kNack: return decode_as<NackMsg>(d);
-        case Tag::kOrder: return decode_as<OrderMsg>(d);
-        case Tag::kJoin: return decode_as<JoinReq>(d);
-        case Tag::kLeave: return decode_as<LeaveReq>(d);
-        case Tag::kSuspect: return decode_as<SuspectMsg>(d);
-        case Tag::kPropose: return decode_as<ProposeMsg>(d);
-        case Tag::kFlush: return decode_as<FlushMsg>(d);
-        case Tag::kInstall: return decode_as<InstallMsg>(d);
-    }
-    throw DecodeError("unknown GCS message tag");
-}
+GcsMessage decode_gcs_message(BytesView wire) { return decode_from_bytes<GcsMessage>(wire); }
 
 }  // namespace newtop

@@ -16,6 +16,14 @@
 
 namespace newtop {
 
+// Each wire struct's format is the NEWTOP_WIRE field list beside it
+// (serial/wire.hpp); encode, the counting pass and decode all walk it.
+
+NEWTOP_WIRE(obs::SpanContext, trace, span);
+NEWTOP_WIRE(GroupConfig, order, liveness, time_silence, ack_delay, suspicion_timeout,
+            view_change_timeout, stability_period, order_window, order_max_batch,
+            adaptive_asym_threshold, phi_threshold_milli, phi_floor, phi_ceiling);
+
 /// A (group, sender, seqno) coordinate naming one data message.
 struct MsgRef {
     EndpointId sender;
@@ -23,6 +31,7 @@ struct MsgRef {
 
     friend auto operator<=>(const MsgRef&, const MsgRef&) = default;
 };
+NEWTOP_WIRE(MsgRef, sender, seq);
 
 /// One entry of a causal-knowledge vector: "I know (directly or
 /// transitively) that in epoch `epoch` of `group`, `sender` has sent at
@@ -39,6 +48,7 @@ struct KnowledgeEntry {
 
     friend auto operator<=>(const KnowledgeEntry&, const KnowledgeEntry&) = default;
 };
+NEWTOP_WIRE(KnowledgeEntry, group, epoch, sender, count);
 
 enum class DataKind : std::uint8_t {
     kApplication = 0,
@@ -58,6 +68,7 @@ enum class DataKind : std::uint8_t {
     /// flush-delimited configuration view change.
     kConfig = 3,
 };
+constexpr DataKind wire_max(DataKind) { return DataKind::kConfig; }
 
 /// Returns true for kinds the ordering engines hold back and deliver in
 /// the agreed total order (application payloads and in-stream config
@@ -106,6 +117,8 @@ struct DataMsg {
     /// when no batch entry carries a span).
     std::vector<obs::SpanContext> batch_spans;
 };
+NEWTOP_WIRE(DataMsg, group, epoch, sender, seq, ts, kind, knowledge, payload, batch,
+            received_counts, causal_vc, sent_at, span, batch_spans);
 
 /// A runtime reconfiguration proposal, shipped as the payload of a
 /// DataKind::kConfig stream message so it is totally ordered against the
@@ -125,6 +138,7 @@ struct ConfigChangeMsg {
 
     friend bool operator==(const ConfigChangeMsg&, const ConfigChangeMsg&) = default;
 };
+NEWTOP_WIRE(ConfigChangeMsg, group, next, nonce);
 
 /// Retransmission request: "resend your messages with these seqnos".
 struct NackMsg {
@@ -133,6 +147,7 @@ struct NackMsg {
     EndpointId requester;
     std::vector<Seqno> missing;
 };
+NEWTOP_WIRE(NackMsg, group, epoch, requester, missing);
 
 /// Asymmetric-order record from the sequencer: refs[i] is the message with
 /// global order number `first_order + i`.
@@ -142,18 +157,21 @@ struct OrderMsg {
     std::uint64_t first_order{0};
     std::vector<MsgRef> refs;
 };
+NEWTOP_WIRE(OrderMsg, group, epoch, first_order, refs);
 
 /// Ask a current member to bring `joiner` into the group.
 struct JoinReq {
     GroupId group;
     EndpointId joiner;
 };
+NEWTOP_WIRE(JoinReq, group, joiner);
 
 /// Ask the group to let `leaver` go.
 struct LeaveReq {
     GroupId group;
     EndpointId leaver;
 };
+NEWTOP_WIRE(LeaveReq, group, leaver);
 
 /// Gossip that `suspects` are believed failed (drives everyone's suspicion
 /// state toward agreement so the same coordinator is chosen).
@@ -163,6 +181,7 @@ struct SuspectMsg {
     EndpointId reporter;
     std::vector<EndpointId> suspects;
 };
+NEWTOP_WIRE(SuspectMsg, group, epoch, reporter, suspects);
 
 /// A view-change round is identified by (new_epoch, coordinator); higher
 /// pairs supersede lower ones.
@@ -173,6 +192,7 @@ struct ProposeMsg {
     EndpointId coordinator;
     std::vector<EndpointId> proposed_members;
 };
+NEWTOP_WIRE(ProposeMsg, group, old_epoch, new_epoch, coordinator, proposed_members);
 
 /// Flush reply: everything the member has received in the old epoch that
 /// is not yet known stable, so the coordinator can compute a common cut.
@@ -186,6 +206,7 @@ struct FlushMsg {
     std::vector<DataMsg> unstable;
     std::vector<std::pair<std::uint64_t, MsgRef>> orders;
 };
+NEWTOP_WIRE(FlushMsg, group, new_epoch, coordinator, sender, unstable, orders);
 
 /// Install the new view.  `cut` is the union of unstable messages; members
 /// of the old view deliver any of them not yet delivered — first those with
@@ -209,24 +230,14 @@ struct InstallMsg {
     /// change carried the old config forward unchanged).
     std::uint64_t applied_nonce{0};
 };
+NEWTOP_WIRE(InstallMsg, group, view, coordinator, cut, orders, config, config_epoch,
+            applied_nonce);
 
 using GcsMessage = std::variant<DataMsg, NackMsg, OrderMsg, JoinReq, LeaveReq, SuspectMsg,
                                 ProposeMsg, FlushMsg, InstallMsg>;
 
+/// The GCS wire frame: a one-byte tag (variant index + 1) and the message.
 Bytes encode_gcs_message(const GcsMessage& msg);
 GcsMessage decode_gcs_message(BytesView wire);
-
-void encode(Encoder& e, const obs::SpanContext& v);
-void decode(Decoder& d, obs::SpanContext& v);
-void encode(Encoder& e, const MsgRef& v);
-void decode(Decoder& d, MsgRef& v);
-void encode(Encoder& e, const KnowledgeEntry& v);
-void decode(Decoder& d, KnowledgeEntry& v);
-void encode(Encoder& e, const DataMsg& v);
-void decode(Decoder& d, DataMsg& v);
-void encode(Encoder& e, const GroupConfig& v);
-void decode(Decoder& d, GroupConfig& v);
-void encode(Encoder& e, const ConfigChangeMsg& v);
-void decode(Decoder& d, ConfigChangeMsg& v);
 
 }  // namespace newtop

@@ -26,17 +26,7 @@ void View::normalize() {
     members.erase(std::unique(members.begin(), members.end()), members.end());
 }
 
-void encode(Encoder& e, const View& view) {
-    encode(e, view.group);
-    encode(e, view.epoch);
-    encode(e, view.members);
-}
-
-void decode(Decoder& d, View& view) {
-    decode(d, view.group);
-    decode(d, view.epoch);
-    decode(d, view.members);
-    // Defend downstream rank logic against malformed input.
+void wire_check(const View& view) {
     if (!std::is_sorted(view.members.begin(), view.members.end())) {
         throw DecodeError("view members not sorted");
     }

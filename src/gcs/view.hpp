@@ -39,7 +39,10 @@ struct View {
     friend bool operator==(const View&, const View&) = default;
 };
 
-void encode(Encoder& e, const View& view);
-void decode(Decoder& d, View& view);
+NEWTOP_WIRE(View, group, epoch, members);
+
+/// Post-decode check: members arrive sorted, defending downstream rank logic
+/// against malformed input.
+void wire_check(const View& view);
 
 }  // namespace newtop

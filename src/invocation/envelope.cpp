@@ -2,172 +2,13 @@
 
 namespace newtop {
 
-namespace {
-
-enum class Tag : std::uint8_t { kRequest = 1, kForward = 2, kReply = 3, kAggregate = 4 };
-
-// These validators take the already-read byte (rather than the Decoder) so
-// the codec bodies keep every d.get_* visible in place — the codec-symmetry
-// lint pass reads the op sequence straight out of the decode statements.
-InvocationMode checked_mode(std::uint8_t raw) {
-    if (raw > static_cast<std::uint8_t>(InvocationMode::kWaitAll)) {
-        throw DecodeError("bad invocation mode");
-    }
-    return static_cast<InvocationMode>(raw);
-}
-
-BindMode checked_bind(std::uint8_t raw) {
-    if (raw > static_cast<std::uint8_t>(BindMode::kOpen)) throw DecodeError("bad bind mode");
-    return static_cast<BindMode>(raw);
-}
-
-}  // namespace
-
-void encode(Encoder& e, const CallId& v) {
-    encode(e, v.origin);
-    encode(e, v.seq);
-    encode(e, v.group_origin);
-}
-void decode(Decoder& d, CallId& v) {
-    decode(d, v.origin);
-    decode(d, v.seq);
-    decode(d, v.group_origin);
-}
-
-// The obs::SpanContext codec lives with the GCS wire format
-// (gcs/messages.cpp) — DATA messages carry spans too.
-
-void encode(Encoder& e, const ReplyEntry& v) {
-    encode(e, v.replier);
-    encode(e, v.ok);
-    encode(e, v.value);
-}
-void decode(Decoder& d, ReplyEntry& v) {
-    decode(d, v.replier);
-    decode(d, v.ok);
-    decode(d, v.value);
-}
-
-namespace {
-
-void encode_body(Encoder& e, const RequestEnv& v) {
-    encode(e, v.call);
-    encode(e, v.span);
-    e.put_u8(static_cast<std::uint8_t>(v.mode));
-    e.put_u8(v.flags);
-    encode(e, v.server_group);
-    e.put_u8(static_cast<std::uint8_t>(v.bind));
-    e.put_u32(v.method);
-    encode(e, v.args);
-    e.put_i64(v.deadline);
-}
-void decode_body(Decoder& d, RequestEnv& v) {
-    decode(d, v.call);
-    decode(d, v.span);
-    v.mode = checked_mode(d.get_u8());
-    v.flags = d.get_u8();
-    decode(d, v.server_group);
-    v.bind = checked_bind(d.get_u8());
-    v.method = d.get_u32();
-    decode(d, v.args);
-    v.deadline = d.get_i64();
-}
-
-void encode_body(Encoder& e, const ForwardEnv& v) {
-    encode(e, v.call);
-    encode(e, v.span);
-    e.put_u8(static_cast<std::uint8_t>(v.mode));
-    e.put_u8(v.flags);
-    encode(e, v.manager);
-    e.put_u32(v.method);
-    encode(e, v.args);
-    e.put_i64(v.deadline);
-}
-void decode_body(Decoder& d, ForwardEnv& v) {
-    decode(d, v.call);
-    decode(d, v.span);
-    v.mode = checked_mode(d.get_u8());
-    v.flags = d.get_u8();
-    decode(d, v.manager);
-    v.method = d.get_u32();
-    decode(d, v.args);
-    v.deadline = d.get_i64();
-}
-
-void encode_body(Encoder& e, const ReplyEnv& v) {
-    encode(e, v.call);
-    encode(e, v.span);
-    encode(e, v.replier);
-    encode(e, v.ok);
-    encode(e, v.value);
-}
-void decode_body(Decoder& d, ReplyEnv& v) {
-    decode(d, v.call);
-    decode(d, v.span);
-    decode(d, v.replier);
-    decode(d, v.ok);
-    decode(d, v.value);
-}
-
-void encode_body(Encoder& e, const AggregateEnv& v) {
-    encode(e, v.call);
-    encode(e, v.span);
-    encode(e, v.complete);
-    encode(e, v.replies);
-}
-void decode_body(Decoder& d, AggregateEnv& v) {
-    decode(d, v.call);
-    decode(d, v.span);
-    decode(d, v.complete);
-    decode(d, v.replies);
-}
-
-}  // namespace
-
-namespace {
-
-void write_envelope(Encoder& e, const InvocationEnvelope& env) {
-    std::visit(
-        [&e](const auto& body) {
-            using T = std::decay_t<decltype(body)>;
-            Tag tag{};
-            if constexpr (std::is_same_v<T, RequestEnv>) tag = Tag::kRequest;
-            else if constexpr (std::is_same_v<T, ForwardEnv>) tag = Tag::kForward;
-            else if constexpr (std::is_same_v<T, ReplyEnv>) tag = Tag::kReply;
-            else tag = Tag::kAggregate;
-            e.put_u8(static_cast<std::uint8_t>(tag));
-            encode_body(e, body);
-        },
-        env);
-}
-
-}  // namespace
-
 Bytes encode_envelope(const InvocationEnvelope& env) {
-    // Counting pass first so the real encode allocates exactly once.
-    Encoder counter = Encoder::counter();
-    write_envelope(counter, env);
-    Encoder e;
-    e.reserve(counter.size());
-    write_envelope(e, env);
-    return std::move(e).take();
+    // encode_to_bytes counts first so the real encode allocates exactly once.
+    return encode_to_bytes(env);
 }
 
 InvocationEnvelope decode_envelope(const Bytes& wire) {
-    Decoder d(wire);
-    const auto tag = static_cast<Tag>(d.get_u8());
-    auto finish = [&d](auto value) -> InvocationEnvelope {
-        decode_body(d, value);
-        if (!d.exhausted()) throw DecodeError("trailing bytes in invocation envelope");
-        return value;
-    };
-    switch (tag) {
-        case Tag::kRequest: return finish(RequestEnv{});
-        case Tag::kForward: return finish(ForwardEnv{});
-        case Tag::kReply: return finish(ReplyEnv{});
-        case Tag::kAggregate: return finish(AggregateEnv{});
-    }
-    throw DecodeError("unknown invocation envelope tag");
+    return decode_from_bytes<InvocationEnvelope>(wire);
 }
 
 }  // namespace newtop

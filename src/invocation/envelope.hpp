@@ -8,12 +8,18 @@
 #include <variant>
 #include <vector>
 
+#include "gcs/messages.hpp"
 #include "gcs/types.hpp"
 #include "invocation/types.hpp"
 #include "obs/trace.hpp"
 #include "serial/serial.hpp"
 
 namespace newtop {
+
+// Wire formats (serial/wire.hpp); obs::SpanContext's lives in gcs/messages.hpp,
+// since DATA messages carry spans too.
+NEWTOP_WIRE(CallId, origin, seq, group_origin);
+NEWTOP_WIRE(ReplyEntry, replier, ok, value);
 
 /// Request flags (bit set).
 inline constexpr std::uint8_t kFlagAsyncForwarding = 1 << 0;
@@ -38,6 +44,7 @@ struct RequestEnv {
     /// replies nobody is waiting for.
     SimTime deadline{0};
 };
+NEWTOP_WIRE(RequestEnv, call, span, mode, flags, server_group, bind, method, args, deadline);
 
 /// Request manager -> server group (step (ii) of fig. 4).
 struct ForwardEnv {
@@ -51,6 +58,7 @@ struct ForwardEnv {
     /// Client deadline carried over from the RequestEnv (0 = none).
     SimTime deadline{0};
 };
+NEWTOP_WIRE(ForwardEnv, call, span, mode, flags, manager, method, args, deadline);
 
 /// One server's reply.  Multicast within the server group (open mode,
 /// fig. 4(iii)) or sent directly to the client (closed mode).
@@ -61,6 +69,7 @@ struct ReplyEnv {
     bool ok{true};
     Bytes value;
 };
+NEWTOP_WIRE(ReplyEnv, call, span, replier, ok, value);
 
 /// Request manager -> client(s): the gathered replies (fig. 4(iv)).
 struct AggregateEnv {
@@ -69,17 +78,12 @@ struct AggregateEnv {
     bool complete{true};
     std::vector<ReplyEntry> replies;
 };
+NEWTOP_WIRE(AggregateEnv, call, span, complete, replies);
 
 using InvocationEnvelope = std::variant<RequestEnv, ForwardEnv, ReplyEnv, AggregateEnv>;
 
+/// The envelope wire frame: a one-byte tag (variant index + 1) and the body.
 Bytes encode_envelope(const InvocationEnvelope& env);
 InvocationEnvelope decode_envelope(const Bytes& wire);
-
-void encode(Encoder& e, const CallId& v);
-void decode(Decoder& d, CallId& v);
-void encode(Encoder& e, const ReplyEntry& v);
-void decode(Decoder& d, ReplyEntry& v);
-void encode(Encoder& e, const obs::SpanContext& v);
-void decode(Decoder& d, obs::SpanContext& v);
 
 }  // namespace newtop

@@ -18,6 +18,7 @@ enum class InvocationMode : std::uint8_t {
     kWaitMajority = 2,  // replies from a majority of the server group
     kWaitAll = 3,       // replies from every member
 };
+constexpr InvocationMode wire_max(InvocationMode) { return InvocationMode::kWaitAll; }
 
 /// How a client is attached to a server group (§2.1, fig. 3).
 enum class BindMode : std::uint8_t {
@@ -30,6 +31,7 @@ enum class BindMode : std::uint8_t {
     /// over high-latency paths.
     kOpen = 1,
 };
+constexpr BindMode wire_max(BindMode) { return BindMode::kOpen; }
 
 /// Identifies one logical call end-to-end (client retry uses the same id so
 /// servers can suppress re-execution — §4.1's "call number").

@@ -29,8 +29,7 @@ struct Ior {
     friend bool operator==(const Ior&, const Ior&) = default;
 };
 
-void encode(Encoder& e, const Ior& ior);
-void decode(Decoder& d, Ior& ior);
+NEWTOP_WIRE(Ior, node, key, type_name);
 
 struct Iogr {
     std::vector<Ior> members;
@@ -41,7 +40,9 @@ struct Iogr {
     friend bool operator==(const Iogr&, const Iogr&) = default;
 };
 
-void encode(Encoder& e, const Iogr& iogr);
-void decode(Decoder& d, Iogr& iogr);
+NEWTOP_WIRE(Iogr, members, primary_index);
+
+/// Post-decode check: a non-empty IOGR's primary index names a member.
+void wire_check(const Iogr& iogr);
 
 }  // namespace newtop

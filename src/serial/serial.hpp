@@ -1,9 +1,11 @@
-// Convenience umbrella for the serialization layer, plus adapters for
+// Convenience umbrella for the serialization layer (including the
+// declarative wire formats of serial/wire.hpp), plus adapters for
 // library-wide vocabulary types (strong ids).
 #pragma once
 
 #include "serial/decoder.hpp"
 #include "serial/encoder.hpp"
+#include "serial/wire.hpp"
 #include "util/strong_id.hpp"
 
 namespace newtop {

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/lint_passes.hpp"
 #include "tools/lint_rules.hpp"
 #include "tools/lint_scanner.hpp"
 
@@ -180,87 +179,6 @@ TEST(LintMutations, DeclaredDependencyEdgesAreAllowed) {
     EXPECT_TRUE(scan_source("src/orb/orb.cpp", "#include \"net/network.hpp\"\n").empty());
     EXPECT_TRUE(scan_source("src/sim/cpu_queue.cpp", "#include \"obs/metrics.hpp\"\n").empty());
     EXPECT_TRUE(scan_source("src/gcs/endpoint.cpp", "#include \"orb/orb.hpp\"\n").empty());
-}
-
-// --- semantic passes: codec-symmetry + struct-coverage --------------------
-
-/// Run the cross-file passes on one fixture as if it lived at `rel_path`.
-std::vector<Finding> run_codec_fixture(const std::string& name, const std::string& rel_path) {
-    return run_semantic_passes({{rel_path, read_fixture(name)}});
-}
-
-int count_rule(const std::vector<Finding>& findings, std::string_view rule) {
-    int n = 0;
-    for (const auto& f : findings) n += f.rule == rule ? 1 : 0;
-    return n;
-}
-
-TEST(LintCodec, SymmetricPairIsClean) {
-    EXPECT_TRUE(run_codec_fixture("codec_clean.cpp", "src/gcs/fixture.cpp").empty());
-}
-
-TEST(LintCodec, SwappedFieldsAreCaught) {
-    const auto findings = run_codec_fixture("codec_swapped.cpp", "src/gcs/fixture.cpp");
-    // The first divergent op desynchronizes the streams (codec-symmetry) and
-    // the decode touches fields out of declaration order (struct-coverage).
-    EXPECT_EQ(count_rule(findings, kRuleCodecSymmetry), 1);
-    EXPECT_EQ(count_rule(findings, kRuleStructCoverage), 1);
-    ASSERT_EQ(findings.size(), 2u);
-    for (const auto& f : findings) {
-        if (f.rule == kRuleCodecSymmetry) {
-            EXPECT_NE(f.message.find("op #1"), std::string::npos) << f.message;
-        }
-    }
-}
-
-TEST(LintCodec, WidthChangeIsCaught) {
-    const auto findings = run_codec_fixture("codec_width.cpp", "src/gcs/fixture.cpp");
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, kRuleCodecSymmetry);
-    EXPECT_NE(findings[0].message.find("u32"), std::string::npos);
-    EXPECT_NE(findings[0].message.find("u16"), std::string::npos);
-}
-
-TEST(LintCodec, DroppedFieldIsCaught) {
-    const auto findings = run_codec_fixture("codec_dropped.cpp", "src/gcs/fixture.cpp");
-    EXPECT_EQ(count_rule(findings, kRuleCodecSymmetry), 1);  // op-count mismatch
-    EXPECT_EQ(count_rule(findings, kRuleStructCoverage), 1);  // 'tag' never decoded
-    ASSERT_EQ(findings.size(), 2u);
-    bool mentions_tag = false;
-    for (const auto& f : findings) {
-        mentions_tag = mentions_tag || f.message.find("'tag'") != std::string::npos;
-    }
-    EXPECT_TRUE(mentions_tag);
-}
-
-TEST(LintCodec, ReasonedSuppressionSilencesAsymmetry) {
-    EXPECT_TRUE(run_codec_fixture("codec_suppressed.cpp", "src/gcs/fixture.cpp").empty());
-}
-
-TEST(LintCodec, OutOfScopePathContributesNothing) {
-    // The same mutated codec outside kCodecScopeDirs is not a wire codec.
-    EXPECT_TRUE(run_codec_fixture("codec_swapped.cpp", "src/util/fixture.cpp").empty());
-}
-
-TEST(LintCodec, UnpairedCodecIsCaught) {
-    const std::string lone =
-        "struct WireLone { std::uint64_t id; };\n"
-        "void encode(Encoder& e, const WireLone& v) { e.put_u64(v.id); }\n";
-    const auto findings = run_semantic_passes({{"src/gcs/lone.cpp", lone}});
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, kRuleCodecSymmetry);
-    EXPECT_NE(findings[0].message.find("no matching decode"), std::string::npos);
-}
-
-TEST(LintCodec, PairSplitAcrossFilesIsMatched) {
-    // encode in one file, decode in another: the pass is cross-file.
-    const auto findings = run_semantic_passes({
-        {"src/gcs/a.cpp",
-         "struct WireXf { std::uint32_t x; };\n"
-         "void encode(Encoder& e, const WireXf& v) { e.put_u32(v.x); }\n"},
-        {"src/serial/b.cpp", "void decode(Decoder& d, WireXf& v) { v.x = d.get_u32(); }\n"},
-    });
-    EXPECT_TRUE(findings.empty());
 }
 
 // --- hot-path allocation discipline ---------------------------------------

@@ -362,6 +362,9 @@ GroupConfig random_config(Rng& rng) {
     cfg.order_window = static_cast<std::size_t>(rng.next_in(0, 128));
     cfg.order_max_batch = static_cast<std::size_t>(rng.next_in(1, 256));
     cfg.adaptive_asym_threshold = static_cast<std::size_t>(rng.next_in(0, 16));
+    cfg.phi_threshold_milli = rng.next_in(0, 20'000);
+    cfg.phi_floor = static_cast<SimDuration>(rng.next_in(0, 1'000'000));
+    cfg.phi_ceiling = static_cast<SimDuration>(rng.next_in(0, 10'000'000));
     return cfg;
 }
 

@@ -221,6 +221,7 @@ TEST(Serial, RequestEnvelopeRoundtripsUnderRandomPayloads) {
         env.bind = rng.next_bool(0.5) ? BindMode::kOpen : BindMode::kClosed;
         env.method = static_cast<std::uint32_t>(rng.next_u64());
         env.args = random_payload(rng, 512);
+        env.deadline = static_cast<SimTime>(rng.next_u64() >> 1);
         expect_stable_roundtrip(env, iter);
     }
 }
@@ -236,6 +237,7 @@ TEST(Serial, ForwardEnvelopeRoundtripsUnderRandomPayloads) {
         env.manager = EndpointId(static_cast<EndpointId::rep_type>(rng.next_in(0, 1000)));
         env.method = static_cast<std::uint32_t>(rng.next_u64());
         env.args = random_payload(rng, 512);
+        env.deadline = static_cast<SimTime>(rng.next_u64() >> 1);
         expect_stable_roundtrip(env, iter);
     }
 }

@@ -1,8 +1,7 @@
-// Shared lexing layer of newtop_lint: a comment- and string-aware C++
-// tokenizer plus the suppression-comment parser.  Both the per-file token
-// rules (lint_scanner.cpp) and the cross-file semantic passes
-// (lint_passes.cpp) run over this one token stream, so every pass agrees on
-// what is code, what is comment, and which lines carry suppressions.
+// Lexing layer of newtop_lint: a comment- and string-aware C++ tokenizer
+// plus the suppression-comment parser.  Every rule in lint_scanner.cpp runs
+// over this one token stream, so all rules agree on what is code, what is
+// comment, and which lines carry suppressions.
 #pragma once
 
 #include <map>

@@ -31,14 +31,11 @@ inline constexpr std::string_view kRuleFloatSim = "float-sim";
 inline constexpr std::string_view kRuleLayerDag = "layer-dag";
 inline constexpr std::string_view kRuleMetricName = "metric-name";
 inline constexpr std::string_view kRuleBadSuppression = "bad-suppression";
-inline constexpr std::string_view kRuleCodecSymmetry = "codec-symmetry";
-inline constexpr std::string_view kRuleStructCoverage = "struct-coverage";
 inline constexpr std::string_view kRuleHotAlloc = "hot-path-alloc";
 
-inline constexpr std::array<std::string_view, 12> kAllRules = {
-    kRuleWallClock,     kRuleRawRandom,     kRuleGetenv,   kRuleUnordered,
-    kRulePointerKey,    kRuleFloatSim,      kRuleLayerDag, kRuleMetricName,
-    kRuleBadSuppression, kRuleCodecSymmetry, kRuleStructCoverage, kRuleHotAlloc,
+inline constexpr std::array<std::string_view, 10> kAllRules = {
+    kRuleWallClock, kRuleRawRandom, kRuleGetenv,     kRuleUnordered,      kRulePointerKey,
+    kRuleFloatSim,  kRuleLayerDag,  kRuleMetricName, kRuleBadSuppression, kRuleHotAlloc,
 };
 
 // ---------------------------------------------------------------------------
@@ -121,25 +118,8 @@ inline constexpr std::string_view kMetricScopeDir = "src/";
 inline constexpr std::string_view kMetricTableFile = "src/obs/names.hpp";
 
 // ---------------------------------------------------------------------------
-// Semantic passes (lint_passes.hpp): wire-codec symmetry, struct coverage,
-// hot-path allocation discipline.
+// Hot-path allocation discipline.
 // ---------------------------------------------------------------------------
-
-/// Directories holding wire codecs — free functions
-/// `encode(Encoder&, const T&)` / `decode(Decoder&, T&)` (and the
-/// `*_body` variant-member forms).  codec-symmetry pairs every encode with
-/// its decode across these files and compares the ordered op sequences;
-/// struct-coverage additionally checks each codec against T's declared
-/// field list.
-inline constexpr std::array<std::string_view, 4> kCodecScopeDirs = {
-    "src/serial/", "src/gcs/", "src/orb/", "src/invocation/",
-};
-
-/// Files outside kCodecScopeDirs whose struct declarations are still wire
-/// structs (their codecs live inside the scope dirs).
-inline constexpr std::array<std::string_view, 1> kCodecExtraStructFiles = {
-    "src/obs/trace.hpp",
-};
 
 /// Hot-path regions where the arena-CDR zero-allocation property is
 /// enforced statically: the serialization library and the ordering engines'

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
 #include "tools/lint_lex.hpp"
-#include "tools/lint_passes.hpp"
 #include "tools/lint_rules.hpp"
 
 namespace newtop::lint {
@@ -30,6 +30,13 @@ bool has_prefix_in(std::string_view path, const auto& prefixes) {
         if (path.substr(0, p.size()) == p) return true;
     }
     return false;
+}
+
+bool is_ident(const Token& t, std::string_view text) {
+    return t.kind == TokKind::kIdentifier && t.text == text;
+}
+bool is_punct(const Token& t, std::string_view text) {
+    return t.kind == TokKind::kPunct && t.text == text;
 }
 
 /// Layer of a src/ file ("" when the file is outside src/).
@@ -257,6 +264,130 @@ void check_layering(std::string_view rel_path, const std::vector<Include>& inclu
     }
 }
 
+/// hot-path-alloc: in the arena-CDR hot path (kHotPathPrefixes), ban
+/// `new`, make_unique / make_shared, std::function, by-value std::string,
+/// and push_back / emplace_back growth in functions with no visible
+/// reserve().
+void check_hot_alloc(std::string_view rel_path, const std::vector<Token>& t,
+                     std::vector<Finding>& out) {
+    if (!has_prefix_in(rel_path, kHotPathPrefixes)) return;
+
+    // Brace frames: each `{` is either a function body (allocation scope for
+    // the reserve() heuristic) or a plain block (control flow, class,
+    // namespace, init list) that growth checks look *through*.
+    struct Frame {
+        bool is_function;
+        bool saw_reserve;
+    };
+    std::vector<Frame> frames;
+    std::vector<std::size_t> open_parens;          // indices of unmatched '('
+    std::map<std::size_t, std::size_t> partner_of;  // ')' index -> '(' index
+
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const Token& tok = t[i];
+        if (is_punct(tok, "(")) {
+            open_parens.push_back(i);
+            continue;
+        }
+        if (is_punct(tok, ")")) {
+            if (!open_parens.empty()) {
+                partner_of[i] = open_parens.back();
+                open_parens.pop_back();
+            }
+            continue;
+        }
+        if (is_punct(tok, "{")) {
+            // Function body iff the brace follows a `)` (allowing const /
+            // noexcept / override / final between) whose `(` is not a
+            // control-flow head.
+            bool is_function = false;
+            std::size_t j = i;
+            int skipped = 0;
+            while (j > 0 && skipped < 4 && t[j - 1].kind == TokKind::kIdentifier &&
+                   (t[j - 1].text == "const" || t[j - 1].text == "noexcept" ||
+                    t[j - 1].text == "override" || t[j - 1].text == "final")) {
+                --j;
+                ++skipped;
+            }
+            if (j > 0 && is_punct(t[j - 1], ")")) {
+                const auto p = partner_of.find(j - 1);
+                if (p != partner_of.end()) {
+                    const std::size_t open = p->second;
+                    const bool control =
+                        open > 0 && t[open - 1].kind == TokKind::kIdentifier &&
+                        (t[open - 1].text == "if" || t[open - 1].text == "for" ||
+                         t[open - 1].text == "while" || t[open - 1].text == "switch" ||
+                         t[open - 1].text == "catch");
+                    is_function = !control;
+                }
+            }
+            frames.push_back({is_function, false});
+            continue;
+        }
+        if (is_punct(tok, "}")) {
+            if (!frames.empty()) frames.pop_back();
+            continue;
+        }
+        if (tok.kind != TokKind::kIdentifier) continue;
+
+        const Token* prev = i > 0 ? &t[i - 1] : nullptr;
+        const Token* prev2 = i > 1 ? &t[i - 2] : nullptr;
+        const Token* next = i + 1 < t.size() ? &t[i + 1] : nullptr;
+        const bool std_qualified = prev != nullptr && is_punct(*prev, "::") && prev2 != nullptr &&
+                                   is_ident(*prev2, "std");
+
+        if (tok.text == "reserve" && !frames.empty()) {
+            frames.back().saw_reserve = true;
+            continue;
+        }
+        if (tok.text == "new" && (prev == nullptr || !is_ident(*prev, "operator"))) {
+            add(out, tok.line, kRuleHotAlloc,
+                "'new' allocates on a hot path; use the arena / preallocated storage");
+            continue;
+        }
+        if (in_table(kAllocMakeIds, tok.text)) {
+            add(out, tok.line, kRuleHotAlloc,
+                "'" + tok.text + "' allocates on a hot path; use the arena / preallocated storage");
+            continue;
+        }
+        if (tok.text == "function" && std_qualified) {
+            add(out, tok.line, kRuleHotAlloc,
+                "std::function type-erases with heap allocation on a hot path; use a template "
+                "parameter or function pointer");
+            continue;
+        }
+        if (tok.text == "string" && std_qualified &&
+            (next == nullptr || (!is_punct(*next, "&") && !is_punct(*next, "*")))) {
+            add(out, tok.line, kRuleHotAlloc,
+                "by-value std::string allocates on a hot path; use std::string_view or a "
+                "borrowed buffer");
+            continue;
+        }
+        if (in_table(kAllocGrowthIds, tok.text) && prev != nullptr &&
+            (is_punct(*prev, ".") || is_punct(*prev, "->"))) {
+            bool reserved = false;
+            for (std::size_t f = frames.size(); f-- > 0;) {
+                if (frames[f].saw_reserve) {
+                    reserved = true;
+                    break;
+                }
+                if (frames[f].is_function) break;
+            }
+            if (!reserved) {
+                add(out, tok.line, kRuleHotAlloc,
+                    "'" + tok.text +
+                        "' may grow (reallocate) on a hot path and the enclosing function never "
+                        "calls reserve(); pre-size the container or suppress with a bound");
+            }
+        }
+    }
+}
+
+struct SourceFile {
+    std::string rel_path;  // repo-relative, '/'-separated
+    std::string content;
+};
+
 /// Collect the scannable files under `repo_root`, sorted.
 std::vector<SourceFile> gather_sources(const std::filesystem::path& repo_root) {
     namespace fs = std::filesystem;
@@ -310,7 +441,7 @@ std::vector<Finding> scan_source(std::string_view rel_path, std::string_view con
     check_float(rel_path, lx.tokens, raw);
     check_metric_names(rel_path, lx.tokens, raw);
     check_layering(rel_path, find_includes(lx), raw);
-    for (Finding& f : check_hot_alloc(rel_path, content)) raw.push_back(std::move(f));
+    check_hot_alloc(rel_path, lx.tokens, raw);
 
     std::vector<Finding> out;
     for (Finding& f : raw) {
@@ -352,10 +483,6 @@ TreeReport scan_tree_report(const std::filesystem::path& repo_root) {
             for (const std::string& rule : rules) ++report.suppressions[rule];
         }
     }
-
-    std::vector<Finding> semantic = run_semantic_passes(files);
-    report.findings.insert(report.findings.end(), std::make_move_iterator(semantic.begin()),
-                           std::make_move_iterator(semantic.end()));
     std::sort(report.findings.begin(), report.findings.end(),
               [](const Finding& a, const Finding& b) {
                   return std::tie(a.file, a.line, a.rule, a.message) <

@@ -37,9 +37,8 @@ std::vector<Finding> scan_source(std::string_view rel_path, std::string_view con
 /// finding order — is sorted, so output is stable across filesystems.
 std::vector<Finding> scan_tree(const std::filesystem::path& repo_root);
 
-/// Whole-tree scan result: the per-file token rules *and* the cross-file
-/// semantic passes (lint_passes.hpp), plus a census of every well-formed
-/// allow(rule) suppression comment in scanned files.  The
+/// Whole-tree scan result: every rule's findings, plus a census of every
+/// well-formed allow(rule) suppression comment in scanned files.  The
 /// census backs the tracked baseline (tools/lint_suppressions.baseline):
 /// CI fails when a rule's suppression count grows without the baseline
 /// being regenerated in the same diff.

@@ -1,4 +1,4 @@
-// newtop_lint CLI: determinism, layering & wire-codec lint over the tree.
+// newtop_lint CLI: determinism, layering & hot-path allocation lint over the tree.
 //
 // Usage:
 //     newtop_lint [--root <repo-root>] [--list-rules]
@@ -117,7 +117,8 @@ int main(int argc, char** argv) {
                          "                   [-o <file>] [--baseline <file>]\n"
                          "                   [--write-baseline <file>]\n"
                          "Scans src/, tests/, tools/, bench/ and examples/ for determinism,\n"
-                         "layering and wire-codec violations (rules: tools/lint_rules.hpp).\n"
+                         "layering and hot-path allocation violations (rules:\n"
+                         "tools/lint_rules.hpp).\n"
                          "Suppress with: // newtop-lint: allow(<rule>): <reason>\n";
             return 0;
         } else {
