@@ -22,18 +22,19 @@
 //   detection_ms     : a *healthy* replica is then crashed and the latency
 //                      to the first survivor suspicion measured — the cost
 //                      side of the trade.  The fixed floor keeps φ's crash
-//                      detection in the same band as the fixed detector
-//                      (-1 records a cascade that ejected the healthy
-//                      replica before its real crash could be observed).
+//                      detection in the same band as the fixed detector.
+//                      `crash_detected` = 0 (and no detection_ms) records a
+//                      cascade that ejected the healthy replica before its
+//                      real crash could be observed.
 //
 // The run also reports the overload-shedding counters (requests past their
 // deadline dropped by the slowed replica) so the degraded-mode behaviour
 // is visible in the same table.
 //
 // Emits BENCH_gray_failure.json (override with NEWTOP_BENCH_OUT) in the
-// "configs" schema — mean_latency_ms carries detection_ms, lower is
-// better — so scripts/bench_diff.py diffs it against the committed
-// baseline unmodified, exactly like BENCH_reconfig.json.
+// shared artifact schema (harness.hpp `Artifact`): one row per detector x
+// factor, and for every φ run the checks `<row>.no_false_suspicions` and
+// `<row>.crash_detected`.
 #include "harness.hpp"
 
 #include <string>
@@ -73,7 +74,8 @@ public:
 };
 
 struct GrayResult {
-    double detection_ms{-1.0};          // crash -> first survivor suspicion
+    bool crash_detected{false};         // a survivor suspected the crashed replica
+    double detection_ms{0.0};           // crash -> first survivor suspicion
     std::uint64_t false_suspicions{0};  // suspicions of the slow-but-alive replica
     bool slow_in_view{false};           // still a member when the crash happens
     std::uint64_t suspicion_false{0};   // the runtime's own false-suspicion counter
@@ -140,7 +142,8 @@ GrayResult run_gray(double factor, bool accrual, std::uint64_t seed) {
     for (const obs::TraceEvent& e : sink.events()) {
         if (e.kind != obs::TraceKind::kSuspected) continue;
         if (e.detail == slow_id && e.at < crash_at) ++result.false_suspicions;
-        if (e.detail == crashed_id && e.at >= crash_at && result.detection_ms < 0) {
+        if (e.detail == crashed_id && e.at >= crash_at && !result.crash_detected) {
+            result.crash_detected = true;
             result.detection_ms = static_cast<double>(e.at - crash_at) / 1000.0;
         }
     }
@@ -150,59 +153,39 @@ GrayResult run_gray(double factor, bool accrual, std::uint64_t seed) {
     return result;
 }
 
-void append_config(std::string& out, const std::string& name, const GrayResult& r) {
-    out += "{\"name\":\"" + name + "\"";
-    out += ",\"mean_latency_ms\":" + std::to_string(r.detection_ms);
-    out += ",\"false_suspicions\":" + std::to_string(r.false_suspicions);
-    out += ",\"slow_in_view\":" + std::to_string(r.slow_in_view ? 1 : 0);
-    out += ",\"suspicion_false\":" + std::to_string(r.suspicion_false);
-    out += ",\"shed\":" + std::to_string(r.shed);
-    out += ",\"completed\":" + std::to_string(r.completed);
-    out += ",\"timed_out\":" + std::to_string(r.timed_out);
-    out += "}";
-}
-
 void BM_GrayFailure(benchmark::State& state) {
     for (auto _ : state) {
-        const double factors[] = {1.0, 2.0, 4.0, 8.0};
-        std::string artifact = "{\"bench\":\"gray_failure\",\"seed\":1,\"configs\":[";
-        bool first = true;
+        Artifact artifact("gray_failure", 1);
         for (const bool accrual : {true, false}) {
-            for (const double factor : factors) {
+            for (const int factor : {1, 2, 4, 8}) {
                 const GrayResult r = run_gray(factor, accrual, 1);
-                if (!first) artifact += ',';
-                first = false;
-                const std::string name = std::string(accrual ? "phi" : "fixed") + "_x" +
-                                         std::to_string(static_cast<int>(factor));
-                append_config(artifact, name, r);
+                const std::string name =
+                    std::string(accrual ? "phi" : "fixed") + "_x" + std::to_string(factor);
+                ArtifactRow& row = artifact.row(name)
+                                       .lower("false_suspicions", r.false_suspicions)
+                                       .lower("suspicion_false", r.suspicion_false)
+                                       .lower("shed", r.shed)
+                                       .lower("timed_out", r.timed_out)
+                                       .higher("completed", r.completed)
+                                       .higher("slow_in_view", r.slow_in_view)
+                                       .higher("crash_detected", r.crash_detected);
+                if (r.crash_detected) row.lower("detection_ms", r.detection_ms);
 
                 state.counters[name + "_detect_ms"] = r.detection_ms;
-                state.counters[name + "_false"] =
-                    static_cast<double>(r.false_suspicions);
-                if (accrual && r.false_suspicions != 0) {
-                    std::cerr << "# GRAY-FAILURE REGRESSION: accrual detector falsely "
-                              << "suspected the slow-but-alive replica at x" << factor
-                              << "\n";
-                }
-                // Under the fixed detector an undetected crash is the
-                // *expected* cascade (the falsely ejected healthy replica is
-                // gone before it dies); only the accrual runs gate on it.
-                if (accrual && r.detection_ms < 0) {
-                    std::cerr << "# GRAY-FAILURE REGRESSION: crash of a healthy replica "
-                              << "went undetected (" << name << ")\n";
+                state.counters[name + "_false"] = static_cast<double>(r.false_suspicions);
+                // Under the fixed detector both are the *expected* cascade
+                // (the falsely ejected healthy replica is gone before it
+                // dies); only the accrual runs make the claim.
+                if (accrual) {
+                    artifact.check(name + ".no_false_suspicions", r.false_suspicions == 0,
+                                   "the accrual detector suspected the slow-but-alive "
+                                   "replica\n");
+                    artifact.check(name + ".crash_detected", r.crash_detected,
+                                   "the crash of a healthy replica went undetected\n");
                 }
             }
         }
-        artifact += "]}\n";
-
-        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-        const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
-        const std::filesystem::path path =
-            (out_path != nullptr && *out_path != '\0') ? out_path : "BENCH_gray_failure.json";
-        std::ofstream out(path, std::ios::trunc);
-        out << artifact;
-        out.close();
-        std::cout << "# artifact " << path.string() << "\n";
+        artifact.write();
     }
 }
 BENCHMARK(BM_GrayFailure)->Iterations(1)->Unit(benchmark::kMillisecond);

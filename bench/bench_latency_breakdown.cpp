@@ -9,11 +9,14 @@
 // critical path into marshal / credit_wait / wire / order_wait / cpu_wait /
 // execution / reply_collection and cross-checks the phase sums against the
 // independently measured reply-wait histograms (>1% mismatch = tracing
-// bug, reported as reconciled=false and a zero counter).
+// bug, recorded as a failed artifact check and a zero counter).
 //
-// Emits BENCH_latency_breakdown.json (override with NEWTOP_BENCH_OUT); set
-// NEWTOP_TRACE_DUMP_OUT=<dir> to keep the raw trace dumps for
-// `tools/newtop_prof`.
+// Emits BENCH_latency_breakdown.json (override with NEWTOP_BENCH_OUT) in
+// the shared artifact schema (harness.hpp `Artifact`): one row per config
+// with mean latency, throughput and `<phase>_{sum,p50,p90,p99}_us`, the
+// dominant phase as a noted-not-diffed value, and one
+// `<config>.reconciled` check each.  Set NEWTOP_TRACE_DUMP_OUT=<dir> to
+// keep the raw trace dumps for `tools/newtop_prof`.
 #include "harness.hpp"
 
 namespace {
@@ -56,70 +59,41 @@ RequestReplyResult run_config(const Config& config) {
     return RequestReplyBench::run(options);
 }
 
-void append_phases(std::string& out, const std::map<std::string, obs::PhaseStats>& phases) {
-    out += "{";
-    bool first = true;
-    for (const std::string_view name : obs::phase::kAll) {
-        const auto it = phases.find(std::string(name));
-        if (it == phases.end()) continue;
-        if (!first) out += ',';
-        first = false;
-        out += "\"";
-        out += name;
-        out += "\":{\"sum_us\":" + std::to_string(it->second.sum_us);
-        out += ",\"p50_us\":" + std::to_string(it->second.p50_us);
-        out += ",\"p90_us\":" + std::to_string(it->second.p90_us);
-        out += ",\"p99_us\":" + std::to_string(it->second.p99_us) + "}";
-    }
-    out += "}";
-}
-
 void BM_LatencyBreakdown(benchmark::State& state) {
     for (auto _ : state) {
-        std::string artifact = "{\"bench\":\"latency_breakdown\",\"seed\":1,\"configs\":[";
+        Artifact artifact("latency_breakdown", 1);
         bool all_reconciled = true;
-        bool first = true;
         for (const Config& config : kConfigs) {
             const RequestReplyResult result = run_config(config);
-            const bool reconciled = result.profile.reconciled();
-            all_reconciled &= reconciled;
-            if (!first) artifact += ',';
-            first = false;
-            artifact += std::string("{\"name\":\"") + config.name + "\"";
-            artifact += std::string(",\"setting\":\"") + setting_name(config.setting) + "\"";
-            artifact += std::string(",\"order\":\"") +
-                        (config.order == OrderMode::kTotalSymmetric ? "symmetric"
-                                                                    : "asymmetric") +
-                        "\"";
-            artifact += ",\"servers\":" + std::to_string(config.servers);
-            artifact += ",\"mode\":" + std::to_string(static_cast<int>(config.mode));
-            artifact += ",\"mean_latency_ms\":" + std::to_string(result.mean_latency_ms);
-            artifact += ",\"req_per_s\":" + std::to_string(result.throughput_rps);
-            artifact += ",\"invocations\":" + std::to_string(result.profile.invocations);
-            artifact += ",\"unattributed\":" + std::to_string(result.profile.unattributed);
-            artifact += std::string(",\"reconciled\":") + (reconciled ? "true" : "false");
-            artifact += ",\"dominant\":\"" + result.profile.dominant + "\"";
-            artifact += ",\"phases\":";
-            append_phases(artifact, result.profile.phases);
-            artifact += "}";
-            state.counters[std::string(config.name) + "_ms"] = result.mean_latency_ms;
-            if (!reconciled) {
-                std::cerr << "# RECONCILIATION FAILED for " << config.name << "\n"
-                          << result.profile.to_text();
+            const obs::ProfileReport& profile = result.profile;
+            ArtifactRow& row =
+                artifact.row(config.name)
+                    .lower("mean_latency_ms", result.mean_latency_ms)
+                    .higher("req_per_s", result.throughput_rps)
+                    .lower("unattributed", profile.unattributed)
+                    .info("setting", setting_name(config.setting))
+                    .info("order", config.order == OrderMode::kTotalSymmetric ? "symmetric"
+                                                                              : "asymmetric")
+                    .info("servers", config.servers)
+                    .info("mode", static_cast<int>(config.mode))
+                    .info("invocations", profile.invocations)
+                    .info("dominant", profile.dominant);
+            for (const std::string_view phase : obs::phase::kAll) {
+                const auto it = profile.phases.find(std::string(phase));
+                if (it == profile.phases.end()) continue;
+                const std::string prefix(phase);
+                row.lower(prefix + "_sum_us", it->second.sum_us)
+                    .lower(prefix + "_p50_us", it->second.p50_us)
+                    .lower(prefix + "_p90_us", it->second.p90_us)
+                    .lower(prefix + "_p99_us", it->second.p99_us);
             }
+            artifact.check(std::string(config.name) + ".reconciled", profile.reconciled(),
+                           profile.to_text());
+            all_reconciled &= profile.reconciled();
+            state.counters[std::string(config.name) + "_ms"] = result.mean_latency_ms;
         }
-        artifact += "]}\n";
         state.counters["reconciled"] = all_reconciled ? 1.0 : 0.0;
-
-        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-        const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
-        const std::filesystem::path path = (out_path != nullptr && *out_path != '\0')
-                                               ? out_path
-                                               : "BENCH_latency_breakdown.json";
-        std::ofstream out(path, std::ios::trunc);
-        out << artifact;
-        out.close();
-        std::cout << "# artifact " << path.string() << "\n";
+        artifact.write();
     }
 }
 BENCHMARK(BM_LatencyBreakdown)->Iterations(1)->Unit(benchmark::kMillisecond);

@@ -11,9 +11,8 @@
 // Expected shapes: WAN — symmetric roughly 2x the asymmetric throughput
 // (the sequencer redirection costs a second WAN hop); LAN — both degrade
 // with membership, asymmetric faster.
-#include <benchmark/benchmark.h>
+#include "harness.hpp"
 
-#include <iostream>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -188,7 +187,7 @@ private:
 void report(benchmark::State& state, const PeerResult& result) {
     state.counters["deliver_ms"] = result.mean_deliver_ms;
     state.counters["group_msg_per_s"] = result.group_msgs_per_s;
-    std::cout << "# metrics " << result.metrics_json << "\n";
+    bench::emit_metrics(result.metrics_json);
 }
 
 #define NEWTOP_PEER_BENCH(name, bench_where, bench_order)                      \

@@ -15,13 +15,14 @@
 //
 // The through-switch p99 is the headline number: it bounds the latency a
 // client observes when an operator retunes a live group.  The run also
-// asserts the view-synchrony contract observably — zero lost or incomplete
-// invocations across the boundary — and reports the flush stall measured by
-// the runtime itself (obs::metric::kGcsReconfigStallUs).
+// checks the view-synchrony contract observably — zero lost or incomplete
+// invocations across the boundary, and every replica installing every
+// switch.
 //
-// Emits BENCH_reconfig.json (override with NEWTOP_BENCH_OUT) in the same
-// "configs" schema as BENCH_latency_breakdown.json so scripts/bench_diff.py
-// diffs it against the committed baseline unmodified.
+// Emits BENCH_reconfig.json (override with NEWTOP_BENCH_OUT) in the shared
+// artifact schema (harness.hpp `Artifact`): one row per window, a "switch"
+// row with the install lag and the lost/incomplete counts, and one check per
+// view-synchrony invariant.
 #include "harness.hpp"
 
 #include <algorithm>
@@ -224,34 +225,41 @@ ReconfigResult run_reconfig(std::uint64_t seed) {
     return result;
 }
 
-void append_phase(std::string& out, const char* name, const PhaseStats& stats) {
-    out += std::string("{\"name\":\"") + name + "\"";
-    out += ",\"calls\":" + std::to_string(stats.calls);
-    out += ",\"mean_latency_ms\":" + std::to_string(stats.mean_ms);
-    out += ",\"p50_latency_ms\":" + std::to_string(stats.p50_ms);
-    out += ",\"p99_latency_ms\":" + std::to_string(stats.p99_ms);
-    out += ",\"max_latency_ms\":" + std::to_string(stats.max_ms);
-    out += "}";
+void add_row(Artifact& artifact, const char* name, const PhaseStats& stats) {
+    artifact.row(name)
+        .lower("mean_latency_ms", stats.mean_ms)
+        .lower("p50_latency_ms", stats.p50_ms)
+        .lower("p99_latency_ms", stats.p99_ms)
+        .lower("max_latency_ms", stats.max_ms)
+        .info("calls", stats.calls);
 }
 
 void BM_Reconfig(benchmark::State& state) {
     for (auto _ : state) {
         const ReconfigResult result = run_reconfig(1);
 
-        std::string artifact = "{\"bench\":\"reconfig\",\"seed\":1,\"configs\":[";
-        append_phase(artifact, "steady_symmetric", result.symmetric);
-        artifact += ',';
-        append_phase(artifact, "through_switch", result.through);
-        artifact += ',';
-        append_phase(artifact, "steady_asymmetric", result.asymmetric);
-        artifact += "],\"switch\":{";
-        artifact += "\"episodes\":" + std::to_string(result.episodes.size());
-        artifact += ",\"mean_install_lag_us\":" + std::to_string(result.mean_install_lag);
-        artifact += ",\"max_install_lag_us\":" + std::to_string(result.max_install_lag);
-        artifact += ",\"switches\":" + std::to_string(result.reconfig_switches);
-        artifact += "},\"lost\":" + std::to_string(result.lost);
-        artifact += ",\"incomplete\":" + std::to_string(result.incomplete);
-        artifact += "}\n";
+        Artifact artifact("reconfig", 1);
+        add_row(artifact, "steady_symmetric", result.symmetric);
+        add_row(artifact, "through_switch", result.through);
+        add_row(artifact, "steady_asymmetric", result.asymmetric);
+        artifact.row("switch")
+            .lower("mean_install_lag_us", result.mean_install_lag)
+            .lower("max_install_lag_us", result.max_install_lag)
+            .lower("lost", result.lost)
+            .lower("incomplete", result.incomplete)
+            .info("episodes", result.episodes.size())
+            .info("switches", result.reconfig_switches);
+        const std::string counts = "lost=" + std::to_string(result.lost) +
+                                   " incomplete=" + std::to_string(result.incomplete) +
+                                   " switches=" + std::to_string(result.reconfig_switches) +
+                                   "\n";
+        artifact.check("switch.no_lost_calls", result.lost == 0, counts);
+        artifact.check("switch.no_incomplete_calls", result.incomplete == 0, counts);
+        artifact.check("switch.every_replica_switched",
+                       result.reconfig_switches ==
+                           static_cast<std::uint64_t>(kEpisodes * kServers),
+                       counts);
+        artifact.write();
 
         state.counters["sym_p99_ms"] = result.symmetric.p99_ms;
         state.counters["through_p99_ms"] = result.through.p99_ms;
@@ -260,22 +268,6 @@ void BM_Reconfig(benchmark::State& state) {
             static_cast<double>(result.mean_install_lag) / 1000.0;
         state.counters["lost"] = static_cast<double>(result.lost);
         state.counters["incomplete"] = static_cast<double>(result.incomplete);
-
-        if (result.lost != 0 || result.incomplete != 0 ||
-            result.reconfig_switches != static_cast<std::uint64_t>(kEpisodes * kServers)) {
-            std::cerr << "# VIEW-SYNCHRONY VIOLATION: lost=" << result.lost
-                      << " incomplete=" << result.incomplete
-                      << " switches=" << result.reconfig_switches << "\n";
-        }
-
-        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-        const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
-        const std::filesystem::path path =
-            (out_path != nullptr && *out_path != '\0') ? out_path : "BENCH_reconfig.json";
-        std::ofstream out(path, std::ios::trunc);
-        out << artifact;
-        out.close();
-        std::cout << "# artifact " << path.string() << "\n";
     }
 }
 BENCHMARK(BM_Reconfig)->Iterations(1)->Unit(benchmark::kMillisecond);

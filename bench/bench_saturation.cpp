@@ -11,8 +11,12 @@
 // invocations/sec, and the acceptance bar for this artifact is a >=5x
 // speedup of batched over unbatched.
 //
-// Emits BENCH_saturation.json (override the path with NEWTOP_BENCH_OUT)
-// and the standard deterministic `# metrics` line.
+// Emits BENCH_saturation.json (override the path with NEWTOP_BENCH_OUT) in
+// the shared artifact schema (harness.hpp `Artifact`): rows "unbatched",
+// "batched" (throughput, speedup, allocations per invocation) and
+// "profiled" (the traced repeat), with checks that the traced run
+// reconciles and that batched steady state stays within its net-allocation
+// budget.  Also prints the standard deterministic `# metrics` line.
 #include "harness.hpp"
 
 #include "gcs/endpoint.hpp"
@@ -138,61 +142,23 @@ SaturationResult run_saturation(const SaturationOptions& options) {
                 std::string(obs::metric::kGcsDeliveryLatencyUs), h->count(), h->sum()});
         }
         result.profile = obs::LatencyProfiler{}.analyze(dump);
-        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-        const char* dump_dir = std::getenv("NEWTOP_TRACE_DUMP_OUT");
-        if (dump_dir != nullptr && *dump_dir != '\0') {
-            const std::filesystem::path dir(dump_dir);
-            std::filesystem::create_directories(dir);
-            const std::filesystem::path path = dir / "saturation.trace.json";
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out << dump.to_json();
-            out.close();
-            std::cout << "# trace-dump " << path.string() << "\n";
-        }
+        write_trace_dump(dump, "saturation");
     }
     return result;
 }
 
-/// `steady_state` marks modes that drain their offered load; only those make
-/// a net-allocation claim (a backlogged mode buffers its queue growth).
-std::string json_mode(const char* name, bool steady_state, const SaturationOptions& options,
-                      const SaturationResult& result) {
-    std::string out = "{\"name\":\"";
-    out += name;
-    out += "\",\"steady_state\":";
-    out += steady_state ? "true" : "false";
-    out += ",\"order_window\":" + std::to_string(options.order_window);
-    out += ",\"order_max_batch\":" + std::to_string(options.order_max_batch);
-    out += ",\"delivered\":" + std::to_string(result.delivered);
-    out += ",\"wire_messages\":" + std::to_string(result.wire_messages);
-    out += ",\"invocations_per_sec\":" + std::to_string(result.invocations_per_sec);
-    out += ",\"allocs_per_inv\":" + std::to_string(result.allocs_per_inv);
-    out += ",\"net_allocs_per_inv\":" + std::to_string(result.net_allocs_per_inv);
-    out += "}";
-    return out;
-}
-
-void write_artifact(const SaturationOptions& unbatched_options,
-                    const SaturationResult& unbatched,
-                    const SaturationOptions& batched_options,
-                    const SaturationResult& batched, double speedup,
-                    const SaturationResult& profiled) {
-    // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-    const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
-    const std::filesystem::path path =
-        (out_path != nullptr && *out_path != '\0') ? out_path : "BENCH_saturation.json";
-    std::ofstream out(path, std::ios::trunc);
-    const obs::ProfileReport& profile = profiled.profile;
-    out << "{\"bench\":\"saturation\",\"setting\":\"lan\",\"seed\":"
-        << unbatched_options.seed << ",\"modes\":["
-        << json_mode("unbatched", false, unbatched_options, unbatched) << ","
-        << json_mode("batched", true, batched_options, batched) << "],\"speedup\":" << speedup
-        << ",\"profile\":{\"reconciled\":" << (profile.reconciled() ? "true" : "false")
-        << ",\"delivered\":" << profiled.delivered << ",\"sequencer_turnaround\":{\"count\":"
-        << profile.sequencer_turnaround_count
-        << ",\"sum_us\":" << profile.sequencer_turnaround_sum_us << "}}}\n";
-    out.close();
-    std::cout << "# artifact " << path.string() << "\n";
+/// One flood run as an artifact row: throughput and heap traffic per
+/// delivered invocation, with the batching knobs as description.
+ArtifactRow& add_row(Artifact& artifact, const char* name, const SaturationOptions& options,
+                     const SaturationResult& result) {
+    return artifact.row(name)
+        .higher("invocations_per_sec", result.invocations_per_sec)
+        .lower("allocs_per_inv", result.allocs_per_inv)
+        .lower("net_allocs_per_inv", result.net_allocs_per_inv)
+        .info("order_window", options.order_window)
+        .info("order_max_batch", options.order_max_batch)
+        .info("delivered", result.delivered)
+        .info("wire_messages", result.wire_messages);
 }
 
 void BM_Saturation_Lan(benchmark::State& state) {
@@ -225,22 +191,26 @@ void BM_Saturation_Lan(benchmark::State& state) {
         state.counters["reconciled"] = profiled.profile.reconciled() ? 1.0 : 0.0;
         state.counters["allocs_per_inv"] = batched.allocs_per_inv;
         state.counters["net_allocs_per_inv"] = batched.net_allocs_per_inv;
-        if (!profiled.profile.reconciled()) {
-            std::cerr << "# RECONCILIATION FAILED for the traced saturation run\n"
-                      << profiled.profile.to_text();
-        }
+        Artifact artifact("saturation", unbatched_options.seed);
+        add_row(artifact, "unbatched", unbatched_options, unbatched);
+        add_row(artifact, "batched", batched_options, batched).higher("speedup", speedup);
+        artifact.row("profiled")
+            .info("delivered", profiled.delivered)
+            .info("sequencer_turnaround_count", profiled.profile.sequencer_turnaround_count)
+            .info("sequencer_turnaround_sum_us", profiled.profile.sequencer_turnaround_sum_us);
+        artifact.check("profiled.reconciled", profiled.profile.reconciled(),
+                       profiled.profile.to_text());
         // Steady-state allocation discipline: after warm-up the data plane
         // runs on recycled arena buffers and pre-sized containers, so net
         // heap growth per delivered invocation must be ~0.  A small budget
-        // absorbs map-node churn from the holdback/assignment indexes.
-        if (batched.net_allocs_per_inv > kNetAllocBudgetPerInv) {
-            std::cerr << "# ALLOC REGRESSION: net " << batched.net_allocs_per_inv
-                      << " allocs/invocation in steady state (budget "
-                      << kNetAllocBudgetPerInv << ")\n";
-            state.SkipWithError("steady-state net allocations per invocation over budget");
-        }
-        write_artifact(unbatched_options, unbatched, batched_options, batched, speedup,
-                       profiled);
+        // absorbs map-node churn from the holdback/assignment indexes.  The
+        // unbatched mode is backlogged (its queue grows), so it makes no claim.
+        artifact.check("batched.net_allocs_within_budget",
+                       batched.net_allocs_per_inv <= kNetAllocBudgetPerInv,
+                       "net " + std::to_string(batched.net_allocs_per_inv) +
+                           " allocs/invocation (budget " +
+                           std::to_string(kNetAllocBudgetPerInv) + ")\n");
+        artifact.write();
         emit_metrics(batched.metrics_json);
     }
 }

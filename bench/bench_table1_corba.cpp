@@ -2,9 +2,8 @@
 // *without* the NewTop object group service, over the four paths the paper
 // measures.  These anchor everything else: the LAN row should be ~1 ms and
 // the NewTop overhead (other benches) ~2.5x of it.
-#include <benchmark/benchmark.h>
+#include "harness.hpp"
 
-#include <iostream>
 #include <memory>
 #include <string>
 
@@ -72,7 +71,7 @@ DirectResult run_direct(SiteId client_site, SiteId server_site, Topology topolog
 void report(benchmark::State& state, const DirectResult& result) {
     state.counters["timed_request_ms"] = result.latency_ms;
     state.counters["req_per_s"] = result.throughput_rps;
-    std::cout << "# metrics " << result.metrics_json << "\n";
+    bench::emit_metrics(result.metrics_json);
 }
 
 void BM_Table1_LanDistinctNodes(benchmark::State& state) {

@@ -15,13 +15,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <concepts>
+#include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "alloc_hook.hpp"
@@ -44,6 +49,20 @@ inline const char* setting_name(Setting s) {
         case Setting::kGeo: return "geo-distributed";
     }
     return "?";
+}
+
+/// NEWTOP_TRACE_DUMP_OUT=<dir> keeps a profiled run's raw TraceDump as
+/// <dir>/<label>.trace.json for offline `newtop_prof`.
+inline void write_trace_dump(const obs::TraceDump& dump, const std::string& label) {
+    // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
+    const char* dump_dir = std::getenv("NEWTOP_TRACE_DUMP_OUT");
+    if (dump_dir == nullptr || *dump_dir == '\0') return;
+    const std::filesystem::path dir(dump_dir);
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path path = dir / (label + ".trace.json");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << dump.to_json();
+    std::cout << "# trace-dump " << path.string() << "\n";
 }
 
 /// The paper's benchmark servant: returns a pseudo-random number.
@@ -276,17 +295,7 @@ private:
             append_expectation(dump, obs::metric::kInvReplyWaitOther);
             append_expectation(dump, obs::metric::kGcsDeliveryLatencyUs);
             result.profile = obs::LatencyProfiler{}.analyze(dump);
-            // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
-            const char* dump_dir = std::getenv("NEWTOP_TRACE_DUMP_OUT");
-            if (dump_dir != nullptr && *dump_dir != '\0') {
-                const std::filesystem::path dir(dump_dir);
-                std::filesystem::create_directories(dir);
-                const std::filesystem::path path = dir / (label() + ".trace.json");
-                std::ofstream out(path, std::ios::binary | std::ios::trunc);
-                out << dump.to_json();
-                out.close();
-                std::cout << "# trace-dump " << path.string() << "\n";
-            }
+            write_trace_dump(dump, label());
         }
         if (trace_dir != nullptr && *trace_dir != '\0' && trace_sink != nullptr) {
             obs::ExportOptions export_options;
@@ -333,5 +342,104 @@ inline void report(::benchmark::State& state, const RequestReplyResult& result) 
     state.counters["wire_msgs"] = static_cast<double>(result.wire_messages);
     emit_metrics(result.metrics_json);
 }
+
+/// One configuration of a bench artifact.  `lower` and `higher` metrics are
+/// compared by scripts/bench_diff.py in their tagged direction; `info`
+/// values describe the configuration and are never diffed, only noted when
+/// they change.  Names and string values are plain identifiers (no JSON
+/// escaping).
+class ArtifactRow {
+public:
+    explicit ArtifactRow(std::string name) : name_(std::move(name)) {}
+
+    ArtifactRow& lower(std::string_view metric, std::convertible_to<double> auto value) {
+        return add(lower_, metric, format_number(static_cast<double>(value)));
+    }
+    ArtifactRow& higher(std::string_view metric, std::convertible_to<double> auto value) {
+        return add(higher_, metric, format_number(static_cast<double>(value)));
+    }
+    ArtifactRow& info(std::string_view key, std::convertible_to<double> auto value) {
+        return add(info_, key, format_number(static_cast<double>(value)));
+    }
+    ArtifactRow& info(std::string_view key, std::string_view value) {
+        std::string quoted(1, '"');
+        quoted.append(value).push_back('"');
+        return add(info_, key, quoted);
+    }
+
+    [[nodiscard]] std::string to_json() const {
+        return "{\"name\":\"" + name_ + "\",\"lower\":{" + lower_ + "},\"higher\":{" +
+               higher_ + "},\"info\":{" + info_ + "}}";
+    }
+
+private:
+    /// Six decimals, trailing zeros dropped: integers print as integers and
+    /// every value is reproducible byte for byte from a seeded run.
+    static std::string format_number(double value) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.6f", value);
+        std::string out(buf);
+        out.erase(out.find_last_not_of('0') + 1);
+        if (out.back() == '.') out.pop_back();
+        return out;
+    }
+
+    ArtifactRow& add(std::string& members, std::string_view key, const std::string& value) {
+        if (!members.empty()) members += ',';
+        members += '"';
+        members.append(key).append("\":").append(value);
+        return *this;
+    }
+
+    std::string name_;
+    std::string lower_;
+    std::string higher_;
+    std::string info_;
+};
+
+/// The one artifact schema every BENCH_<bench>.json uses:
+///   {"bench":..,"seed":..,"rows":[{"name":..,"lower":{..},"higher":{..},
+///    "info":{..}}, ..],"checks":{"<invariant>":true|false}}
+/// A check records an invariant the run must hold; scripts/bench_diff.py
+/// fails on any false check, while metric drift stays advisory.
+class Artifact {
+public:
+    Artifact(std::string bench, std::uint64_t seed) : bench_(std::move(bench)), seed_(seed) {}
+
+    /// References stay valid across later row() calls (deque storage).
+    ArtifactRow& row(std::string name) { return rows_.emplace_back(std::move(name)); }
+
+    /// Record an invariant; a violation is also reported on stderr with
+    /// `detail` so a console run explains itself.
+    void check(const std::string& invariant, bool holds, const std::string& detail) {
+        if (!checks_.empty()) checks_ += ',';
+        checks_.append("\"").append(invariant).append(holds ? "\":true" : "\":false");
+        if (!holds) std::cerr << "# CHECK FAILED: " << invariant << "\n" << detail;
+    }
+
+    /// Write to NEWTOP_BENCH_OUT, or to BENCH_<bench>.json in the working
+    /// directory.
+    void write() const {
+        // newtop-lint: allow(getenv): artifact destination only; cannot influence simulated behaviour
+        const char* out_path = std::getenv("NEWTOP_BENCH_OUT");
+        std::filesystem::path path = "BENCH_" + bench_ + ".json";
+        if (out_path != nullptr && *out_path != '\0') path = out_path;
+        std::ofstream out(path, std::ios::trunc);
+        out << "{\"bench\":\"" << bench_ << "\",\"seed\":" << seed_ << ",\"rows\":[";
+        const char* sep = "\n";
+        for (const ArtifactRow& row : rows_) {
+            out << sep << row.to_json();
+            sep = ",\n";
+        }
+        out << "\n],\"checks\":{" << checks_ << "}}\n";
+        std::cout << "# artifact " << path.string() << "\n";
+    }
+
+private:
+    std::string bench_;
+    std::uint64_t seed_;
+    std::deque<ArtifactRow> rows_;
+    std::string checks_;  // JSON members, in check() order
+};
 
 }  // namespace newtop::bench

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two bench artifacts and warn on regressions.
+"""Compare two bench artifacts: warn on metric regressions, fail on checks.
 
 Usage: bench_diff.py CURRENT [PREVIOUS] [--threshold PCT] [--strict]
 
@@ -7,19 +7,26 @@ PREVIOUS defaults to the committed baseline at the repository root with the
 same file name as CURRENT — the BENCH_*.json artifacts are committed, so
 the default diff is "this run vs the trajectory the repo promises".
 
-Two schemas are understood:
-  * saturation ("modes"): per-mode invocations_per_sec, higher is better;
-  * latency_breakdown ("configs"): per-config mean_latency_ms, lower is
-    better, plus a note whenever a config's dominant phase changed.
+Every artifact has one schema (written by bench/harness.hpp `Artifact`):
 
-A regression beyond the threshold (default 10%) produces a WARNING line;
-the exit code stays 0 (the diff is advisory -- sim-time numbers are
-deterministic, so a warning means the *code* changed, not the machine).
-Pass --strict to turn warnings into a non-zero exit.
+  {"bench": ..., "seed": ...,
+   "rows": [{"name": ..., "lower": {metric: value}, "higher": {metric: value},
+             "info": {key: value}}, ...],
+   "checks": {invariant: true|false}}
+
+For each row and metric in CURRENT the matching PREVIOUS value is compared
+in the metric's tagged direction ("lower" or "higher" is better).  A move
+the wrong way by more than the threshold (default 10%) prints a WARNING;
+the metric diff is advisory, so the exit code stays 0 unless --strict is
+given (sim-time numbers are deterministic, so a warning means the *code*
+changed, not the machine).  A changed `info` value prints as a note and is
+never a regression.  Any check in CURRENT that is not true fails the run
+with exit code 1, with or without --strict.
 """
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -29,78 +36,50 @@ def load(path):
         return json.load(f)
 
 
-def diff_modes(current, previous, threshold):
-    """Saturation schema: higher invocations_per_sec is better."""
-    regressed = False
-    prev_modes = {m["name"]: m for m in previous.get("modes", [])}
-    for mode in current.get("modes", []):
-        name = mode["name"]
-        now = mode.get("invocations_per_sec", 0.0)
-        if name not in prev_modes:
-            print(f"{name}: {now:.0f} inv/s (no previous data)")
-            continue
-        before = prev_modes[name].get("invocations_per_sec", 0.0)
-        delta = 0.0 if before == 0 else (now - before) / before * 100.0
-        line = f"{name}: {before:.0f} -> {now:.0f} inv/s ({delta:+.1f}%)"
-        if delta < -threshold:
-            regressed = True
-            print(f"WARNING: throughput regression over {threshold:.0f}%: {line}")
-        else:
-            print(line)
-        # Allocation discipline: per-invocation heap churn must not creep up.
-        # Tolerance is one alloc/invocation or 10%, whichever is larger, so
-        # tiny counter jitter never fires but a leaked per-message buffer does.
-        alloc_now = mode.get("allocs_per_inv")
-        alloc_before = prev_modes[name].get("allocs_per_inv")
-        if alloc_now is not None and alloc_before is not None:
-            budget = alloc_before + max(1.0, alloc_before * 0.10)
-            alloc_line = f"  allocs/inv: {alloc_before:.2f} -> {alloc_now:.2f}"
-            if alloc_now > budget:
-                regressed = True
-                print(f"WARNING: allocation regression:{alloc_line}")
-            else:
-                print(alloc_line)
-        net_now = mode.get("net_allocs_per_inv")
-        if mode.get("steady_state") and net_now is not None and net_now > 0.5:
-            regressed = True
-            print(f"WARNING: {name} leaks in steady state: "
-                  f"net {net_now:.2f} allocs/invocation")
-    speedup = current.get("speedup")
-    if speedup is not None:
-        print(f"batched/unbatched speedup: {speedup:.2f}x")
-    profile = current.get("profile", {})
-    if profile and not profile.get("reconciled", True):
-        regressed = True
-        print("WARNING: traced run did not reconcile against its histograms")
-    return regressed
+def percent_change(before, now):
+    if before == 0:
+        return 0.0 if now == 0 else math.copysign(math.inf, now)
+    return (now - before) / abs(before) * 100.0
 
 
-def diff_configs(current, previous, threshold):
-    """Latency-breakdown schema: lower mean_latency_ms is better."""
-    regressed = False
-    prev_configs = {c["name"]: c for c in previous.get("configs", [])}
-    for config in current.get("configs", []):
-        name = config["name"]
-        now = config.get("mean_latency_ms", 0.0)
-        if not config.get("reconciled", True):
-            regressed = True
-            print(f"WARNING: {name} did not reconcile against its histograms")
-        if name not in prev_configs:
-            print(f"{name}: {now:.3f} ms (no previous data)")
+def diff_rows(current, previous, threshold):
+    """Print every changed metric; return how many regressed past threshold."""
+    prev_rows = {row["name"]: row for row in previous.get("rows", [])}
+    regressions = 0
+    for row in current["rows"]:
+        name = row["name"]
+        before_row = prev_rows.pop(name, None)
+        if before_row is None:
+            print(f"{name}: (no previous data)")
             continue
-        before = prev_configs[name].get("mean_latency_ms", 0.0)
-        delta = 0.0 if before == 0 else (now - before) / before * 100.0
-        line = f"{name}: {before:.3f} -> {now:.3f} ms ({delta:+.1f}%)"
-        if delta > threshold:
-            regressed = True
-            print(f"WARNING: latency regression over {threshold:.0f}%: {line}")
-        else:
-            print(line)
-        dom_before = prev_configs[name].get("dominant")
-        dom_now = config.get("dominant")
-        if dom_before and dom_now and dom_before != dom_now:
-            print(f"  note: dominant phase changed: {dom_before} -> {dom_now}")
-    return regressed
+        unchanged = 0
+        for direction, worse_sign in (("lower", 1.0), ("higher", -1.0)):
+            before_metrics = before_row.get(direction, {})
+            for metric, now in row.get(direction, {}).items():
+                if metric not in before_metrics:
+                    print(f"{name}.{metric}: {now:g} (no previous data)")
+                    continue
+                before = before_metrics[metric]
+                delta = percent_change(before, now)
+                line = (f"{name}.{metric}: {before:g} -> {now:g} "
+                        f"({delta:+.1f}%, {direction} is better)")
+                if worse_sign * delta > threshold:
+                    regressions += 1
+                    print(f"WARNING: regression over {threshold:g}%: {line}")
+                elif delta != 0.0:
+                    print(line)
+                else:
+                    unchanged += 1
+            for metric in sorted(before_metrics.keys() - row.get(direction, {}).keys()):
+                print(f"  note: {name}.{metric} no longer reported")
+        for key, now in row.get("info", {}).items():
+            before = before_row.get("info", {}).get(key, now)
+            if before != now:
+                print(f"  note: {name}.{key} changed: {before} -> {now}")
+        print(f"{name}: {unchanged} metrics unchanged (+0.0%)")
+    for name in prev_rows:
+        print(f"  note: row {name} no longer reported")
+    return regressions
 
 
 def main():
@@ -119,22 +98,21 @@ def main():
     if previous_path is None:
         repo_root = pathlib.Path(__file__).resolve().parent.parent
         previous_path = repo_root / pathlib.Path(args.current).name
-        if not previous_path.exists():
-            print(f"no committed baseline at {previous_path}; nothing to diff")
-            return 0
-
     current = load(args.current)
-    previous = load(previous_path)
-
-    if "modes" in current:
-        regressed = diff_modes(current, previous, args.threshold)
-    elif "configs" in current:
-        regressed = diff_configs(current, previous, args.threshold)
+    if pathlib.Path(previous_path).exists():
+        previous = load(previous_path)
     else:
-        print(f"unrecognised artifact schema in {args.current}", file=sys.stderr)
-        return 2
+        print(f"no baseline at {previous_path}; checking invariants only")
+        previous = {}
 
-    return 1 if (regressed and args.strict) else 0
+    regressions = diff_rows(current, previous, args.threshold)
+    failed = [name for name, holds in current.get("checks", {}).items() if holds is not True]
+    for name in failed:
+        print(f"FAILED check: {name}")
+    print(f"{current.get('bench', args.current)}: {regressions} regression(s) over "
+          f"{args.threshold:g}%, {len(failed)} of {len(current.get('checks', {}))} "
+          f"check(s) failed")
+    return 1 if failed or (regressions and args.strict) else 0
 
 
 if __name__ == "__main__":

@@ -18,13 +18,13 @@
 #                    (default 200) in every tree.  On failure the campaign
 #                    prints the failing seed; replay it with
 #                        NEWTOP_FUZZ_SEED=<seed> build/tools/newtop_fuzz
-#   --bench          fast path: build and run the LAN saturation,
-#                    latency-breakdown and reconfig benchmarks into build/, gate the
-#                    trace dumps through newtop_prof (phase sums must
-#                    reconcile with the histograms within 1%), diff against
-#                    the committed BENCH_*.json baselines, then refresh the
-#                    repo-root artifacts so the new numbers can be
-#                    committed; no tests
+#   --bench          fast path: build and run the artifact benches (BENCHES)
+#                    into build/, gate the trace dumps through newtop_prof
+#                    (phase sums must reconcile with the histograms within
+#                    1%), diff against the committed BENCH_*.json baselines
+#                    (metric drift is advisory, a failed artifact check
+#                    fails), then refresh the repo-root artifacts so the
+#                    new numbers can be committed; no tests
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,26 +65,17 @@ done
 EXTRA_CTEST_ARGS=("$@")
 
 if [[ "${BENCH_ONLY}" == 1 ]]; then
+    BENCHES=(saturation latency_breakdown reconfig gray_failure)
     echo "== bench (build)"
     cmake -B build -S . >/dev/null
-    cmake --build build -j "${JOBS}" \
-        --target bench_saturation bench_latency_breakdown bench_reconfig \
-        bench_gray_failure newtop_prof
+    cmake --build build -j "${JOBS}" --target "${BENCHES[@]/#/bench_}" newtop_prof
     rm -rf build/bench_traces
-    echo "== bench_saturation (run)"
-    NEWTOP_BENCH_OUT=build/BENCH_saturation.json \
-    NEWTOP_TRACE_DUMP_OUT=build/bench_traces \
-        build/bench/bench_saturation --benchmark_filter=BM_Saturation_Lan
-    echo "== bench_latency_breakdown (run)"
-    NEWTOP_BENCH_OUT=build/BENCH_latency_breakdown.json \
-    NEWTOP_TRACE_DUMP_OUT=build/bench_traces \
-        build/bench/bench_latency_breakdown
-    echo "== bench_reconfig (run)"
-    NEWTOP_BENCH_OUT=build/BENCH_reconfig.json \
-        build/bench/bench_reconfig
-    echo "== bench_gray_failure (run)"
-    NEWTOP_BENCH_OUT=build/BENCH_gray_failure.json \
-        build/bench/bench_gray_failure
+    for bench in "${BENCHES[@]}"; do
+        echo "== bench_${bench} (run)"
+        NEWTOP_BENCH_OUT="build/BENCH_${bench}.json" \
+        NEWTOP_TRACE_DUMP_OUT=build/bench_traces \
+            "build/bench/bench_${bench}"
+    done
     echo "== newtop_prof reconciliation gate"
     mkdir -p build/prof_reports
     for dump in build/bench_traces/*.trace.json; do
@@ -92,16 +83,14 @@ if [[ "${BENCH_ONLY}" == 1 ]]; then
         build/tools/newtop_prof --json -o "build/prof_reports/${name}.json" "${dump}"
         build/tools/newtop_prof "${dump}" | head -2
     done
-    echo "== diff vs committed baselines"
-    python3 scripts/bench_diff.py build/BENCH_saturation.json
-    python3 scripts/bench_diff.py build/BENCH_latency_breakdown.json
-    python3 scripts/bench_diff.py build/BENCH_reconfig.json
-    python3 scripts/bench_diff.py build/BENCH_gray_failure.json
-    cp build/BENCH_saturation.json BENCH_saturation.json
-    cp build/BENCH_latency_breakdown.json BENCH_latency_breakdown.json
-    cp build/BENCH_reconfig.json BENCH_reconfig.json
-    cp build/BENCH_gray_failure.json BENCH_gray_failure.json
-    echo "== bench artifacts refreshed (BENCH_saturation.json, BENCH_latency_breakdown.json, BENCH_reconfig.json, BENCH_gray_failure.json)"
+    echo "== diff vs committed baselines (a failed check fails the run)"
+    for bench in "${BENCHES[@]}"; do
+        python3 scripts/bench_diff.py "build/BENCH_${bench}.json"
+    done
+    for bench in "${BENCHES[@]}"; do
+        cp "build/BENCH_${bench}.json" "BENCH_${bench}.json"
+    done
+    echo "== bench artifacts refreshed (BENCH_*.json)"
     exit 0
 fi
 
