@@ -342,6 +342,67 @@ INSTANTIATE_TEST_SUITE_P(Protocols, OrderedGroup,
                                                                              : "Asymmetric";
                          });
 
+// -- holdback reporting -------------------------------------------------------------
+
+struct HoldbackReporting : ::testing::TestWithParam<OrderMode> {};
+
+TEST_P(HoldbackReporting, HeldBackMessageShowsInStatsAndLoadUntilDelivered) {
+    // Three members on three sites; `first` has the lowest id (the
+    // sequencer in asymmetric mode).  While the first <-> late link drops
+    // everything, late misses m1 and every null and order record from
+    // first, so the m2 it does receive from relay is held back in every
+    // mode: symmetric waits on first's timestamp, asymmetric on first's
+    // order record, causal on m1.
+    Topology t;
+    const SiteId s0 = t.add_site("S0", LinkParams{.latency = 300});
+    const SiteId s1 = t.add_site("S1", LinkParams{.latency = 300});
+    const SiteId s2 = t.add_site("S2", LinkParams{.latency = 300});
+    t.set_link(s0, s1, LinkParams{.latency = 500});
+    t.set_link(s0, s2, LinkParams{.latency = 500});
+    t.set_link(s1, s2, LinkParams{.latency = 500});
+    GcsWorld world(std::move(t));
+    const auto first = world.add_endpoint(s0);
+    const auto relay = world.add_endpoint(s1);
+    const auto late = world.add_endpoint(s2);
+    const GroupId g = world.ep(first).create_group("g", config_for(GetParam()));
+    world.ep(relay).join_group("g");
+    world.run_for(100_ms);
+    world.ep(late).join_group("g");
+    world.run_for(100_ms);
+    ASSERT_EQ(world.ep(late).current_view(g)->members.size(), 3u);
+    EXPECT_EQ(world.ep(late).group_stats(g).holdback, 0u);
+
+    world.net.set_link_degrade(s0, s2, LinkDegrade{.extra_loss = 1.0});
+    world.ep(first).multicast(g, payload_of("m1"));
+    world.run_for(5_ms);
+    world.ep(relay).multicast(g, payload_of("m2"));
+    world.run_for(5_ms);
+    EXPECT_EQ(world.ep(late).group_stats(g).holdback, 1u);
+    EXPECT_EQ(world.ep(late).pending_load(), 1u);
+    EXPECT_TRUE(world.log_of(late, g).empty());
+
+    // Healed: first's next null exposes the gap, the NACK recovers m1 (and
+    // the order records), and both messages are delivered.
+    world.net.clear_link_degrade(s0, s2);
+    world.run_for(500_ms);
+    EXPECT_EQ(world.ep(late).group_stats(g).holdback, 0u);
+    EXPECT_EQ(world.ep(late).pending_load(), 0u);
+    EXPECT_EQ(world.log_of(late, g), (std::vector<std::string>{"m1", "m2"}));
+    EXPECT_EQ(world.ep(late).current_view(g)->members.size(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, HoldbackReporting,
+                         ::testing::Values(OrderMode::kTotalSymmetric,
+                                           OrderMode::kTotalAsymmetric, OrderMode::kCausal),
+                         [](const auto& info) {
+                             switch (info.param) {
+                                 case OrderMode::kTotalSymmetric: return "Symmetric";
+                                 case OrderMode::kTotalAsymmetric: return "Asymmetric";
+                                 case OrderMode::kCausal: return "Causal";
+                             }
+                             return "Unknown";
+                         });
+
 // -- causal mode -------------------------------------------------------------------
 
 TEST_F(LanGcs, CausalModeDeliversCausallyRelatedInOrder) {

@@ -199,6 +199,20 @@ constexpr std::string_view kSmallData =
     "0800000000000000" "03" "00000000" "01000000" "63" "00000000" "00000000" "00000000"
     "0000000000000000" "0000000000000000" "0000000000000000" "00000000";
 
+/// Payload of a DataKind::kOrder stream message: the sequencer's
+/// assignment record (first order number, then the refs it orders).
+constexpr std::string_view kOrderRecord =
+    "0700000000000000"                                    // first_order
+    "02000000" "0100000000000000" "0000000000000000"      // refs
+    "0200000000000000" "0300000000000000";
+
+constexpr std::string_view kOrderRecordData =
+    "0100000000000000" "0200000000000000" "0100000000000000" "0000000000000000"
+    "0800000000000000" "02" "00000000" "2c000000";        // ... kind, knowledge, payload
+constexpr std::string_view kOrderRecordDataTail =
+    "00000000" "00000000" "00000000" "0000000000000000" "0000000000000000" "0000000000000000"
+    "00000000";
+
 constexpr std::string_view kGroupConfig =
     "02" "00"  // order, liveness
     "0100000000000000" "0200000000000000" "0300000000000000" "0400000000000000"
@@ -261,6 +275,23 @@ TEST(WireGolden, OrderMsg) {
     expect_golden(OrderMsg{GroupId(1), 2, 7, {MsgRef{EndpointId(1), 0}, MsgRef{EndpointId(2), 3}}},
                   "03" "0100000000000000" "0200000000000000" "0700000000000000" "02000000"
                   "0100000000000000" "0000000000000000" "0200000000000000" "0300000000000000");
+}
+
+TEST(WireGolden, OrderRecordDataMsg) {
+    Encoder e;
+    encode(e, std::uint64_t{7});
+    encode(e, std::vector<MsgRef>{MsgRef{EndpointId(1), 0}, MsgRef{EndpointId(2), 3}});
+    const Bytes record = std::move(e).take();
+    EXPECT_EQ(hex(record), kOrderRecord);
+
+    DataMsg m;
+    m.group = GroupId(1);
+    m.epoch = 2;
+    m.sender = EndpointId(1);
+    m.ts = 8;
+    m.kind = DataKind::kOrder;
+    m.payload = record;
+    expect_golden(m, cat({"01", kOrderRecordData, kOrderRecord, kOrderRecordDataTail}));
 }
 
 TEST(WireGolden, JoinAndLeave) {
