@@ -22,24 +22,6 @@ namespace {
 constexpr SimDuration kNackDelay = 2_ms;
 constexpr SimDuration kNackRetry = 10_ms;
 
-Bytes encode_order_payload(const OrderMsg& order) {
-    Encoder e;
-    encode(e, order.first_order);
-    encode(e, order.refs);
-    return std::move(e).take();
-}
-
-OrderMsg decode_order_payload(const DataMsg& msg) {
-    Decoder d(msg.payload);
-    OrderMsg order;
-    order.group = msg.group;
-    order.epoch = msg.epoch;
-    decode(d, order.first_order);
-    decode(d, order.refs);
-    if (!d.exhausted()) throw DecodeError("trailing bytes in order payload");
-    return order;
-}
-
 /// Creation- and proposal-time configuration sanity.  The one that bites in
 /// practice: a view-change round must be allowed strictly more time than
 /// the suspicion timeout, or the coordinator gets suspected by followers
@@ -87,13 +69,7 @@ GroupCommEndpoint::GroupCommEndpoint(Orb& orb, Directory& directory)
     gauge_registry_ = &metrics();
     gauges_.push_back(gauge_registry_->register_gauge(obs::metric::kGcsHoldback, [this](SimTime) {
         std::uint64_t total = 0;
-        for (const auto& [id, g] : groups_) {
-            switch (g.config.order) {
-                case OrderMode::kTotalSymmetric: total += g.symmetric.pending_count(); break;
-                case OrderMode::kTotalAsymmetric: total += g.sequencer.pending_count(); break;
-                case OrderMode::kCausal: total += g.causal.pending_count(); break;
-            }
-        }
+        for (const auto& [id, g] : groups_) total += g.engine.pending_count();
         return total;
     }));
     gauges_.push_back(
@@ -178,22 +154,14 @@ GroupCommEndpoint::GroupStats GroupCommEndpoint::group_stats(GroupId group) cons
     stats.unstable = g->unstable.size();
     stats.nulls_sent = g->nulls_sent;
     stats.delivered = g->delivered_count;
-    switch (g->config.order) {
-        case OrderMode::kTotalSymmetric: stats.holdback = g->symmetric.pending_count(); break;
-        case OrderMode::kTotalAsymmetric: stats.holdback = g->sequencer.pending_count(); break;
-        case OrderMode::kCausal: stats.holdback = g->causal.pending_count(); break;
-    }
+    stats.holdback = g->engine.pending_count();
     return stats;
 }
 
 std::size_t GroupCommEndpoint::pending_load() const {
     std::size_t load = 0;
     for (const auto& [id, g] : groups_) {
-        switch (g.config.order) {
-            case OrderMode::kTotalSymmetric: load += g.symmetric.pending_count(); break;
-            case OrderMode::kTotalAsymmetric: load += g.sequencer.pending_count(); break;
-            case OrderMode::kCausal: load += g.causal.pending_count(); break;
-        }
+        load += g.engine.pending_count();
         load += g.blocked_sends.size();
         load += g.coalesce_queue.size();
         load += g.release_queue.size();
@@ -477,9 +445,7 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     }
     if (orders_like_app(kind)) {
         msg.knowledge = knowledge_snapshot(g.id);
-        if (g.config.order == OrderMode::kCausal) {
-            msg.causal_vc = g.causal.delivered_vector();
-        }
+        msg.causal_vc = g.engine.causal_vector();
         note_knowledge(g.id, msg.epoch, id_, msg.seq + 1);
     }
 
@@ -492,17 +458,7 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
 
     // Local self-ingest: feed our own message straight to the engine.
     if (kind == DataKind::kApplication) note_payload_arrival(msg);
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric: g.symmetric.on_data(msg); break;
-        case OrderMode::kTotalAsymmetric:
-            if (msg.kind == DataKind::kOrder) {
-                // Our own order record: assignments already in the engine.
-            } else {
-                g.sequencer.on_data(msg);
-            }
-            break;
-        case OrderMode::kCausal: g.causal.on_data(msg); break;
-    }
+    g.engine.on_data(msg);
     pump(g);
     kick_liveness(g);
 }
@@ -562,9 +518,7 @@ void GroupCommEndpoint::handle_data(DataMsg msg) {
             if (member == msg.sender) sender_count = count;
         }
         const bool stream_complete = sender_count <= stream.next_expected;
-        if (g.config.order == OrderMode::kTotalSymmetric && stream_complete) {
-            g.symmetric.on_data(msg);
-        }
+        if (stream_complete) g.engine.on_data(msg);
         apply_stability_report(g, msg.sender, msg.received_counts);
         if (!stream_complete && stream.out_of_order.empty()) {
             schedule_nack(g, msg.sender);
@@ -624,61 +578,29 @@ void GroupCommEndpoint::note_payload_arrival(const DataMsg& msg) {
 void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg) {
     note_payload_arrival(msg);
     g.unstable.emplace(MsgRef{msg.sender, msg.seq}, msg);
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric:
-            g.symmetric.on_data(msg);
-            break;
-        case OrderMode::kTotalAsymmetric:
-            if (msg.kind == DataKind::kOrder) {
-                try {
-                    g.sequencer.on_order(decode_order_payload(msg));
-                } catch (const DecodeError& err) {
-                    NEWTOP_WARN("endpoint " << id_ << ": bad order payload: " << err.what());
-                }
-            } else {
-                g.sequencer.on_data(msg);
-            }
-            break;
-        case OrderMode::kCausal:
-            g.causal.on_data(msg);
-            break;
+    try {
+        g.engine.on_data(msg);
+    } catch (const DecodeError& err) {
+        NEWTOP_WARN("endpoint " << id_ << ": bad order payload: " << err.what());
     }
 }
 
 void GroupCommEndpoint::pump(Group& g) {
     if (g.state != Group::State::kNormal) return;
-    std::vector<DataMsg> ordered;
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric:
-            ordered = g.symmetric.take_deliverable();
-            break;
-        case OrderMode::kTotalAsymmetric: {
-            // Sequencer: fresh assignments are not broadcast inline — the
-            // flush runs at the end of the current event step, so every data
-            // ref assigned at this instant shares one multi-assignment ORDER
-            // broadcast instead of costing one broadcast each.
-            schedule_order_flush(g);
-            ordered = g.sequencer.take_deliverable();
-            break;
-        }
-        case OrderMode::kCausal:
-            ordered = g.causal.take_deliverable();
-            break;
-    }
-    std::size_t holdback = 0;
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric: holdback = g.symmetric.pending_count(); break;
-        case OrderMode::kTotalAsymmetric: holdback = g.sequencer.pending_count(); break;
-        case OrderMode::kCausal: holdback = g.causal.pending_count(); break;
-    }
-    metrics().observe(obs::metric::kGcsHoldbackDepth, static_cast<SimDuration>(holdback));
+    // Sequencer: fresh assignments are not broadcast inline — the flush
+    // runs at the end of the current event step, so every data ref
+    // assigned at this instant shares one multi-assignment ORDER broadcast
+    // instead of costing one broadcast each.
+    schedule_order_flush(g);
+    std::vector<DataMsg> ordered = g.engine.take_deliverable();
+    metrics().observe(obs::metric::kGcsHoldbackDepth,
+                      static_cast<SimDuration>(g.engine.pending_count()));
     for (auto& msg : ordered) g.release_queue.push_back(std::move(msg));
     try_release_all();
 }
 
 void GroupCommEndpoint::schedule_order_flush(Group& g) {
-    if (!g.sequencer.is_sequencer() || g.sequencer.fresh_count() == 0) return;
-    if (g.order_flush_timer != 0) return;
+    if (g.engine.fresh_count() == 0 || g.order_flush_timer != 0) return;
     const GroupId id = g.id;
     // Zero delay: the scheduler's FIFO tie-break at equal timestamps runs
     // this after every already-queued delivery at the current instant, so
@@ -687,23 +609,21 @@ void GroupCommEndpoint::schedule_order_flush(Group& g) {
 }
 
 void GroupCommEndpoint::flush_order(Group& g) {
+    const auto order = g.engine.take_order_to_send();
+    if (!order) return;
     const SimTime now = orb_->scheduler().now();
-    while (auto order = g.sequencer.take_order_to_send()) {
-        metrics().observe(obs::metric::kGcsOrderBatchRefs,
-                          static_cast<SimDuration>(order->refs.size()));
-        // Sequencer-turnaround boundary: each ref now has an agreed position
-        // and the assignment goes on the wire.  The span is recovered from
-        // the unstable store (the sequencer holds every unassigned message).
-        for (const MsgRef& ref : order->refs) {
-            const auto it = g.unstable.find(ref);
-            const obs::SpanContext span = it == g.unstable.end() ? obs::SpanContext{}
-                                                                 : it->second.span;
-            metrics().trace(obs::TraceKind::kOrderAssigned, now, id_.value(), span, 0,
-                            g.id.value(),
-                            obs::pack_delivered_ref(g.view.epoch, ref.sender.value(), ref.seq));
-        }
-        send_data(g, DataKind::kOrder, encode_order_payload(*order));
+    metrics().observe(obs::metric::kGcsOrderBatchRefs, static_cast<SimDuration>(order->refs.size()));
+    // Sequencer-turnaround boundary: each ref now has an agreed position and
+    // the assignment goes on the wire.  The span is recovered from the
+    // unstable store (the sequencer holds every unassigned message).
+    for (const MsgRef& ref : order->refs) {
+        const auto it = g.unstable.find(ref);
+        const obs::SpanContext span = it == g.unstable.end() ? obs::SpanContext{}
+                                                             : it->second.span;
+        metrics().trace(obs::TraceKind::kOrderAssigned, now, id_.value(), span, 0, g.id.value(),
+                        obs::pack_delivered_ref(g.view.epoch, ref.sender.value(), ref.seq));
     }
+    send_data(g, DataKind::kOrder, encode_to_bytes(*order));
 }
 
 void GroupCommEndpoint::on_order_flush(GroupId id) {

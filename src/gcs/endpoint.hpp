@@ -229,10 +229,8 @@ private:
         std::deque<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
         std::map<MsgRef, DataMsg> unstable;  // own + received, this epoch
 
-        // ordering engines (one active, per config.order)
-        SymmetricOrder symmetric;
-        SequencerOrder sequencer;
-        CausalOrder causal;
+        /// The protocol config.order names, rebuilt at each view install.
+        OrderingEngine engine;
 
         // stability
         std::map<EndpointId, std::map<EndpointId, Seqno>> stability_reports;

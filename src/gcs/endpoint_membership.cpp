@@ -256,12 +256,7 @@ void GroupCommEndpoint::begin_round(Group& g) {
     std::vector<DataMsg> own;
     own.reserve(g.unstable.size());
     for (const auto& [ref, msg] : g.unstable) own.push_back(msg);
-    std::vector<std::pair<std::uint64_t, MsgRef>> own_orders;
-    if (g.config.order == OrderMode::kTotalAsymmetric) {
-        const auto& log = g.sequencer.assignment_log();
-        own_orders.assign(log.begin(), log.end());
-    }
-    add_flush(g, id_, std::move(own), own_orders);
+    add_flush(g, id_, std::move(own), g.engine.flush_orders());
 
     orb_->scheduler().cancel(g.vc_timer);
     const GroupId id = g.id;
@@ -307,10 +302,7 @@ void GroupCommEndpoint::handle_propose(const ProposeMsg& msg) {
         flush.sender = id_;
         flush.unstable.reserve(g.unstable.size());
         for (const auto& [ref, data] : g.unstable) flush.unstable.push_back(data);
-        if (g.config.order == OrderMode::kTotalAsymmetric) {
-            const auto& log = g.sequencer.assignment_log();
-            flush.orders.assign(log.begin(), log.end());
-        }
+        flush.orders = g.engine.flush_orders();
         metrics().add(obs::metric::kGcsFlushesSent);
         metrics().trace(obs::TraceKind::kFlushSent, orb_->scheduler().now(), id_.value(),
                         g.id.value(), msg.new_epoch);
@@ -387,11 +379,7 @@ void GroupCommEndpoint::deliver_cut(Group& g, const InstallMsg& msg) {
             pending.try_emplace(ref, std::move(data));
         }
     };
-    switch (g.config.order) {
-        case OrderMode::kTotalSymmetric: absorb(g.symmetric.drain_pending()); break;
-        case OrderMode::kTotalAsymmetric: absorb(g.sequencer.drain_pending()); break;
-        case OrderMode::kCausal: absorb(g.causal.drain_pending()); break;
-    }
+    absorb(g.engine.drain_pending());
     absorb({std::make_move_iterator(g.release_queue.begin()),
             std::make_move_iterator(g.release_queue.end())});
     g.release_queue.clear();
@@ -448,9 +436,9 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
 
     // The configuration switch point.  deliver_cut has already drained
     // every pre-cut message under the old config (old OrderMode, old
-    // policies); from here on the group runs the new one.  The engine
-    // resets below start the new mode from clean state, which is exactly
-    // what a kTotalSymmetric <-> kTotalAsymmetric switch needs: sequencer
+    // policies); from here on the group runs the new one.  The engine is
+    // built below for the new mode from clean state, which is exactly what
+    // a kTotalSymmetric <-> kTotalAsymmetric switch needs: sequencer
     // assignments never straddle the cut.
     if (msg.config_epoch != g.config_epoch) {
         g.config = msg.config;
@@ -490,9 +478,7 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     g.vc_orders.clear();
     g.vc_members.clear();
     g.vc_expected_flush.clear();
-    g.symmetric.reset(g.view.members);
-    g.sequencer.reset(g.view.members, id_);
-    g.causal.reset(g.view.members);
+    g.engine = OrderingEngine(g.config.order, g.view.members, id_);
 
     // Members this view removed *because we suspected them* are reported
     // dead to the directory, so rebinding clients stop selecting them as
@@ -602,15 +588,28 @@ void GroupCommEndpoint::handle_install(const InstallMsg& msg) {
 
 // -- adaptive ordering policy ------------------------------------------------------
 
-void GroupCommEndpoint::maybe_adapt_order(Group& g) {
-    if (g.config.adaptive_asym_threshold == 0) return;
-    if (g.config.order == OrderMode::kCausal) return;
-    if (!g.installed || g.view.leader() != id_) return;
-    if (g.pending_config.has_value()) return;
-    const OrderMode desired = g.view.members.size() >= g.config.adaptive_asym_threshold
+namespace {
+
+/// The order mode the adaptive policy wants for a group of `members` under
+/// `config`, or nullopt when the policy is off (threshold 0 or a causal
+/// group) or the group already runs that mode.
+std::optional<OrderMode> adaptive_target(const GroupConfig& config, std::size_t members) {
+    if (config.adaptive_asym_threshold == 0 || config.order == OrderMode::kCausal) {
+        return std::nullopt;
+    }
+    const OrderMode desired = members >= config.adaptive_asym_threshold
                                   ? OrderMode::kTotalAsymmetric
                                   : OrderMode::kTotalSymmetric;
-    if (desired == g.config.order) return;
+    if (desired == config.order) return std::nullopt;
+    return desired;
+}
+
+}  // namespace
+
+void GroupCommEndpoint::maybe_adapt_order(Group& g) {
+    if (!g.installed || g.view.leader() != id_) return;
+    if (g.pending_config.has_value()) return;
+    if (!adaptive_target(g.config, g.view.members.size())) return;
     // Defer one event step: we are inside the install path, and reconfigure
     // sends through the data machinery the install is still settling.
     const GroupId id = g.id;
@@ -623,14 +622,11 @@ void GroupCommEndpoint::on_adapt_order(GroupId id) {
     // Re-validate everything: membership, leadership or the config may all
     // have moved since the install that scheduled us.
     if (g == nullptr || !g->installed || g->state != Group::State::kNormal) return;
-    if (g->config.adaptive_asym_threshold == 0 || g->config.order == OrderMode::kCausal) return;
     if (g->view.leader() != id_ || g->pending_config.has_value()) return;
-    const OrderMode desired = g->view.members.size() >= g->config.adaptive_asym_threshold
-                                  ? OrderMode::kTotalAsymmetric
-                                  : OrderMode::kTotalSymmetric;
-    if (desired == g->config.order) return;
+    const auto target = adaptive_target(g->config, g->view.members.size());
+    if (!target) return;
     GroupConfig next = g->config;
-    next.order = desired;
+    next.order = *target;
     reconfigure(id, next);
 }
 

@@ -77,6 +77,11 @@ void SequencerOrder::reset(std::vector<EndpointId> members, EndpointId self) {
 }
 
 void SequencerOrder::on_data(const DataMsg& msg) {
+    if (msg.kind == DataKind::kOrder) {
+        // The sequencer's own records carry assignments made right here.
+        if (msg.sender != self_) on_order(decode_from_bytes<OrderRecord>(msg.payload));
+        return;
+    }
     if (!orders_like_app(msg.kind)) return;  // nulls bypass ordering
     const MsgRef ref{msg.sender, msg.seq};
     // Dedupe on the ref, covering refs already assigned, already delivered
@@ -99,28 +104,24 @@ void SequencerOrder::on_data(const DataMsg& msg) {
     }
 }
 
-void SequencerOrder::on_order(const OrderMsg& msg) {
+void SequencerOrder::on_order(const OrderRecord& record) {
     if (is_sequencer()) return;  // we made the assignments ourselves
-    for (std::size_t i = 0; i < msg.refs.size(); ++i) {
-        assignment_.emplace(msg.first_order + i, msg.refs[i]);
-        log_.emplace(msg.first_order + i, msg.refs[i]);
+    for (std::size_t i = 0; i < record.refs.size(); ++i) {
+        assignment_.emplace(record.first_order + i, record.refs[i]);
+        log_.emplace(record.first_order + i, record.refs[i]);
     }
 }
 
-std::optional<OrderMsg> SequencerOrder::take_order_to_send(std::size_t max_refs) {
+std::optional<OrderRecord> SequencerOrder::take_order_to_send() {
     if (fresh_assignments_.empty()) return std::nullopt;
-    const std::size_t take = (max_refs == 0)
-                                 ? fresh_assignments_.size()
-                                 : std::min(max_refs, fresh_assignments_.size());
-    OrderMsg out;
+    OrderRecord out;
     out.first_order = next_assign_ - fresh_assignments_.size();
-    for (std::size_t i = 0; i < take; ++i) {
+    for (std::size_t i = 0; i < fresh_assignments_.size(); ++i) {
         log_.emplace(out.first_order + i, fresh_assignments_[i]);
     }
-    out.refs.assign(fresh_assignments_.begin(),
-                    fresh_assignments_.begin() + static_cast<std::ptrdiff_t>(take));
-    fresh_assignments_.erase(fresh_assignments_.begin(),
-                             fresh_assignments_.begin() + static_cast<std::ptrdiff_t>(take));
+    // Copied, not moved: the fresh list keeps its capacity for the next step.
+    out.refs.assign(fresh_assignments_.begin(), fresh_assignments_.end());
+    fresh_assignments_.clear();
     return out;
 }
 
@@ -209,6 +210,67 @@ std::vector<std::pair<EndpointId, Seqno>> CausalOrder::delivered_vector() const 
     out.reserve(delivered_count_.size());
     for (const auto& [member, count] : delivered_count_) out.emplace_back(member, count);
     return out;
+}
+
+// -- OrderingEngine -----------------------------------------------------------
+
+OrderingEngine::OrderingEngine(OrderMode mode, const std::vector<EndpointId>& members,
+                               EndpointId self) {
+    switch (mode) {
+        case OrderMode::kTotalSymmetric: engine_.emplace<SymmetricOrder>().reset(members); break;
+        case OrderMode::kTotalAsymmetric:
+            engine_.emplace<SequencerOrder>().reset(members, self);
+            break;
+        case OrderMode::kCausal: engine_.emplace<CausalOrder>().reset(members); break;
+    }
+}
+
+void OrderingEngine::on_data(const DataMsg& msg) {
+    std::visit([&](auto& engine) { engine.on_data(msg); }, engine_);
+}
+
+std::vector<DataMsg> OrderingEngine::take_deliverable() {
+    return std::visit([](auto& engine) { return engine.take_deliverable(); }, engine_);
+}
+
+bool OrderingEngine::has_pending() const {
+    return std::visit([](const auto& engine) { return engine.has_pending(); }, engine_);
+}
+
+std::size_t OrderingEngine::pending_count() const {
+    return std::visit([](const auto& engine) { return engine.pending_count(); }, engine_);
+}
+
+std::vector<DataMsg> OrderingEngine::drain_pending() {
+    return std::visit([](auto& engine) { return engine.drain_pending(); }, engine_);
+}
+
+std::optional<Lamport> OrderingEngine::symmetric_head() const {
+    const auto* symmetric = std::get_if<SymmetricOrder>(&engine_);
+    return symmetric == nullptr ? std::nullopt : symmetric->head_ts();
+}
+
+std::vector<std::pair<std::uint64_t, MsgRef>> OrderingEngine::flush_orders() const {
+    const auto* sequencer = std::get_if<SequencerOrder>(&engine_);
+    if (sequencer == nullptr) return {};
+    const auto& log = sequencer->assignment_log();
+    return {log.begin(), log.end()};
+}
+
+std::vector<std::pair<EndpointId, Seqno>> OrderingEngine::causal_vector() const {
+    const auto* causal = std::get_if<CausalOrder>(&engine_);
+    return causal == nullptr ? std::vector<std::pair<EndpointId, Seqno>>{}
+                             : causal->delivered_vector();
+}
+
+std::size_t OrderingEngine::fresh_count() const {
+    const auto* sequencer = std::get_if<SequencerOrder>(&engine_);
+    return sequencer == nullptr ? 0 : sequencer->fresh_count();
+}
+
+std::optional<OrderRecord> OrderingEngine::take_order_to_send() {
+    auto* sequencer = std::get_if<SequencerOrder>(&engine_);
+    return sequencer == nullptr ? std::nullopt : sequencer->take_order_to_send();
 }
 
 }  // namespace newtop

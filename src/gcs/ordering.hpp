@@ -1,6 +1,7 @@
 // Message-ordering engines.
 //
-// Each group runs one engine chosen at creation time (§3 of the paper):
+// Each group runs one engine, chosen by its OrderMode (§3 of the paper) and
+// rebuilt at every view install:
 //
 //  * SymmetricOrder — causality-preserving total order by (Lamport ts,
 //    sender id).  A message is deliverable once every other member has been
@@ -10,21 +11,33 @@
 //    member assigns global order numbers and multicasts them.
 //  * CausalOrder — causal delivery only, via per-group dependency vectors.
 //
-// Engines are pure ordering state machines: they are fed FIFO-contiguous
-// messages (gap recovery happens upstream) and emit batches of deliverable
-// messages.  Keeping them free of I/O makes them directly unit-testable.
+// OrderingEngine holds exactly one of them and is all the endpoint sees:
+// it feeds messages, takes deliverables and reads holdback without knowing
+// which protocol runs.  Engines are pure ordering state machines: they are
+// fed FIFO-contiguous messages (gap recovery happens upstream) and emit
+// batches of deliverable messages.  Keeping them free of I/O makes them
+// directly unit-testable.
 #pragma once
 
 #include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
+#include <variant>
 #include <vector>
 
 #include "gcs/messages.hpp"
 #include "gcs/types.hpp"
 
 namespace newtop {
+
+/// Payload of a DataKind::kOrder stream message: the sequencer's record
+/// that refs[i] holds global order number first_order + i.
+struct OrderRecord {
+    std::uint64_t first_order{0};
+    std::vector<MsgRef> refs;
+};
+NEWTOP_WIRE(OrderRecord, first_order, refs);
 
 /// Symmetric total order.  Deterministic rule shared by all members:
 /// deliver pending messages in (ts, sender) order, releasing the head once
@@ -82,16 +95,18 @@ public:
     [[nodiscard]] bool is_sequencer() const { return self_ == sequencer_; }
     [[nodiscard]] EndpointId sequencer() const { return sequencer_; }
 
-    /// Feed one FIFO-contiguous message.  Nulls bypass ordering.
+    /// Feed one FIFO-contiguous message.  Nulls bypass ordering; a kOrder
+    /// message is decoded as an OrderRecord and applied, except the
+    /// sequencer's own, whose assignments are already here.  Throws
+    /// DecodeError for a malformed order record.
     void on_data(const DataMsg& msg);
 
     /// Feed an order record from the sequencer.
-    void on_order(const OrderMsg& msg);
+    void on_order(const OrderRecord& record);
 
     /// If this member is the sequencer and new assignments were made,
-    /// returns the order record to multicast, covering at most `max_refs`
-    /// fresh assignments (0 = all of them).  Call repeatedly to drain.
-    std::optional<OrderMsg> take_order_to_send(std::size_t max_refs = 0);
+    /// returns the order record to multicast, covering all of them.
+    std::optional<OrderRecord> take_order_to_send();
 
     /// Assignments made but not yet handed out for broadcast — the batch an
     /// ORDER flush would cover.
@@ -170,6 +185,38 @@ private:
 
     std::map<EndpointId, Seqno> delivered_count_;
     std::vector<DataMsg> pending_;
+};
+
+/// The one ordering engine of a group: the protocol its OrderMode names,
+/// built over the installed view.  Callers never branch on the mode: the
+/// common operations forward to the protocol, and each mode-specific query
+/// answers "nothing" in the other modes.
+class OrderingEngine {
+public:
+    OrderingEngine() = default;  // symmetric over no members: no view yet
+    OrderingEngine(OrderMode mode, const std::vector<EndpointId>& members, EndpointId self);
+
+    /// Feed one FIFO-contiguous stream message or null from a member.
+    /// Throws DecodeError for a peer's malformed order record.
+    void on_data(const DataMsg& msg);
+    std::vector<DataMsg> take_deliverable();
+    [[nodiscard]] bool has_pending() const;
+    [[nodiscard]] std::size_t pending_count() const;
+    std::vector<DataMsg> drain_pending();
+
+    /// Symmetric: the lowest held-back timestamp, which progress nulls chase.
+    [[nodiscard]] std::optional<Lamport> symmetric_head() const;
+    /// Asymmetric: the broadcast assignments a view-change flush reports.
+    [[nodiscard]] std::vector<std::pair<std::uint64_t, MsgRef>> flush_orders() const;
+    /// Causal: the delivered counts to stamp on an outgoing message.
+    [[nodiscard]] std::vector<std::pair<EndpointId, Seqno>> causal_vector() const;
+    /// Asymmetric, at the sequencer: the assignments not yet broadcast, and
+    /// the order record that hands them all out.
+    [[nodiscard]] std::size_t fresh_count() const;
+    std::optional<OrderRecord> take_order_to_send();
+
+private:
+    std::variant<SymmetricOrder, SequencerOrder, CausalOrder> engine_;
 };
 
 }  // namespace newtop

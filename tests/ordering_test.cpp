@@ -178,7 +178,7 @@ TEST(SequencerOrder, NonSequencerWaitsForOrderRecord) {
     order.on_data(data(kB, 0, 1));
     EXPECT_TRUE(order.take_deliverable().empty());
     EXPECT_FALSE(order.take_order_to_send().has_value());
-    OrderMsg om;
+    OrderRecord om;
     om.first_order = 0;
     om.refs = {MsgRef{kB, 0}};
     order.on_order(om);
@@ -190,7 +190,7 @@ TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
     order.reset({kA, kB, kC}, kC);
     order.on_data(data(kC, 0, 10));  // arrives first locally
     order.on_data(data(kB, 0, 5));
-    OrderMsg om;
+    OrderRecord om;
     om.first_order = 0;
     om.refs = {MsgRef{kB, 0}, MsgRef{kC, 0}};  // sequencer saw B first
     order.on_order(om);
@@ -203,7 +203,7 @@ TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
 TEST(SequencerOrder, OrderRecordBeforeDataHolds) {
     SequencerOrder order;
     order.reset({kA, kB}, kB);
-    OrderMsg om;
+    OrderRecord om;
     om.first_order = 0;
     om.refs = {MsgRef{kA, 0}};
     order.on_order(om);
@@ -294,25 +294,6 @@ TEST(SequencerOrder, BatchedOrderRecord) {
     EXPECT_FALSE(order.take_order_to_send().has_value());  // drained
 }
 
-TEST(SequencerOrder, PartialDrainRespectsMaxRefs) {
-    SequencerOrder order;
-    order.reset({kA, kB}, kA);
-    order.on_data(data(kB, 0, 1));
-    order.on_data(data(kB, 1, 2));
-    order.on_data(data(kB, 2, 3));
-    EXPECT_EQ(order.fresh_count(), 3u);
-    const auto first = order.take_order_to_send(2);
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->first_order, 0u);
-    EXPECT_EQ(first->refs.size(), 2u);
-    EXPECT_EQ(order.fresh_count(), 1u);
-    const auto second = order.take_order_to_send(2);
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->first_order, 2u);
-    EXPECT_EQ(second->refs.size(), 1u);
-    EXPECT_FALSE(order.take_order_to_send(2).has_value());
-}
-
 // Regression: pending_count() used to report max(|data|, |assignments|),
 // undercounting when the two sets are disjoint (data held without an order
 // record *and* order records held without their data are both pending).
@@ -323,7 +304,7 @@ TEST(SequencerOrder, PendingCountCoversDisjointSets) {
     order.on_data(data(kC, 0, 1));
     EXPECT_EQ(order.pending_count(), 1u);
     // Assignment for a *different* message whose data has not arrived.
-    OrderMsg om;
+    OrderRecord om;
     om.first_order = 0;
     om.refs = {MsgRef{kB, 7}};
     order.on_order(om);
@@ -392,6 +373,94 @@ TEST(CausalOrder, DependencyOnDepartedMemberIgnored) {
     order.reset({kA, kB});  // kC not a member
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kC, 5}}));
     EXPECT_EQ(order.take_deliverable().size(), 1u);
+}
+
+// -- OrderingEngine -------------------------------------------------------------
+
+DataMsg order_record(EndpointId sender, Seqno seq, const OrderRecord& record) {
+    DataMsg m = data(sender, seq, 1, DataKind::kOrder);
+    m.payload = encode_to_bytes(record);
+    return m;
+}
+
+TEST(OrderingEngine, SymmetricAnswersNeutrallyToOtherModesQueries) {
+    OrderingEngine engine(OrderMode::kTotalSymmetric, {kA, kB}, kA);
+    engine.on_data(data(kA, 0, 4));
+    EXPECT_EQ(engine.pending_count(), 1u);
+    EXPECT_EQ(engine.symmetric_head(), Lamport{4});
+    EXPECT_TRUE(engine.flush_orders().empty());
+    EXPECT_TRUE(engine.causal_vector().empty());
+    EXPECT_EQ(engine.fresh_count(), 0u);
+    EXPECT_FALSE(engine.take_order_to_send().has_value());
+    engine.on_data(data(kB, 0, 5, DataKind::kNull));  // nulls advance the order
+    EXPECT_EQ(engine.take_deliverable().size(), 1u);
+    EXPECT_FALSE(engine.has_pending());
+    EXPECT_FALSE(engine.symmetric_head().has_value());
+}
+
+TEST(OrderingEngine, SequencerAnswersNeutrallyToOtherModesQueries) {
+    OrderingEngine engine(OrderMode::kTotalAsymmetric, {kA, kB}, kA);  // kA sequences
+    engine.on_data(data(kB, 0, 4));
+    engine.on_data(data(kB, 0, 5, DataKind::kNull));  // dropped
+    EXPECT_EQ(engine.pending_count(), 1u);
+    EXPECT_FALSE(engine.symmetric_head().has_value());
+    EXPECT_TRUE(engine.causal_vector().empty());
+    EXPECT_EQ(engine.fresh_count(), 1u);
+    EXPECT_TRUE(engine.flush_orders().empty());  // nothing broadcast yet
+    const auto record = engine.take_order_to_send();
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->refs, (std::vector<MsgRef>{MsgRef{kB, 0}}));
+    EXPECT_EQ(engine.flush_orders(),
+              (std::vector<std::pair<std::uint64_t, MsgRef>>{{0, MsgRef{kB, 0}}}));
+    EXPECT_EQ(engine.take_deliverable().size(), 1u);
+    EXPECT_EQ(engine.pending_count(), 0u);
+}
+
+TEST(OrderingEngine, CausalAnswersNeutrallyToOtherModesQueries) {
+    OrderingEngine engine(OrderMode::kCausal, {kA, kB}, kB);
+    engine.on_data(causal_data(kA, 1, {{kA, 1}, {kB, 0}}));  // waits for A's first
+    EXPECT_EQ(engine.pending_count(), 1u);
+    EXPECT_TRUE(engine.has_pending());
+    EXPECT_FALSE(engine.symmetric_head().has_value());
+    EXPECT_TRUE(engine.flush_orders().empty());
+    EXPECT_EQ(engine.fresh_count(), 0u);
+    EXPECT_FALSE(engine.take_order_to_send().has_value());
+    EXPECT_EQ(engine.causal_vector(),
+              (std::vector<std::pair<EndpointId, Seqno>>{{kA, 0}, {kB, 0}}));
+    EXPECT_EQ(engine.drain_pending().size(), 1u);
+    EXPECT_EQ(engine.pending_count(), 0u);
+}
+
+TEST(OrderingEngine, RebuiltEngineRunsTheNewModeFromCleanState) {
+    OrderingEngine engine(OrderMode::kTotalSymmetric, {kA, kB}, kA);
+    engine.on_data(data(kA, 0, 4));
+    ASSERT_TRUE(engine.symmetric_head().has_value());
+    engine = OrderingEngine(OrderMode::kTotalAsymmetric, {kA, kB}, kA);
+    EXPECT_EQ(engine.pending_count(), 0u);
+    EXPECT_FALSE(engine.symmetric_head().has_value());
+    engine.on_data(data(kB, 0, 9));
+    EXPECT_EQ(engine.fresh_count(), 1u);  // the sequencer role is live
+    engine = OrderingEngine(OrderMode::kCausal, {kA, kB}, kA);
+    EXPECT_EQ(engine.pending_count(), 0u);
+    EXPECT_EQ(engine.fresh_count(), 0u);
+    EXPECT_EQ(engine.causal_vector().size(), 2u);
+}
+
+TEST(OrderingEngine, SequencerAppliesPeerOrderRecordsAndSkipsItsOwn) {
+    OrderingEngine member(OrderMode::kTotalAsymmetric, {kA, kB}, kB);
+    member.on_data(data(kB, 0, 1));
+    member.on_data(order_record(kA, 0, OrderRecord{0, {MsgRef{kB, 0}}}));
+    EXPECT_EQ(member.take_deliverable().size(), 1u);
+
+    DataMsg garbled = order_record(kA, 1, OrderRecord{1, {}});
+    garbled.payload.push_back(0);  // trailing byte
+    EXPECT_THROW(member.on_data(garbled), DecodeError);
+
+    // The sequencer's own record is skipped, not decoded.
+    OrderingEngine sequencer(OrderMode::kTotalAsymmetric, {kA, kB}, kA);
+    garbled.sender = kA;
+    EXPECT_NO_THROW(sequencer.on_data(garbled));
+    EXPECT_FALSE(sequencer.has_pending());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <string_view>
 
 #include "gcs/messages.hpp"
+#include "gcs/ordering.hpp"
 #include "invocation/envelope.hpp"
 #include "orb/ior.hpp"
 
@@ -278,11 +279,9 @@ TEST(WireGolden, OrderMsg) {
 }
 
 TEST(WireGolden, OrderRecordDataMsg) {
-    Encoder e;
-    encode(e, std::uint64_t{7});
-    encode(e, std::vector<MsgRef>{MsgRef{EndpointId(1), 0}, MsgRef{EndpointId(2), 3}});
-    const Bytes record = std::move(e).take();
-    EXPECT_EQ(hex(record), kOrderRecord);
+    const OrderRecord golden{7, {MsgRef{EndpointId(1), 0}, MsgRef{EndpointId(2), 3}}};
+    expect_golden_value(golden, kOrderRecord);
+    const Bytes record = encode_to_bytes(golden);
 
     DataMsg m;
     m.group = GroupId(1);
