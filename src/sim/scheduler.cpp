@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -8,9 +9,18 @@ namespace newtop {
 
 TimerId Scheduler::schedule_at(SimTime at, std::function<void()> fn) {
     NEWTOP_EXPECTS(fn != nullptr, "scheduled function must be callable");
-    const TimerId id = next_id_++;
-    queue_.push(Event{std::max(at, now_), next_seq_++, id, std::move(fn)});
-    return id;
+    std::uint32_t slot = 0;
+    if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    queue_.push_back(Event{std::max(at, now_), next_seq_++, slot, std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+    // Generation in the high half, slot + 1 in the low half: never 0.
+    return (TimerId{slots_[slot].generation} << 32) | (TimerId{slot} + 1);
 }
 
 TimerId Scheduler::schedule_after(SimDuration delay, std::function<void()> fn) {
@@ -18,27 +28,33 @@ TimerId Scheduler::schedule_after(SimDuration delay, std::function<void()> fn) {
 }
 
 void Scheduler::cancel(TimerId id) {
-    if (id != 0) cancelled_.insert(id);
+    const TimerId index = id & 0xffff'ffffU;
+    if (index == 0 || index > slots_.size()) return;
+    Slot& slot = slots_[index - 1];
+    if (slot.generation != (id >> 32) || slot.cancelled) return;  // fired or cancelled
+    slot.cancelled = true;
+    ++cancelled_;
 }
 
-bool Scheduler::pop_next(Event& out) {
-    while (!queue_.empty()) {
-        // priority_queue::top() is const; the handler is moved out after
-        // the pop via a copy of the small Event shell.
-        out = queue_.top();
-        queue_.pop();
-        if (auto it = cancelled_.find(out.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
-            continue;
-        }
-        return true;
+bool Scheduler::pop_next(Event& out, SimTime deadline) {
+    while (!queue_.empty() && queue_.front().at <= deadline) {
+        std::pop_heap(queue_.begin(), queue_.end(), Later{});
+        out = std::move(queue_.back());
+        queue_.pop_back();
+        Slot& slot = slots_[out.slot];
+        const bool cancelled = slot.cancelled;
+        ++slot.generation;
+        slot.cancelled = false;
+        free_slots_.push_back(out.slot);
+        if (!cancelled) return true;
+        --cancelled_;
     }
     return false;
 }
 
 bool Scheduler::step() {
     Event ev;
-    if (!pop_next(ev)) return false;
+    if (!pop_next(ev, std::numeric_limits<SimTime>::max())) return false;
     now_ = ev.at;
     ev.fn();
     return true;
@@ -52,16 +68,7 @@ std::size_t Scheduler::run(std::size_t limit) {
 
 void Scheduler::run_until(SimTime deadline) {
     Event ev;
-    while (true) {
-        if (queue_.empty()) break;
-        // Peek: if the earliest event is beyond the deadline, stop.
-        if (queue_.top().at > deadline) break;
-        if (!pop_next(ev)) break;
-        if (ev.at > deadline) {
-            // Lost the race against a cancelled prefix; put it back.
-            queue_.push(ev);
-            break;
-        }
+    while (pop_next(ev, deadline)) {
         now_ = ev.at;
         ev.fn();
     }

@@ -8,15 +8,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <set>
 #include <vector>
 
 #include "util/time.hpp"
 
 namespace newtop {
 
-/// Handle for a scheduled event, usable to cancel it.
+/// Handle for a scheduled event, usable to cancel it.  Opaque and never 0,
+/// so protocol code can use 0 for "no timer".
 using TimerId = std::uint64_t;
 
 class Scheduler {
@@ -36,8 +35,8 @@ public:
     TimerId schedule_after(SimDuration delay, std::function<void()> fn);
 
     /// Cancel a previously scheduled event.  Cancelling an event that has
-    /// already fired (or was already cancelled) is a harmless no-op, which
-    /// lets protocol code cancel timers unconditionally.
+    /// already fired (or was already cancelled) is a no-op that leaves no
+    /// state behind, which lets protocol code cancel timers unconditionally.
     void cancel(TimerId id);
 
     /// Run the single earliest pending event.  Returns false if none remain.
@@ -53,16 +52,22 @@ public:
     /// `deadline` even if the queue drains early.
     void run_until(SimTime deadline);
 
-    /// Number of events currently pending (cancelled ones may be counted
-    /// until they are popped).
-    [[nodiscard]] std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+    /// Number of events still to run (cancelled ones excluded).
+    [[nodiscard]] std::size_t pending() const { return queue_.size() - cancelled_; }
 
 private:
     struct Event {
         SimTime at;
-        std::uint64_t seq;  // FIFO tie-break for equal timestamps
-        TimerId id;
+        std::uint64_t seq;   // FIFO tie-break for equal timestamps
+        std::uint32_t slot;  // index into slots_
         std::function<void()> fn;
+    };
+    /// Cancellation state of one queued event.  Taken at schedule, released
+    /// when the event is popped; the release bumps the generation, so every
+    /// TimerId issued for the old occupant goes stale.
+    struct Slot {
+        std::uint32_t generation{0};
+        bool cancelled{false};
     };
     struct Later {
         bool operator()(const Event& a, const Event& b) const {
@@ -71,16 +76,16 @@ private:
         }
     };
 
-    /// Pops and returns the next non-cancelled event, or nullopt.
-    bool pop_next(Event& out);
+    /// Moves the next non-cancelled event due by `deadline` into `out`;
+    /// false when there is none.  Cancelled events on the way are dropped.
+    bool pop_next(Event& out, SimTime deadline);
 
     SimTime now_{0};
     std::uint64_t next_seq_{0};
-    TimerId next_id_{1};
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
-    // Ordered (not hashed) so that any future iteration — e.g. draining or
-    // introspecting cancelled timers — is deterministic by construction.
-    std::set<TimerId> cancelled_;
+    std::vector<Event> queue_;  // binary heap under Later
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
+    std::size_t cancelled_{0};  // cancelled events still in queue_
 };
 
 }  // namespace newtop

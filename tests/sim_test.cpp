@@ -158,6 +158,55 @@ TEST(Scheduler, PendingCountExcludesCancelled) {
     EXPECT_EQ(s.pending(), 1u);
 }
 
+TEST(Scheduler, CancelAfterFireLeavesNoState) {
+    // Regression: each cancel of a fired timer used to leave an entry
+    // behind for good, and pending() underflowed past zero.
+    Scheduler s;
+    for (int i = 0; i < 1000; ++i) {
+        const TimerId id = s.schedule_after(1, [] {});
+        s.run();
+        s.cancel(id);
+        EXPECT_EQ(s.pending(), 0u);
+    }
+    // The stale handle must not cancel whatever reuses its slot.
+    const TimerId fired = s.schedule_after(1, [] {});
+    s.run();
+    bool ran = false;
+    s.schedule_after(1, [&] { ran = true; });
+    s.cancel(fired);
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_EQ(s.run(), 1u);
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Scheduler, DoubleCancelCountsOnce) {
+    Scheduler s;
+    const TimerId id = s.schedule_at(1, [] {});
+    s.schedule_at(2, [] {});
+    s.cancel(id);
+    s.cancel(id);
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_EQ(s.run(), 1u);
+    EXPECT_EQ(s.pending(), 0u);
+    s.cancel(id);
+    EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Scheduler, CancelBeforeFireStillSuppressesAmongReusedSlots) {
+    Scheduler s;
+    int ran = 0;
+    for (int round = 0; round < 3; ++round) {
+        const TimerId doomed = s.schedule_after(1, [&] { ran += 100; });
+        s.schedule_after(1, [&] { ++ran; });
+        s.cancel(doomed);
+        EXPECT_EQ(s.pending(), 1u);
+        s.run();
+        EXPECT_EQ(s.pending(), 0u);
+    }
+    EXPECT_EQ(ran, 3);
+}
+
 // -- CpuQueue ---------------------------------------------------------------
 
 TEST(CpuQueue, SerializesWork) {
