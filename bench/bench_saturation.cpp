@@ -20,6 +20,7 @@
 #include "harness.hpp"
 
 #include "gcs/endpoint.hpp"
+#include "obs/names.hpp"
 #include "obs/profiler.hpp"
 
 namespace {
@@ -114,14 +115,14 @@ SaturationResult run_saturation(const SaturationOptions& options) {
 
     scheduler.run_until(scheduler.now() + options.warmup);
     const std::uint64_t delivered_before = observed;
-    const std::uint64_t wire_before = network.stats().messages_sent;
+    const std::uint64_t wire_before = network.metrics().counter(obs::metric::kNetMessagesSent);
     const alloc::Snapshot heap_before = alloc::snapshot();
     scheduler.run_until(scheduler.now() + options.measured);
     const alloc::Snapshot heap_after = alloc::snapshot();
 
     SaturationResult result;
     result.delivered = observed - delivered_before;
-    result.wire_messages = network.stats().messages_sent - wire_before;
+    result.wire_messages = network.metrics().counter(obs::metric::kNetMessagesSent) - wire_before;
     if (result.delivered > 0) {
         const double delivered = static_cast<double>(result.delivered);
         result.allocs_per_inv =

@@ -237,7 +237,7 @@ private:
         }
         scheduler_.run_until(scheduler_.now() + 2_s);  // bindings settle
 
-        const std::uint64_t wire_before = network_.stats().messages_sent;
+        const std::uint64_t wire_before = network_.metrics().counter(obs::metric::kNetMessagesSent);
         for (auto& client : clients_) issue_next(*client);
 
         // Run until every client has finished its measured batch (bounded
@@ -252,7 +252,7 @@ private:
         }
 
         RequestReplyResult result;
-        result.wire_messages = network_.stats().messages_sent - wire_before;
+        result.wire_messages = network_.metrics().counter(obs::metric::kNetMessagesSent) - wire_before;
         std::vector<double> per_client_means;
         SimTime first_issue = -1;
         SimTime last_completion = 0;

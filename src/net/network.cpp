@@ -62,8 +62,6 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     Node& dst = node(to);
     if (src.crashed()) return;
 
-    ++stats_.messages_sent;
-    stats_.bytes_sent += payload.size();
     metrics_.add(obs::metric::kNetMessagesSent);
     metrics_.add(obs::metric::kNetBytesSent, payload.size());
     const LinkCounterNames& counters = link_counters(src.site(), dst.site());
@@ -71,10 +69,7 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     metrics_.add(counters.bytes, payload.size());
 
     const LinkParams& link = topology_.link(src.site(), dst.site());
-    if (src.site() != dst.site()) {
-        ++stats_.wan_messages;
-        metrics_.add(obs::metric::kNetWanMessages);
-    }
+    if (src.site() != dst.site()) metrics_.add(obs::metric::kNetWanMessages);
 
     const LinkDegrade* degrade = nullptr;
     if (!degraded_links_.empty()) {
@@ -87,7 +82,6 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     if (rng_.next_bool(link.loss) || (extra_loss_ > 0.0 && rng_.next_bool(extra_loss_)) ||
         (degrade != nullptr && degrade->extra_loss > 0.0 &&
          rng_.next_bool(degrade->extra_loss))) {
-        ++stats_.messages_lost;
         metrics_.add(obs::metric::kNetMessagesLost);
         metrics_.add(counters.drops);
         return;
@@ -122,26 +116,22 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
                                       counters = &counters,
                                       payload = std::move(payload)]() mutable {
         if (partition_cell_[from.value()] != partition_cell_[to.value()]) {
-            ++stats_.messages_lost;
             metrics_.add(obs::metric::kNetMessagesLost);
             metrics_.add(counters->drops);
             return;
         }
         Node& receiver = node(to);
         if (receiver.crashed()) {
-            ++stats_.messages_lost;
             metrics_.add(obs::metric::kNetMessagesLost);
             metrics_.add(counters->drops);
             return;
         }
         if (receiver.incarnation() != dst_incarnation) {
-            ++stats_.messages_lost;
             metrics_.add(obs::metric::kNetMessagesLost);
             metrics_.add(obs::metric::kNetStaleIncarnationDrops);
             metrics_.add(counters->drops);
             return;
         }
-        ++stats_.messages_delivered;
         metrics_.add(obs::metric::kNetMessagesDelivered);
         metrics_.observe(obs::metric::kNetDeliveryLatencyUs, scheduler_->now() - sent_at);
         receiver.deliver(from, std::move(payload));
@@ -184,15 +174,6 @@ void Network::partition_site(SiteId site, int cell) {
 void Network::heal() { std::fill(partition_cell_.begin(), partition_cell_.end(), 0); }
 
 void Network::set_extra_loss(double p) { extra_loss_ = std::clamp(p, 0.0, 1.0); }
-
-void Network::set_extra_loss(SiteId a, SiteId b, double p) {
-    LinkDegrade degrade;
-    if (const LinkDegrade* existing = link_degrade(a, b); existing != nullptr) {
-        degrade = *existing;
-    }
-    degrade.extra_loss = std::clamp(p, 0.0, 1.0);
-    set_link_degrade(a, b, degrade);
-}
 
 void Network::set_link_degrade(SiteId a, SiteId b, const LinkDegrade& degrade) {
     NEWTOP_EXPECTS(a.value() < topology_.site_count() && b.value() < topology_.site_count(),

@@ -36,16 +36,6 @@ struct LinkDegrade {
     friend bool operator==(const LinkDegrade&, const LinkDegrade&) = default;
 };
 
-/// Aggregate traffic statistics, useful for comparing protocol overheads
-/// (e.g. symmetric-order null traffic vs. sequencer redirection).
-struct NetworkStats {
-    std::uint64_t messages_sent{0};
-    std::uint64_t messages_delivered{0};
-    std::uint64_t messages_lost{0};
-    std::uint64_t bytes_sent{0};
-    std::uint64_t wan_messages{0};  // messages that crossed a site boundary
-};
-
 class Network {
 public:
     Network(Scheduler& scheduler, Topology topology, std::uint64_t seed);
@@ -93,11 +83,6 @@ public:
     void set_extra_loss(double p);
     [[nodiscard]] double extra_loss() const { return extra_loss_; }
 
-    /// Per-link convenience form: an extra drop probability for exactly the
-    /// (a, b) link, independent of the global burst above.  Stored as a
-    /// LinkDegrade overlay; 0 with no other degradation clears it.
-    void set_extra_loss(SiteId a, SiteId b, double p);
-
     // -- Gray-failure injection --------------------------------------------
     // Degraded-but-alive faults: slow hosts, sick links and flapping
     // connectivity.  All deterministic — the only randomness is the world
@@ -124,7 +109,6 @@ public:
                        SimDuration joined_for, int cell);
 
     [[nodiscard]] const Topology& topology() const { return topology_; }
-    [[nodiscard]] const NetworkStats& stats() const { return stats_; }
     [[nodiscard]] Scheduler& scheduler() { return *scheduler_; }
 
     /// The world's metrics registry.  The network owns it because every
@@ -164,7 +148,6 @@ private:
     std::vector<int> partition_cell_;
     // Arrival time of the previous message per (from, to), for FIFO links.
     std::map<std::pair<NodeId, NodeId>, SimTime> last_arrival_;
-    NetworkStats stats_;
     obs::MetricsRegistry metrics_;
     // Cached per-(site, site) counter names; site pairs are few and the
     // send path is hot, so names are built once.

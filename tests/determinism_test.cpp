@@ -13,6 +13,7 @@
 
 #include "net/calibration.hpp"
 #include "newtop/newtop_service.hpp"
+#include "obs/names.hpp"
 #include "orb/orb.hpp"
 #include "util/check.hpp"
 
@@ -96,7 +97,7 @@ std::string run_scenario(std::uint64_t seed) {
                  });
     scheduler.run_until(scheduler.now() + 10_s);
 
-    history << "msgs=" << net.stats().messages_sent << " bytes=" << net.stats().bytes_sent
+    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent) << " bytes=" << net.metrics().counter(obs::metric::kNetBytesSent)
             << " t=" << scheduler.now();
     return history.str();
 }
@@ -185,7 +186,7 @@ std::string run_orb_churn(std::uint64_t seed) {
             [&, k](ReplyStatus s, const Bytes& p) { record(100 + k, s, p); }, 5_ms);
     }
     scheduler.run_until(scheduler.now() + 2_s);
-    history << "msgs=" << net.stats().messages_sent << " t=" << scheduler.now();
+    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent) << " t=" << scheduler.now();
     return history.str();
 }
 
@@ -254,7 +255,7 @@ std::string run_reconfig_burst(std::uint64_t seed) {
         history << "epoch" << i << "=" << nsos[static_cast<std::size_t>(i)]->config_epoch(info->id)
                 << "\n";
     }
-    history << "msgs=" << net.stats().messages_sent << " bytes=" << net.stats().bytes_sent
+    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent) << " bytes=" << net.metrics().counter(obs::metric::kNetBytesSent)
             << " t=" << scheduler.now();
     return history.str();
 }

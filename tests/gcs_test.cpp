@@ -8,6 +8,7 @@
 
 #include "gcs/endpoint.hpp"
 #include "net/calibration.hpp"
+#include "obs/names.hpp"
 #include "trace_oracle.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -545,10 +546,10 @@ TEST_F(LanGcs, LivelyGroupHeartbeatsWhenIdle) {
     world.run_for(100_ms);
     const GroupId g = world.ep(a).create_group("marker", config_for(OrderMode::kTotalSymmetric));
     (void)g;
-    const auto before = world.net.stats().messages_sent;
+    const auto before = world.net.metrics().counter(obs::metric::kNetMessagesSent);
     world.run_for(1_s);
     // Idle but lively: nulls keep flowing.
-    EXPECT_GT(world.net.stats().messages_sent, before + 10);
+    EXPECT_GT(world.net.metrics().counter(obs::metric::kNetMessagesSent), before + 10);
 }
 
 TEST_F(LanGcs, EventDrivenGroupGoesQuietAfterDelivery) {
@@ -560,9 +561,9 @@ TEST_F(LanGcs, EventDrivenGroupGoesQuietAfterDelivery) {
     world.run_for(100_ms);
     world.ep(a).multicast(g, payload_of("x"));
     world.run_for(2_s);  // delivery + stability tail
-    const auto quiet_start = world.net.stats().messages_sent;
+    const auto quiet_start = world.net.metrics().counter(obs::metric::kNetMessagesSent);
     world.run_for(2_s);
-    EXPECT_EQ(world.net.stats().messages_sent, quiet_start);
+    EXPECT_EQ(world.net.metrics().counter(obs::metric::kNetMessagesSent), quiet_start);
     EXPECT_EQ(world.log_of(b, g), std::vector<std::string>{"x"});
 }
 

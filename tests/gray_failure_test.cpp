@@ -116,7 +116,7 @@ TEST_F(GrayNet, PerLinkExtraLossIsScopedToTheLink) {
     int local = 0;
     net.node(b).set_receiver([&](NodeId, const Bytes&) { ++cross; });
     net.node(c).set_receiver([&](NodeId, const Bytes&) { ++local; });
-    net.set_extra_loss(SiteId(0), SiteId(1), 1.0);
+    net.set_link_degrade(SiteId(0), SiteId(1), LinkDegrade{.extra_loss = 1.0});
     for (int i = 0; i < 5; ++i) {
         net.send(a, b, Bytes{1});
         net.send(a, c, Bytes{1});
@@ -124,10 +124,10 @@ TEST_F(GrayNet, PerLinkExtraLossIsScopedToTheLink) {
     scheduler.run();
     EXPECT_EQ(cross, 0);  // degraded link drops everything
     EXPECT_EQ(local, 5);  // intra-site link untouched
-    net.set_extra_loss(SiteId(0), SiteId(1), 0.0);
+    net.clear_link_degrade(SiteId(0), SiteId(1));
     net.send(a, b, Bytes{1});
     scheduler.run();
-    EXPECT_EQ(cross, 1);  // zero loss clears the overlay
+    EXPECT_EQ(cross, 1);  // clearing the overlay restores the link
 }
 
 TEST_F(GrayNet, FlapScheduleTogglesAndEndsConnected) {

@@ -4,6 +4,7 @@
 
 #include "net/calibration.hpp"
 #include "net/network.hpp"
+#include "obs/names.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
@@ -68,7 +69,7 @@ TEST_F(NetFixture, WanLatencyAppliesAcrossSites) {
     net.send(a, b, Bytes{1});
     scheduler.run();
     EXPECT_EQ(arrived, 5000);
-    EXPECT_EQ(net.stats().wan_messages, 1u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kNetWanMessages), 1u);
 }
 
 TEST_F(NetFixture, BandwidthAddsSerializationDelay) {
@@ -130,7 +131,7 @@ TEST_F(NetFixture, LossDropsApproximatelyTheConfiguredFraction) {
     for (int i = 0; i < 2000; ++i) net.send(a, b, Bytes{1});
     scheduler.run();
     EXPECT_NEAR(received, 1500, 120);
-    EXPECT_EQ(net.stats().messages_lost + net.stats().messages_delivered, 2000u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kNetMessagesLost) + net.metrics().counter(obs::metric::kNetMessagesDelivered), 2000u);
 }
 
 TEST_F(NetFixture, CrashedReceiverDropsMessages) {
@@ -223,9 +224,9 @@ TEST_F(NetFixture, StatsCountMessagesAndBytes) {
     net.send(a, b, Bytes(10, 0));
     net.send(a, b, Bytes(20, 0));
     scheduler.run();
-    EXPECT_EQ(net.stats().messages_sent, 2u);
-    EXPECT_EQ(net.stats().messages_delivered, 2u);
-    EXPECT_EQ(net.stats().bytes_sent, 30u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kNetMessagesSent), 2u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kNetMessagesDelivered), 2u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kNetBytesSent), 30u);
 }
 
 TEST_F(NetFixture, PaperTopologyHasThreeSitesAndAllLinks) {
