@@ -252,7 +252,8 @@ private:
         }
 
         RequestReplyResult result;
-        result.wire_messages = network_.metrics().counter(obs::metric::kNetMessagesSent) - wire_before;
+        result.wire_messages =
+            network_.metrics().counter(obs::metric::kNetMessagesSent) - wire_before;
         std::vector<double> per_client_means;
         SimTime first_issue = -1;
         SimTime last_completion = 0;

@@ -612,7 +612,8 @@ void GroupCommEndpoint::flush_order(Group& g) {
     const auto order = g.engine.take_order_to_send();
     if (!order) return;
     const SimTime now = orb_->scheduler().now();
-    metrics().observe(obs::metric::kGcsOrderBatchRefs, static_cast<SimDuration>(order->refs.size()));
+    metrics().observe(obs::metric::kGcsOrderBatchRefs,
+                      static_cast<SimDuration>(order->refs.size()));
     // Sequencer-turnaround boundary: each ref now has an agreed position and
     // the assignment goes on the wire.  The span is recovered from the
     // unstable store (the sequencer holds every unassigned message).

@@ -57,9 +57,10 @@ enum class DataKind : std::uint8_t {
     /// they consume no stream seqno and are never retransmitted (their
     /// information is monotone, so losing one is harmless).
     kNull = 1,
-    /// An asymmetric-order record from the sequencer (an encoded OrderMsg
-    /// as payload).  Rides the sequencer's reliable stream so order records
-    /// inherit FIFO delivery and NACK-based recovery.
+    /// An asymmetric-order record from the sequencer (an encoded
+    /// OrderRecord, gcs/ordering.hpp, as payload).  Rides the sequencer's
+    /// reliable stream so order records inherit FIFO delivery and
+    /// NACK-based recovery.
     kOrder = 2,
     /// A reconfiguration proposal (an encoded ConfigChangeMsg as payload).
     /// Ordered exactly like application data — it consumes a stream seqno,
@@ -150,7 +151,8 @@ struct NackMsg {
 NEWTOP_WIRE(NackMsg, group, epoch, requester, missing);
 
 /// Asymmetric-order record from the sequencer: refs[i] is the message with
-/// global order number `first_order + i`.
+/// global order number `first_order + i`.  Unused on the wire (records ride
+/// DataKind::kOrder as an OrderRecord); kept so later variant tags hold.
 struct OrderMsg {
     GroupId group;
     ViewEpoch epoch{0};

@@ -97,7 +97,8 @@ std::string run_scenario(std::uint64_t seed) {
                  });
     scheduler.run_until(scheduler.now() + 10_s);
 
-    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent) << " bytes=" << net.metrics().counter(obs::metric::kNetBytesSent)
+    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent)
+            << " bytes=" << net.metrics().counter(obs::metric::kNetBytesSent)
             << " t=" << scheduler.now();
     return history.str();
 }
@@ -186,7 +187,8 @@ std::string run_orb_churn(std::uint64_t seed) {
             [&, k](ReplyStatus s, const Bytes& p) { record(100 + k, s, p); }, 5_ms);
     }
     scheduler.run_until(scheduler.now() + 2_s);
-    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent) << " t=" << scheduler.now();
+    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent)
+            << " t=" << scheduler.now();
     return history.str();
 }
 
@@ -255,7 +257,8 @@ std::string run_reconfig_burst(std::uint64_t seed) {
         history << "epoch" << i << "=" << nsos[static_cast<std::size_t>(i)]->config_epoch(info->id)
                 << "\n";
     }
-    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent) << " bytes=" << net.metrics().counter(obs::metric::kNetBytesSent)
+    history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent)
+            << " bytes=" << net.metrics().counter(obs::metric::kNetBytesSent)
             << " t=" << scheduler.now();
     return history.str();
 }

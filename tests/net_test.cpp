@@ -131,7 +131,9 @@ TEST_F(NetFixture, LossDropsApproximatelyTheConfiguredFraction) {
     for (int i = 0; i < 2000; ++i) net.send(a, b, Bytes{1});
     scheduler.run();
     EXPECT_NEAR(received, 1500, 120);
-    EXPECT_EQ(net.metrics().counter(obs::metric::kNetMessagesLost) + net.metrics().counter(obs::metric::kNetMessagesDelivered), 2000u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kNetMessagesLost) +
+                  net.metrics().counter(obs::metric::kNetMessagesDelivered),
+              2000u);
 }
 
 TEST_F(NetFixture, CrashedReceiverDropsMessages) {
