@@ -458,7 +458,7 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
 
     // Local self-ingest: feed our own message straight to the engine.
     if (kind == DataKind::kApplication) note_payload_arrival(msg);
-    g.engine.on_data(msg);
+    g.engine.on_data(std::move(msg));
     pump(g);
     kick_liveness(g);
 }
@@ -513,16 +513,18 @@ void GroupCommEndpoint::handle_data(DataMsg msg) {
         // order.  Otherwise a lost message with a lower timestamp could
         // still be in flight (retransmission), and advancing would break
         // the total order — so we NACK instead and wait.
+        const EndpointId sender = msg.sender;
+        // The engines read only a null's timestamp, so the report leaves
+        // the message before the engine takes it.
+        const auto counts = std::move(msg.received_counts);
         Seqno sender_count = 0;
-        for (const auto& [member, count] : msg.received_counts) {
-            if (member == msg.sender) sender_count = count;
+        for (const auto& [member, count] : counts) {
+            if (member == sender) sender_count = count;
         }
         const bool stream_complete = sender_count <= stream.next_expected;
-        if (stream_complete) g.engine.on_data(msg);
-        apply_stability_report(g, msg.sender, msg.received_counts);
-        if (!stream_complete && stream.out_of_order.empty()) {
-            schedule_nack(g, msg.sender);
-        }
+        if (stream_complete) g.engine.on_data(std::move(msg));
+        apply_stability_report(g, sender, counts);
+        if (!stream_complete && stream.out_of_order.empty()) schedule_nack(g, sender);
         if (g.state == Group::State::kNormal) pump(g);
         kick_liveness(g);
         return;
@@ -579,7 +581,7 @@ void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg) {
     note_payload_arrival(msg);
     g.unstable.emplace(MsgRef{msg.sender, msg.seq}, msg);
     try {
-        g.engine.on_data(msg);
+        g.engine.on_data(std::move(msg));
     } catch (const DecodeError& err) {
         NEWTOP_WARN("endpoint " << id_ << ": bad order payload: " << err.what());
     }

@@ -1,6 +1,7 @@
 #include "gcs/ordering.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -14,12 +15,12 @@ void SymmetricOrder::reset(std::vector<EndpointId> members) {
     for (EndpointId m : members) latest_ts_[m] = 0;
 }
 
-void SymmetricOrder::on_data(const DataMsg& msg) {
+void SymmetricOrder::on_data(DataMsg msg) {
     auto it = latest_ts_.find(msg.sender);
     NEWTOP_EXPECTS(it != latest_ts_.end(), "data from non-member fed to symmetric order");
     it->second = std::max(it->second, msg.ts);
     if (orders_like_app(msg.kind)) {
-        holdback_.emplace(Key{msg.ts, msg.sender}, msg);
+        holdback_.emplace(Key{msg.ts, msg.sender}, std::move(msg));
     }
 }
 
@@ -76,7 +77,7 @@ void SequencerOrder::reset(std::vector<EndpointId> members, EndpointId self) {
     seen_refs_.clear();
 }
 
-void SequencerOrder::on_data(const DataMsg& msg) {
+void SequencerOrder::on_data(DataMsg msg) {
     if (msg.kind == DataKind::kOrder) {
         // The sequencer's own records carry assignments made right here.
         if (msg.sender != self_) on_order(decode_from_bytes<OrderRecord>(msg.payload));
@@ -89,7 +90,7 @@ void SequencerOrder::on_data(const DataMsg& msg) {
     // this a retransmitted message earns a second order slot whose data can
     // never reappear, and take_deliverable() stalls there permanently.
     if (!seen_refs_.insert(ref).second) return;
-    data_store_.emplace(ref, msg);
+    data_store_.emplace(ref, std::move(msg));
     if (is_sequencer()) {
         // The assignment enters log_ only once its order record is actually
         // handed out for broadcast (take_order_to_send).  Until then it is
@@ -162,10 +163,10 @@ void CausalOrder::reset(std::vector<EndpointId> members) {
     pending_.clear();
 }
 
-void CausalOrder::on_data(const DataMsg& msg) {
+void CausalOrder::on_data(DataMsg msg) {
     if (!orders_like_app(msg.kind)) return;
     // newtop-lint: allow(hot-path-alloc): pending list is bounded by causal holdback; capacity persists across steps
-    pending_.push_back(msg);
+    pending_.push_back(std::move(msg));
 }
 
 bool CausalOrder::satisfied(const DataMsg& msg) const {
@@ -225,8 +226,8 @@ OrderingEngine::OrderingEngine(OrderMode mode, const std::vector<EndpointId>& me
     }
 }
 
-void OrderingEngine::on_data(const DataMsg& msg) {
-    std::visit([&](auto& engine) { engine.on_data(msg); }, engine_);
+void OrderingEngine::on_data(DataMsg msg) {
+    std::visit([&](auto& engine) { engine.on_data(std::move(msg)); }, engine_);
 }
 
 std::vector<DataMsg> OrderingEngine::take_deliverable() {

@@ -49,7 +49,7 @@ public:
 
     /// Feed one FIFO-contiguous message (application or null) from a
     /// current member.  Nulls advance the order but are not delivered.
-    void on_data(const DataMsg& msg);
+    void on_data(DataMsg msg);
 
     /// Messages now deliverable, in delivery order.
     std::vector<DataMsg> take_deliverable();
@@ -99,7 +99,7 @@ public:
     /// message is decoded as an OrderRecord and applied, except the
     /// sequencer's own, whose assignments are already here.  Throws
     /// DecodeError for a malformed order record.
-    void on_data(const DataMsg& msg);
+    void on_data(DataMsg msg);
 
     /// Feed an order record from the sequencer.
     void on_order(const OrderRecord& record);
@@ -165,7 +165,7 @@ class CausalOrder {
 public:
     void reset(std::vector<EndpointId> members);
 
-    void on_data(const DataMsg& msg);
+    void on_data(DataMsg msg);
 
     std::vector<DataMsg> take_deliverable();
 
@@ -198,7 +198,7 @@ public:
 
     /// Feed one FIFO-contiguous stream message or null from a member.
     /// Throws DecodeError for a peer's malformed order record.
-    void on_data(const DataMsg& msg);
+    void on_data(DataMsg msg);
     std::vector<DataMsg> take_deliverable();
     [[nodiscard]] bool has_pending() const;
     [[nodiscard]] std::size_t pending_count() const;

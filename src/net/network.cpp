@@ -8,13 +8,36 @@
 namespace newtop {
 
 Network::Network(Scheduler& scheduler, Topology topology, std::uint64_t seed)
-    : scheduler_(&scheduler), topology_(std::move(topology)), rng_(seed) {}
+    : scheduler_(&scheduler),
+      topology_(std::move(topology)),
+      rng_(seed),
+      messages_sent_(metrics_, obs::metric::kNetMessagesSent),
+      bytes_sent_(metrics_, obs::metric::kNetBytesSent),
+      wan_messages_(metrics_, obs::metric::kNetWanMessages),
+      messages_lost_(metrics_, obs::metric::kNetMessagesLost),
+      stale_incarnation_drops_(metrics_, obs::metric::kNetStaleIncarnationDrops),
+      messages_delivered_(metrics_, obs::metric::kNetMessagesDelivered),
+      delivery_latency_(metrics_, obs::metric::kNetDeliveryLatencyUs) {
+    const std::size_t sites = topology_.site_count();
+    link_counters_.reserve(sites * sites);
+    for (std::size_t from = 0; from < sites; ++from) {
+        for (std::size_t to = 0; to < sites; ++to) {
+            const std::string prefix = std::string(obs::metric::kNetLinkPrefix) +
+                                       std::to_string(from) + "->" + std::to_string(to);
+            link_counters_.push_back(LinkCounters{
+                obs::Counter(metrics_, prefix + ".messages"),
+                obs::Counter(metrics_, prefix + ".bytes"),
+                obs::Counter(metrics_, prefix + ".drops"),
+            });
+        }
+    }
+}
 
 NodeId Network::add_node(SiteId site) {
     NEWTOP_EXPECTS(site.value() < topology_.site_count(), "unknown site");
     const NodeId id(static_cast<NodeId::rep_type>(nodes_.size()));
     nodes_.push_back(std::make_unique<Node>(id, site, *scheduler_));
-    nodes_.back()->cpu().attach_metrics(&metrics_);
+    nodes_.back()->cpu().attach_metrics(metrics_);
     // Nodes live as long as the network, so the gauge never dangles.
     Node* raw = nodes_.back().get();
     metrics_.register_gauge(obs::metric::kCpuBacklogUs, [raw](SimTime at) {
@@ -33,20 +56,6 @@ void Network::enable_gauge_sampling(SimDuration interval, SimDuration horizon) {
     }
 }
 
-const Network::LinkCounterNames& Network::link_counters(SiteId from, SiteId to) {
-    const auto key = std::make_pair(from, to);
-    auto it = link_counter_names_.find(key);
-    if (it == link_counter_names_.end()) {
-        const std::string prefix = std::string(obs::metric::kNetLinkPrefix) + std::to_string(from.value()) + "->" +
-                                   std::to_string(to.value());
-        it = link_counter_names_
-                 .emplace(key, LinkCounterNames{prefix + ".messages", prefix + ".bytes",
-                                                prefix + ".drops"})
-                 .first;
-    }
-    return it->second;
-}
-
 Node& Network::node(NodeId id) {
     NEWTOP_EXPECTS(id.value() < nodes_.size(), "unknown node");
     return *nodes_[id.value()];
@@ -62,14 +71,14 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     Node& dst = node(to);
     if (src.crashed()) return;
 
-    metrics_.add(obs::metric::kNetMessagesSent);
-    metrics_.add(obs::metric::kNetBytesSent, payload.size());
-    const LinkCounterNames& counters = link_counters(src.site(), dst.site());
-    metrics_.add(counters.messages);
-    metrics_.add(counters.bytes, payload.size());
+    messages_sent_.add();
+    bytes_sent_.add(payload.size());
+    LinkCounters& counters = link_counters(src.site(), dst.site());
+    counters.messages.add();
+    counters.bytes.add(payload.size());
 
     const LinkParams& link = topology_.link(src.site(), dst.site());
-    if (src.site() != dst.site()) metrics_.add(obs::metric::kNetWanMessages);
+    if (src.site() != dst.site()) wan_messages_.add();
 
     const LinkDegrade* degrade = nullptr;
     if (!degraded_links_.empty()) {
@@ -82,8 +91,8 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     if (rng_.next_bool(link.loss) || (extra_loss_ > 0.0 && rng_.next_bool(extra_loss_)) ||
         (degrade != nullptr && degrade->extra_loss > 0.0 &&
          rng_.next_bool(degrade->extra_loss))) {
-        metrics_.add(obs::metric::kNetMessagesLost);
-        metrics_.add(counters.drops);
+        messages_lost_.add();
+        counters.drops.add();
         return;
     }
 
@@ -116,24 +125,24 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
                                       counters = &counters,
                                       payload = std::move(payload)]() mutable {
         if (partition_cell_[from.value()] != partition_cell_[to.value()]) {
-            metrics_.add(obs::metric::kNetMessagesLost);
-            metrics_.add(counters->drops);
+            messages_lost_.add();
+            counters->drops.add();
             return;
         }
         Node& receiver = node(to);
         if (receiver.crashed()) {
-            metrics_.add(obs::metric::kNetMessagesLost);
-            metrics_.add(counters->drops);
+            messages_lost_.add();
+            counters->drops.add();
             return;
         }
         if (receiver.incarnation() != dst_incarnation) {
-            metrics_.add(obs::metric::kNetMessagesLost);
-            metrics_.add(obs::metric::kNetStaleIncarnationDrops);
-            metrics_.add(counters->drops);
+            messages_lost_.add();
+            stale_incarnation_drops_.add();
+            counters->drops.add();
             return;
         }
-        metrics_.add(obs::metric::kNetMessagesDelivered);
-        metrics_.observe(obs::metric::kNetDeliveryLatencyUs, scheduler_->now() - sent_at);
+        messages_delivered_.add();
+        delivery_latency_.observe(scheduler_->now() - sent_at);
         receiver.deliver(from, std::move(payload));
     });
 }

@@ -40,6 +40,11 @@ class Network {
 public:
     Network(Scheduler& scheduler, Topology topology, std::uint64_t seed);
 
+    // Nodes, gauges, timers and metric handles all point back into the
+    // network, so it stays where it was built.
+    Network(const Network&) = delete;
+    Network& operator=(const Network&) = delete;
+
     /// Create a node at `site`.
     NodeId add_node(SiteId site);
 
@@ -126,12 +131,16 @@ public:
     void enable_gauge_sampling(SimDuration interval, SimDuration horizon);
 
 private:
-    struct LinkCounterNames {
-        std::string messages;
-        std::string bytes;
-        std::string drops;
+    /// Per-(sender site, receiver site) traffic counters,
+    /// "net.link.A->B.{messages,bytes,drops}".
+    struct LinkCounters {
+        obs::Counter messages;
+        obs::Counter bytes;
+        obs::Counter drops;
     };
-    const LinkCounterNames& link_counters(SiteId from, SiteId to);
+    LinkCounters& link_counters(SiteId from, SiteId to) {
+        return link_counters_[from.value() * topology_.site_count() + to.value()];
+    }
 
     static std::pair<SiteId, SiteId> ordered_sites(SiteId a, SiteId b) {
         return a < b ? std::pair{a, b} : std::pair{b, a};
@@ -149,9 +158,17 @@ private:
     // Arrival time of the previous message per (from, to), for FIFO links.
     std::map<std::pair<NodeId, NodeId>, SimTime> last_arrival_;
     obs::MetricsRegistry metrics_;
-    // Cached per-(site, site) counter names; site pairs are few and the
-    // send path is hot, so names are built once.
-    std::map<std::pair<SiteId, SiteId>, LinkCounterNames> link_counter_names_;
+    // Handles into metrics_ for the per-message path (declared after it).
+    obs::Counter messages_sent_;
+    obs::Counter bytes_sent_;
+    obs::Counter wan_messages_;
+    obs::Counter messages_lost_;
+    obs::Counter stale_incarnation_drops_;
+    obs::Counter messages_delivered_;
+    obs::Histogram delivery_latency_;
+    // site_count()^2 entries, row-major by sender site; never resized, so
+    // in-flight deliveries may hold pointers into it.
+    std::vector<LinkCounters> link_counters_;
 };
 
 }  // namespace newtop

@@ -64,15 +64,36 @@ void LatencyHistogram::append_json(std::string& out) const {
     out += "]}";
 }
 
+// -- handles ------------------------------------------------------------------
+
+void Counter::resolve_and_add(std::uint64_t delta) {
+    value_ = &registry_->counter_slot(name_);
+    *value_ += delta;
+}
+
+void Histogram::resolve_and_observe(SimDuration value) {
+    histogram_ = &registry_->histogram_slot(name_);
+    histogram_->record(value);
+}
+
 // -- MetricsRegistry ----------------------------------------------------------
 
-void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-    const auto it = counters_.find(name);
-    if (it != counters_.end()) {
-        it->second += delta;
-    } else {
-        counters_.emplace(std::string(name), delta);
+std::uint64_t& MetricsRegistry::counter_slot(std::string_view name) {
+    auto it = counters_.find(name);
+    if (it == counters_.end()) it = counters_.emplace(std::string(name), 0).first;
+    return it->second;
+}
+
+LatencyHistogram& MetricsRegistry::histogram_slot(std::string_view name) {
+    auto it = histograms_.find(name);
+    if (it == histograms_.end()) {
+        it = histograms_.emplace(std::string(name), LatencyHistogram{}).first;
     }
+    return it->second;
+}
+
+void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
+    counter_slot(name) += delta;
 }
 
 std::uint64_t MetricsRegistry::counter(std::string_view name) const {
@@ -81,11 +102,7 @@ std::uint64_t MetricsRegistry::counter(std::string_view name) const {
 }
 
 void MetricsRegistry::observe(std::string_view name, SimDuration value) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(std::string(name), LatencyHistogram{}).first;
-    }
-    it->second.record(value);
+    histogram_slot(name).record(value);
 }
 
 const LatencyHistogram* MetricsRegistry::histogram(std::string_view name) const {

@@ -67,6 +67,63 @@ private:
 using GaugeFn = std::function<std::uint64_t(SimTime at)>;
 using GaugeHandle = std::uint64_t;
 
+class MetricsRegistry;
+
+/// A counter bumped without a name lookup.  The first bump finds (or
+/// creates) the registry's entry and caches a pointer to it; later bumps go
+/// through the pointer.  Entries are never erased and map nodes never move,
+/// so the pointer stays valid for the registry's lifetime.  Until its first
+/// bump the handle leaves the registry untouched, so a never-bumped counter
+/// stays out of to_json() exactly as if add(name) had never been called.
+/// A default-constructed handle is unbound and ignores bumps.
+class Counter {
+public:
+    Counter() = default;
+    Counter(MetricsRegistry& registry, std::string_view name)
+        : registry_(&registry), name_(name) {}
+
+    /// Same effect as registry.add(name, delta).
+    void add(std::uint64_t delta = 1) {
+        if (value_ != nullptr) {
+            *value_ += delta;
+        } else if (registry_ != nullptr) {
+            resolve_and_add(delta);
+        }
+    }
+
+private:
+    void resolve_and_add(std::uint64_t delta);
+
+    MetricsRegistry* registry_{nullptr};
+    std::string name_;
+    std::uint64_t* value_{nullptr};
+};
+
+/// A histogram recorded into without a name lookup; resolved on the first
+/// observe() like Counter.
+class Histogram {
+public:
+    Histogram() = default;
+    Histogram(MetricsRegistry& registry, std::string_view name)
+        : registry_(&registry), name_(name) {}
+
+    /// Same effect as registry.observe(name, value).
+    void observe(SimDuration value) {
+        if (histogram_ != nullptr) {
+            histogram_->record(value);
+        } else if (registry_ != nullptr) {
+            resolve_and_observe(value);
+        }
+    }
+
+private:
+    void resolve_and_observe(SimDuration value);
+
+    MetricsRegistry* registry_{nullptr};
+    std::string name_;
+    LatencyHistogram* histogram_{nullptr};
+};
+
 class MetricsRegistry {
 public:
     /// Increment counter `name` by `delta` (creating it at zero).
@@ -138,10 +195,17 @@ public:
     }
 
 private:
+    friend class Counter;
+    friend class Histogram;
+
     struct Gauge {
         std::string name;
         GaugeFn fn;
     };
+
+    /// The named entry, created at zero / empty on first use.
+    std::uint64_t& counter_slot(std::string_view name);
+    LatencyHistogram& histogram_slot(std::string_view name);
 
     std::map<std::string, std::uint64_t, std::less<>> counters_;
     std::map<std::string, LatencyHistogram, std::less<>> histograms_;

@@ -38,8 +38,17 @@ Bytes Orb::encode_request(std::uint64_t request_id, bool oneway, ObjectKey key,
 }
 
 Orb::Orb(Network& network, NodeId node)
-    : network_(&network), node_(node),
-      incarnation_(network.node(node).incarnation()), adapter_(node) {
+    : network_(&network),
+      node_(node),
+      incarnation_(network.node(node).incarnation()),
+      adapter_(node),
+      invocations_(network.metrics(), obs::metric::kOrbInvocations),
+      call_timeouts_(network.metrics(), obs::metric::kOrbCallTimeouts),
+      oneways_(network.metrics(), obs::metric::kOrbOneways),
+      requests_handled_(network.metrics(), obs::metric::kOrbRequestsHandled),
+      replies_sent_(network.metrics(), obs::metric::kOrbRepliesSent),
+      replies_received_(network.metrics(), obs::metric::kOrbRepliesReceived),
+      group_retries_(network.metrics(), obs::metric::kOrbGroupRetries) {
     network_->node(node_).set_receiver(
         [this](NodeId from, Bytes payload) { on_message(from, std::move(payload)); });
 }
@@ -48,12 +57,12 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
                       ReplyHandler handler, SimDuration timeout) {
     NEWTOP_EXPECTS(handler != nullptr, "two-way invoke needs a reply handler");
     if (process_defunct()) return OrbCallId(0);
-    metrics().add(obs::metric::kOrbInvocations);
+    invocations_.add();
     const std::uint64_t request_id = next_request_id_++;
     Pending pending{std::move(handler), 0};
     if (timeout > 0) {
         pending.timer = scheduler().schedule_after(timeout, [this, request_id] {
-            if (pending_.contains(request_id)) metrics().add(obs::metric::kOrbCallTimeouts);
+            if (pending_.contains(request_id)) call_timeouts_.add();
             complete(request_id, ReplyStatus::kTimeout, Bytes{});
         });
     }
@@ -70,7 +79,7 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
 
 void Orb::invoke_oneway(const Ior& target, std::uint32_t method, const Bytes& args) {
     if (process_defunct()) return;
-    metrics().add(obs::metric::kOrbOneways);
+    oneways_.add();
     Bytes wire = encode_request(/*request_id=*/0, /*oneway=*/true, target.key, method, args);
     Node& self = network_->node(node_);
     self.cpu().execute(calibration::marshal_cost(wire.size()),
@@ -110,7 +119,7 @@ void Orb::on_message(NodeId from, Bytes payload) {
 }
 
 void Orb::handle_request(NodeId from, Decoder& d, Bytes wire) {
-    metrics().add(obs::metric::kOrbRequestsHandled);
+    requests_handled_.add();
     const std::uint64_t request_id = d.get_u64();
     const bool oneway = d.get_bool();
     ObjectKey key;
@@ -160,7 +169,7 @@ void Orb::handle_request(NodeId from, Decoder& d, Bytes wire) {
 }
 
 void Orb::send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, Bytes payload) {
-    metrics().add(obs::metric::kOrbRepliesSent);
+    replies_sent_.add();
     // Fixed framing (type + id + status + blob length prefix) around the
     // payload: size it exactly and encode into a recycled buffer.
     const std::size_t frame_size = 1 + 8 + 1 + 4 + payload.size();
@@ -186,7 +195,7 @@ void Orb::handle_reply(Decoder& d) {
     }
     Bytes payload = d.get_blob();
     if (pending_.find(request_id) == pending_.end()) return;  // late or duplicate reply
-    metrics().add(obs::metric::kOrbRepliesReceived);
+    replies_received_.add();
 
     Node& self = network_->node(node_);
     self.cpu().execute(calibration::unmarshal_cost(payload.size()),
@@ -230,7 +239,7 @@ void Orb::try_group_member(Iogr group, std::size_t attempt, std::uint32_t method
             const bool retryable =
                 status == ReplyStatus::kTimeout || status == ReplyStatus::kNoObject;
             if (retryable && !last) {
-                metrics().add(obs::metric::kOrbGroupRetries);
+                group_retries_.add();
                 try_group_member(std::move(group), attempt + 1, method, std::move(args),
                                  std::move(handler), per_member_timeout);
             } else {

@@ -97,12 +97,18 @@ private:
     void complete(std::uint64_t request_id, ReplyStatus status, const Bytes& payload);
     void try_group_member(Iogr group, std::size_t attempt, std::uint32_t method, Bytes args,
                           ReplyHandler handler, SimDuration per_member_timeout);
-    obs::MetricsRegistry& metrics() { return network_->metrics(); }
 
     Network* network_;
     NodeId node_;
     std::uint32_t incarnation_;
     ObjectAdapter adapter_;
+    obs::Counter invocations_;
+    obs::Counter call_timeouts_;
+    obs::Counter oneways_;
+    obs::Counter requests_handled_;
+    obs::Counter replies_sent_;
+    obs::Counter replies_received_;
+    obs::Counter group_retries_;
     /// Recycled wire buffers: received messages retire here after dispatch
     /// and the next outgoing encode reuses their storage, so the steady-
     /// state request/reply path allocates nothing.

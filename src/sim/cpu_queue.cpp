@@ -2,16 +2,20 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
 
-void CpuQueue::execute(SimDuration cost, std::function<void()> fn) {
+void CpuQueue::attach_metrics(obs::MetricsRegistry& metrics) {
+    tasks_ = obs::Counter(metrics, obs::metric::kCpuTasks);
+    busy_us_ = obs::Counter(metrics, obs::metric::kCpuBusyUs);
+    queue_wait_us_ = obs::Histogram(metrics, obs::metric::kCpuQueueWaitUs);
+}
+
+bool CpuQueue::admit(SimDuration cost) {
     NEWTOP_EXPECTS(cost >= 0, "CPU cost must be non-negative");
-    NEWTOP_EXPECTS(fn != nullptr, "CPU work must be callable");
-    if (dead_) return;
+    if (dead_) return false;
     // The slowdown multiply only happens while a gray fault is active, so
     // unslowed hosts compute byte-identical schedules to a build without
     // the feature.
@@ -19,17 +23,12 @@ void CpuQueue::execute(SimDuration cost, std::function<void()> fn) {
         cost = static_cast<SimDuration>(static_cast<double>(cost) * slowdown_);
     }
     const SimTime start = std::max(scheduler_->now(), busy_until_);
-    if (metrics_ != nullptr) {
-        metrics_->add(obs::metric::kCpuTasks);
-        metrics_->add(obs::metric::kCpuBusyUs, static_cast<std::uint64_t>(cost));
-        metrics_->observe(obs::metric::kCpuQueueWaitUs, start - scheduler_->now());
-    }
+    tasks_.add();
+    busy_us_.add(static_cast<std::uint64_t>(cost));
+    queue_wait_us_.observe(start - scheduler_->now());
     busy_until_ = start + cost;
     consumed_ += cost;
-    const std::uint64_t epoch = epoch_;
-    scheduler_->schedule_at(busy_until_, [this, epoch, fn = std::move(fn)] {
-        if (epoch == epoch_) fn();
-    });
+    return true;
 }
 
 void CpuQueue::set_slowdown(double factor) {

@@ -7,16 +7,14 @@
 // reports (§5.1.1).
 #pragma once
 
-#include <functional>
+#include <utility>
 
+#include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
+#include "util/check.hpp"
 #include "util/time.hpp"
 
 namespace newtop {
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
 
 class CpuQueue {
 public:
@@ -25,12 +23,24 @@ public:
     /// Attach the world's metrics registry (done by Network::add_node).
     /// Each submitted task then counts toward cpu.tasks / cpu.busy_us and
     /// its queueing delay feeds the cpu.queue_wait_us histogram.
-    void attach_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+    void attach_metrics(obs::MetricsRegistry& metrics);
 
     /// Run `fn` after `cost` microseconds of CPU time, queued FIFO behind
     /// any work already submitted.  Zero-cost work still round-trips
     /// through the scheduler so that handlers never run re-entrantly.
-    void execute(SimDuration cost, std::function<void()> fn);
+    /// The crash guard and `fn` travel as one closure, so the work is
+    /// type-erased once and, when it fits Task's buffer, never allocates.
+    template <typename F>
+    void execute(SimDuration cost, F&& fn) {
+        if constexpr (Task::kNullable<std::remove_cvref_t<F>>) {
+            NEWTOP_EXPECTS(static_cast<bool>(fn), "CPU work must be callable");
+        }
+        if (!admit(cost)) return;
+        scheduler_->schedule_at(busy_until_,
+                                [this, epoch = epoch_, fn = std::forward<F>(fn)]() mutable {
+                                    if (epoch == epoch_) fn();
+                                });
+    }
 
     /// Scale the cost of every subsequently submitted task by `factor`
     /// (gray-failure injection: a slow-but-alive host).  1.0 restores
@@ -68,8 +78,14 @@ public:
     void revive();
 
 private:
+    /// Accounts a task of `cost` and extends busy_until() past it; false
+    /// (and nothing queued) when the CPU is dead.
+    bool admit(SimDuration cost);
+
     Scheduler* scheduler_;
-    obs::MetricsRegistry* metrics_{nullptr};
+    obs::Counter tasks_;
+    obs::Counter busy_us_;
+    obs::Histogram queue_wait_us_;
     SimTime busy_until_{0};
     SimDuration consumed_{0};
     double slowdown_{1.0};

@@ -7,23 +7,26 @@
 
 namespace newtop {
 
-TimerId Scheduler::schedule_at(SimTime at, std::function<void()> fn) {
-    NEWTOP_EXPECTS(fn != nullptr, "scheduled function must be callable");
+TimerId Scheduler::schedule_at(SimTime at, Task fn) {
+    NEWTOP_EXPECTS(static_cast<bool>(fn), "scheduled function must be callable");
     std::uint32_t slot = 0;
     if (free_slots_.empty()) {
         slot = static_cast<std::uint32_t>(slots_.size());
+        // newtop-lint: allow(hot-path-alloc): grows only to the peak number of queued events; capacity persists across steps
         slots_.emplace_back();
     } else {
         slot = free_slots_.back();
         free_slots_.pop_back();
     }
-    queue_.push_back(Event{std::max(at, now_), next_seq_++, slot, std::move(fn)});
-    std::push_heap(queue_.begin(), queue_.end(), Later{});
+    slots_[slot].fn = std::move(fn);
+    // newtop-lint: allow(hot-path-alloc): bounded by the queued events, cancelled ones compacted away; capacity persists across steps
+    heap_.push_back(Entry{std::max(at, now_), next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     // Generation in the high half, slot + 1 in the low half: never 0.
     return (TimerId{slots_[slot].generation} << 32) | (TimerId{slot} + 1);
 }
 
-TimerId Scheduler::schedule_after(SimDuration delay, std::function<void()> fn) {
+TimerId Scheduler::schedule_after(SimDuration delay, Task fn) {
     return schedule_at(now_ + std::max<SimDuration>(delay, 0), std::move(fn));
 }
 
@@ -31,32 +34,54 @@ void Scheduler::cancel(TimerId id) {
     const TimerId index = id & 0xffff'ffffU;
     if (index == 0 || index > slots_.size()) return;
     Slot& slot = slots_[index - 1];
-    if (slot.generation != (id >> 32) || slot.cancelled) return;  // fired or cancelled
-    slot.cancelled = true;
+    if (slot.generation != (id >> 32) || !slot.fn) return;  // fired or cancelled
+    // Destroyed on return, once the bookkeeping is consistent: the captured
+    // state's destructor may itself schedule or cancel.
+    const Task doomed = std::move(slot.fn);
     ++cancelled_;
+    if (cancelled_ > kCompactFloor && cancelled_ > heap_.size() - cancelled_) compact();
 }
 
-bool Scheduler::pop_next(Event& out, SimTime deadline) {
-    while (!queue_.empty() && queue_.front().at <= deadline) {
-        std::pop_heap(queue_.begin(), queue_.end(), Later{});
-        out = std::move(queue_.back());
-        queue_.pop_back();
-        Slot& slot = slots_[out.slot];
-        const bool cancelled = slot.cancelled;
-        ++slot.generation;
-        slot.cancelled = false;
-        free_slots_.push_back(out.slot);
-        if (!cancelled) return true;
+void Scheduler::release(std::uint32_t slot) {
+    ++slots_[slot].generation;
+    // newtop-lint: allow(hot-path-alloc): never longer than slots_; capacity persists across steps
+    free_slots_.push_back(slot);
+}
+
+void Scheduler::compact() {
+    std::size_t kept = 0;
+    for (const Entry& entry : heap_) {
+        if (slots_[entry.slot].fn) {
+            heap_[kept++] = entry;
+        } else {
+            release(entry.slot);
+        }
+    }
+    heap_.resize(kept);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    cancelled_ = 0;
+}
+
+Task Scheduler::pop_next(SimTime deadline) {
+    while (!heap_.empty() && heap_.front().at <= deadline) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        const Entry entry = heap_.back();
+        heap_.pop_back();
+        release(entry.slot);
+        Task& fn = slots_[entry.slot].fn;
+        if (fn) {
+            now_ = entry.at;
+            return std::move(fn);
+        }
         --cancelled_;
     }
-    return false;
+    return nullptr;
 }
 
 bool Scheduler::step() {
-    Event ev;
-    if (!pop_next(ev, std::numeric_limits<SimTime>::max())) return false;
-    now_ = ev.at;
-    ev.fn();
+    Task fn = pop_next(std::numeric_limits<SimTime>::max());
+    if (!fn) return false;
+    fn();
     return true;
 }
 
@@ -67,11 +92,7 @@ std::size_t Scheduler::run(std::size_t limit) {
 }
 
 void Scheduler::run_until(SimTime deadline) {
-    Event ev;
-    while (pop_next(ev, deadline)) {
-        now_ = ev.at;
-        ev.fn();
-    }
+    while (Task fn = pop_next(deadline)) fn();
     now_ = std::max(now_, deadline);
 }
 

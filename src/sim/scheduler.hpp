@@ -4,12 +4,19 @@
 // protocol timers — is an event on this queue.  Events at equal timestamps
 // run in scheduling order, which (together with the seeded RNG) makes whole
 // experiments deterministic.
+//
+// Cancelled events are dropped from the heap in bulk: once they outnumber
+// the live ones, one linear pass removes them all and re-heapifies.  The
+// pop order is unaffected because the heap order (time, then scheduling
+// sequence number) is a strict total order on unique keys, so which event
+// runs next depends only on the set of live events, never on the heap's
+// shape.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/task.hpp"
 #include "util/time.hpp"
 
 namespace newtop {
@@ -29,12 +36,14 @@ public:
     [[nodiscard]] SimTime now() const { return now_; }
 
     /// Schedule `fn` to run at absolute time `at` (clamped to now()).
-    TimerId schedule_at(SimTime at, std::function<void()> fn);
+    /// `fn` must not be empty (a null pointer or an empty std::function).
+    TimerId schedule_at(SimTime at, Task fn);
 
     /// Schedule `fn` to run `delay` from now (negative delays run "now").
-    TimerId schedule_after(SimDuration delay, std::function<void()> fn);
+    TimerId schedule_after(SimDuration delay, Task fn);
 
-    /// Cancel a previously scheduled event.  Cancelling an event that has
+    /// Cancel a previously scheduled event and destroy its callable at
+    /// once (freeing whatever it captured).  Cancelling an event that has
     /// already fired (or was already cancelled) is a no-op that leaves no
     /// state behind, which lets protocol code cancel timers unconditionally.
     void cancel(TimerId id);
@@ -53,39 +62,49 @@ public:
     void run_until(SimTime deadline);
 
     /// Number of events still to run (cancelled ones excluded).
-    [[nodiscard]] std::size_t pending() const { return queue_.size() - cancelled_; }
+    [[nodiscard]] std::size_t pending() const { return heap_.size() - cancelled_; }
 
 private:
-    struct Event {
+    /// Heap key of one queued event; the callable waits in its slot.
+    struct Entry {
         SimTime at;
         std::uint64_t seq;   // FIFO tie-break for equal timestamps
         std::uint32_t slot;  // index into slots_
-        std::function<void()> fn;
     };
-    /// Cancellation state of one queued event.  Taken at schedule, released
-    /// when the event is popped; the release bumps the generation, so every
-    /// TimerId issued for the old occupant goes stale.
+    /// One queued event's callable.  Taken at schedule and released when the
+    /// event is popped or compacted away; the release bumps the generation,
+    /// so every TimerId issued for the old occupant goes stale.  An empty
+    /// `fn` on a queued entry marks a cancelled event.
     struct Slot {
+        Task fn;
         std::uint32_t generation{0};
-        bool cancelled{false};
     };
     struct Later {
-        bool operator()(const Event& a, const Event& b) const {
+        bool operator()(const Entry& a, const Entry& b) const {
             if (a.at != b.at) return a.at > b.at;
             return a.seq > b.seq;
         }
     };
+    /// Compaction never runs on a heap holding fewer cancelled entries.
+    static constexpr std::size_t kCompactFloor = 64;
 
-    /// Moves the next non-cancelled event due by `deadline` into `out`;
-    /// false when there is none.  Cancelled events on the way are dropped.
-    bool pop_next(Event& out, SimTime deadline);
+    /// Pops the next live event due by `deadline`, advances now() to it and
+    /// returns its callable; empty when there is none.  Cancelled events on
+    /// the way are dropped.
+    Task pop_next(SimTime deadline);
+
+    /// Returns `slot` to the free list, staling every TimerId issued for it.
+    void release(std::uint32_t slot);
+
+    /// Drops every cancelled entry from the heap and re-heapifies.
+    void compact();
 
     SimTime now_{0};
     std::uint64_t next_seq_{0};
-    std::vector<Event> queue_;  // binary heap under Later
+    std::vector<Entry> heap_;  // binary heap under Later
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;
-    std::size_t cancelled_{0};  // cancelled events still in queue_
+    std::size_t cancelled_{0};  // cancelled entries still in heap_
 };
 
 }  // namespace newtop

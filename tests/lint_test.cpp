@@ -202,6 +202,8 @@ TEST(LintHotAlloc, ScopedToHotPathRegionsOnly) {
     // gcs/ at large is not a hot path; the ordering window is.
     EXPECT_TRUE(scan_source("src/gcs/endpoint.cpp", content).empty());
     EXPECT_EQ(scan_source("src/gcs/ordering.cpp", content).size(), 5u);
+    // The discrete-event engine is a hot path as a whole.
+    EXPECT_EQ(scan_source("src/sim/scheduler.cpp", content).size(), 5u);
     EXPECT_TRUE(scan_source("src/orb/orb.cpp", content).empty());
 }
 

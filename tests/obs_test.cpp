@@ -122,6 +122,50 @@ TEST(MetricsRegistry, JsonIsAPureFunctionOfTheData) {
     EXPECT_NE(a.find("\"b\":2"), std::string::npos);
 }
 
+// -- Counter / Histogram handles ----------------------------------------------
+
+TEST(MetricHandles, NeverBumpedHandleLeavesJsonUnchanged) {
+    obs::MetricsRegistry m;
+    m.add("a", 3);
+    m.observe("lat", 12);
+    const std::string before = m.to_json();
+    const obs::Counter counter(m, "unbumped.counter");
+    const obs::Histogram histogram(m, "unbumped.histogram");
+    EXPECT_EQ(m.to_json(), before);
+    EXPECT_EQ(m.counter("unbumped.counter"), 0u);
+    EXPECT_EQ(m.histogram("unbumped.histogram"), nullptr);
+}
+
+TEST(MetricHandles, HandleAndNameBumpTheSameCounter) {
+    obs::MetricsRegistry m;
+    obs::Counter handle(m, "x");
+    m.add("x", 2);
+    handle.add();
+    handle.add(5);
+    m.add("x");
+    EXPECT_EQ(m.counter("x"), 9u);
+
+    // A zero bump creates the counter, exactly as add(name, 0) does.
+    obs::MetricsRegistry by_handle;
+    obs::MetricsRegistry by_name;
+    obs::Counter zero(by_handle, "z");
+    zero.add(0);
+    by_name.add("z", 0);
+    EXPECT_EQ(by_handle.to_json(), by_name.to_json());
+}
+
+TEST(MetricHandles, HistogramHandleMatchesObserveByName) {
+    const std::vector<SimDuration> values = {0, 1, 7, 7, 900, -3, 1 << 20};
+    obs::MetricsRegistry by_handle;
+    obs::MetricsRegistry by_name;
+    obs::Histogram handle(by_handle, "lat");
+    for (const SimDuration v : values) {
+        handle.observe(v);
+        by_name.observe("lat", v);
+    }
+    EXPECT_EQ(by_handle.to_json(), by_name.to_json());
+}
+
 TEST(MetricsRegistry, TraceIsANoOpWithoutASink) {
     obs::MetricsRegistry m;
     m.trace(obs::TraceKind::kMulticastSent, 10, 1);  // must not crash

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu_queue.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/task.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace newtop {
 namespace {
@@ -207,6 +214,216 @@ TEST(Scheduler, CancelBeforeFireStillSuppressesAmongReusedSlots) {
     EXPECT_EQ(ran, 3);
 }
 
+TEST(Scheduler, EmptyStdFunctionRejected) {
+    Scheduler s;
+    const std::function<void()> empty;
+    EXPECT_THROW(s.schedule_at(1, empty), PreconditionError);
+    EXPECT_EQ(s.pending(), 0u);
+}
+
+// Seeded schedule/cancel churn checked against a reference model: an
+// ordered map keyed by (time, scheduling order).  Over 90% of events are
+// cancelled, many from inside running events, and events scheduled from
+// inside events often share the current timestamp, so cancelled entries
+// are compacted out of the heap many times.  Every fired event must be the
+// model's head, pending() must match the model after every operation, and
+// the stale TimerId of a compacted event must never cancel whatever took
+// over its slot.
+TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        Scheduler s;
+        using Key = std::pair<SimTime, std::uint64_t>;
+        std::map<Key, int> model;  // live events in expected firing order
+        struct Live {
+            TimerId timer;
+            Key key;
+        };
+        std::map<int, Live> live;
+        std::vector<int> live_ids;  // for uniform random picks
+        // Cancelled events by slot (the TimerId's low half), until their
+        // deadline passes: a new TimerId on that slot before then means
+        // compaction released it.
+        std::map<std::uint32_t, std::pair<TimerId, SimTime>> cancelled_by_slot;
+        std::uint64_t order = 0;
+        int next_id = 0;
+        std::size_t fired = 0;
+        std::size_t cancels = 0;
+        std::size_t schedules = 0;
+        std::size_t compacted_reuses = 0;
+
+        const auto check_pending = [&] { ASSERT_EQ(s.pending(), model.size()); };
+        const auto forget = [&](int id) {
+            for (std::size_t i = 0; i < live_ids.size(); ++i) {
+                if (live_ids[i] == id) {
+                    live_ids[i] = live_ids.back();
+                    live_ids.pop_back();
+                    break;
+                }
+            }
+            live.erase(id);
+        };
+        const auto cancel_random = [&] {
+            if (live_ids.empty()) return;
+            const int id = live_ids[rng.next_in(0, live_ids.size() - 1)];
+            const Live victim = live.at(id);
+            s.cancel(victim.timer);
+            model.erase(victim.key);
+            forget(id);
+            cancelled_by_slot[static_cast<std::uint32_t>(victim.timer)] = {victim.timer,
+                                                                           victim.key.first};
+            ++cancels;
+        };
+        std::function<void(SimDuration)> schedule;
+        const auto on_fire = [&](int id) {
+            ASSERT_FALSE(model.empty());
+            ASSERT_EQ(model.begin()->second, id);
+            ASSERT_EQ(model.begin()->first.first, s.now());
+            const TimerId own = live.at(id).timer;
+            model.erase(model.begin());
+            forget(id);
+            ++fired;
+            s.cancel(own);  // already fired: a no-op
+            check_pending();
+            if (rng.next_bool(0.5)) schedule(0);  // same timestamp as now
+            if (rng.next_bool(0.5)) schedule(static_cast<SimDuration>(rng.next_in(0, 50)));
+            if (rng.next_bool(0.9)) cancel_random();
+            check_pending();
+        };
+        schedule = [&](SimDuration delay) {
+            const int id = next_id++;
+            const Key key{s.now() + delay, order++};
+            const TimerId timer = s.schedule_after(delay, [&on_fire, id] { on_fire(id); });
+            ++schedules;
+            model.emplace(key, id);
+            live.emplace(id, Live{timer, key});
+            live_ids.push_back(id);
+            const auto old = cancelled_by_slot.find(static_cast<std::uint32_t>(timer));
+            if (old != cancelled_by_slot.end()) {
+                if (old->second.second > s.now()) {
+                    ++compacted_reuses;
+                    s.cancel(old->second.first);  // stale: must not touch `timer`
+                    check_pending();
+                }
+                cancelled_by_slot.erase(old);
+            }
+        };
+
+        for (int i = 0; i < 20'000; ++i) {
+            schedule(static_cast<SimDuration>(rng.next_in(0, 500)));
+            if (rng.next_bool(0.93)) cancel_random();
+            if (rng.next_bool(0.1)) s.step();
+            check_pending();
+        }
+        s.run();
+        EXPECT_TRUE(model.empty());
+        EXPECT_EQ(s.pending(), 0u);
+        EXPECT_EQ(fired + cancels, schedules);
+        EXPECT_GE(cancels * 10, schedules * 9) << "seed " << seed;
+        EXPECT_GT(fired, 1'000u) << "seed " << seed;
+        EXPECT_GT(compacted_reuses, 100u) << "seed " << seed;
+    }
+}
+
+// -- Task -------------------------------------------------------------------
+
+/// Counts its own destruction; moved-from instances do not count.
+class DestroyCounter {
+public:
+    explicit DestroyCounter(int* count) : count_(count) {}
+    DestroyCounter(DestroyCounter&& other) noexcept
+        : count_(std::exchange(other.count_, nullptr)) {}
+    DestroyCounter& operator=(DestroyCounter&&) = delete;
+    ~DestroyCounter() {
+        if (count_ != nullptr) ++*count_;
+    }
+
+private:
+    int* count_;
+};
+
+/// Bigger than Task's inline buffer, so it lives on the heap.
+struct Ballast {
+    std::array<char, Task::kInlineBytes + 8> bytes{};
+};
+
+TEST(Task, MoveOnlyCaptureRuns) {
+    Scheduler s;
+    int seen = 0;
+    s.schedule_at(1, [&seen, owned = std::make_unique<int>(42)] { seen = *owned; });
+    s.run();
+    EXPECT_EQ(seen, 42);
+}
+
+TEST(Task, CaptureLargerThanTheInlineBufferRuns) {
+    Scheduler s;
+    Ballast ballast;
+    ballast.bytes.back() = 7;
+    int seen = 0;
+    s.schedule_at(1, [&seen, ballast] { seen = ballast.bytes.back(); });
+    s.run();
+    EXPECT_EQ(seen, 7);
+}
+
+TEST(Task, CapturedStateDestroyedOnceWhenRun) {
+    for (const bool large : {false, true}) {
+        int destroyed = 0;
+        Scheduler s;
+        if (large) {
+            s.schedule_at(1, [guard = DestroyCounter(&destroyed), ballast = Ballast{}] {});
+        } else {
+            s.schedule_at(1, [guard = DestroyCounter(&destroyed)] {});
+        }
+        EXPECT_EQ(destroyed, 0);
+        s.run();
+        EXPECT_EQ(destroyed, 1) << "large=" << large;
+    }
+}
+
+TEST(Task, CapturedStateDestroyedAtCancel) {
+    for (const bool large : {false, true}) {
+        int destroyed = 0;
+        Scheduler s;
+        const TimerId id =
+            large ? s.schedule_at(1, [guard = DestroyCounter(&destroyed), ballast = Ballast{}] {})
+                  : s.schedule_at(1, [guard = DestroyCounter(&destroyed)] {});
+        s.schedule_at(2, [] {});
+        s.cancel(id);
+        EXPECT_EQ(destroyed, 1) << "large=" << large;  // at once, not when its time comes
+        s.cancel(id);
+        s.run();
+        EXPECT_EQ(destroyed, 1) << "large=" << large;
+    }
+}
+
+TEST(Task, CapturedStateDestroyedWithTheScheduler) {
+    for (const bool large : {false, true}) {
+        int destroyed = 0;
+        {
+            Scheduler s;
+            if (large) {
+                s.schedule_at(1, [guard = DestroyCounter(&destroyed), ballast = Ballast{}] {});
+            } else {
+                s.schedule_at(1, [guard = DestroyCounter(&destroyed)] {});
+            }
+        }
+        EXPECT_EQ(destroyed, 1) << "large=" << large;
+    }
+}
+
+TEST(Task, MoveTransfersTheCallable) {
+    int runs = 0;
+    int destroyed = 0;
+    Task a = [&runs, guard = DestroyCounter(&destroyed)] { ++runs; };
+    Task b = std::move(a);
+    EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty by contract
+    ASSERT_TRUE(b);
+    b();
+    EXPECT_EQ(runs, 1);
+    b = nullptr;
+    EXPECT_EQ(destroyed, 1);
+}
+
 // -- CpuQueue ---------------------------------------------------------------
 
 TEST(CpuQueue, SerializesWork) {
@@ -277,6 +494,23 @@ TEST(CpuQueue, WorkAfterResetRuns) {
     cpu.execute(10, [&] { ran = true; });
     s.run();
     EXPECT_TRUE(ran);
+}
+
+TEST(CpuQueue, MoveOnlyWorkRuns) {
+    Scheduler s;
+    CpuQueue cpu(s);
+    int seen = 0;
+    cpu.execute(10, [&seen, owned = std::make_unique<int>(5)] { seen = *owned; });
+    s.run();
+    EXPECT_EQ(seen, 5);
+}
+
+TEST(CpuQueue, EmptyWorkRejected) {
+    Scheduler s;
+    CpuQueue cpu(s);
+    const std::function<void()> empty;
+    EXPECT_THROW(cpu.execute(1, empty), PreconditionError);
+    EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(CpuQueue, NegativeCostRejected) {

@@ -121,14 +121,16 @@ inline constexpr std::string_view kMetricTableFile = "src/obs/names.hpp";
 // Hot-path allocation discipline.
 // ---------------------------------------------------------------------------
 
-/// Hot-path regions where the arena-CDR zero-allocation property is
-/// enforced statically: the serialization library and the ordering engines'
-/// per-message data path.  hot-path-alloc bans `new`, make_unique /
-/// make_shared, by-value std::string, std::function, and push_back /
-/// emplace_back growth in functions with no visible reserve().
-inline constexpr std::array<std::string_view, 2> kHotPathPrefixes = {
+/// Hot-path regions where the zero-allocation property is enforced
+/// statically: the serialization library, the ordering engines'
+/// per-message data path and the discrete-event engine (every event and
+/// every unit of CPU work passes through it).  hot-path-alloc bans `new`,
+/// make_unique / make_shared, by-value std::string, std::function, and
+/// push_back / emplace_back growth in functions with no visible reserve().
+inline constexpr std::array<std::string_view, 3> kHotPathPrefixes = {
     "src/serial/",
     "src/gcs/ordering.",
+    "src/sim/",
 };
 
 /// Allocating factory calls banned on hot paths.
