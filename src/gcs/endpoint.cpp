@@ -213,7 +213,10 @@ namespace {
 /// members", with threads for parallelism) — so every protocol leg costs a
 /// full ORB round trip, which is exactly why a NewTop call measures ~2.5x a
 /// plain CORBA call in §5.1.1.  The reply is empty and ignored; the timeout
-/// merely garbage-collects calls to crashed peers.
+/// merely garbage-collects calls to crashed peers.  The reply cancels the
+/// timer within milliseconds, and the scheduler's compaction drops the
+/// cancelled entry in bulk, so it does not sit in the event heap for its
+/// 60 s deadline.
 constexpr SimDuration kGcsCallTimeout = 60_s;
 }  // namespace
 
