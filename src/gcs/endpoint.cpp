@@ -57,7 +57,16 @@ private:
 };
 
 GroupCommEndpoint::GroupCommEndpoint(Orb& orb, Directory& directory)
-    : orb_(&orb), directory_(&directory) {
+    : orb_(&orb),
+      directory_(&directory),
+      multicasts_(orb.network().metrics(), obs::metric::kGcsMulticasts),
+      data_sent_(orb.network().metrics(), obs::metric::kGcsDataSent),
+      order_sent_(orb.network().metrics(), obs::metric::kGcsOrderSent),
+      nulls_sent_(orb.network().metrics(), obs::metric::kGcsNullsSent),
+      delivered_payloads_(orb.network().metrics(), obs::metric::kGcsDelivered),
+      delivery_latency_(orb.network().metrics(), obs::metric::kGcsDeliveryLatencyUs),
+      holdback_depth_(orb.network().metrics(), obs::metric::kGcsHoldbackDepth),
+      order_batch_refs_(orb.network().metrics(), obs::metric::kGcsOrderBatchRefs) {
     // Idempotent; gives the world-global directory somewhere to count
     // evictions (one registry per world, owned by the network).
     directory_->attach_metrics(&orb_->network().metrics());
@@ -293,7 +302,7 @@ void GroupCommEndpoint::multicast(GroupId group, Bytes payload, obs::SpanContext
         span.trace = obs::multicast_trace_id(id_.value(), ++multicast_seq_);
         span.span = obs::span_id(span.trace, id_.value(), obs::SpanRole::kSender);
     }
-    metrics().add(obs::metric::kGcsMulticasts);
+    multicasts_.add();
     metrics().trace(obs::TraceKind::kMulticastSent, orb_->scheduler().now(), id_.value(), span,
                     0, group.value(), payload.size());
     if (g->state == Group::State::kViewChange || !g->installed) {
@@ -413,24 +422,24 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
         msg.seq = 0;  // nulls are ephemeral: no stream seqno, no retransmit
         msg.received_counts = received_counts(g);
         ++g.nulls_sent;
-        metrics().add(obs::metric::kGcsNullsSent);
+        nulls_sent_.add();
         metrics().trace(obs::TraceKind::kNullOnWire, now, id_.value(), g.id.value());
     } else {
         msg.seq = g.next_send_seq++;
         g.unstable.emplace(MsgRef{id_, msg.seq}, msg);
         if (kind == DataKind::kOrder) {
-            metrics().add(obs::metric::kGcsOrderSent);
+            order_sent_.add();
             metrics().trace(obs::TraceKind::kOrderOnWire, now, id_.value(), g.id.value(),
                             msg.seq);
         } else if (kind == DataKind::kConfig) {
             // Rides the data stream (seqno, retransmission, ordering) but
             // carries no application payload, so no shipped/delivered
             // payload phases for the profiler to reconcile.
-            metrics().add(obs::metric::kGcsDataSent);
+            data_sent_.add();
             metrics().trace(obs::TraceKind::kDataOnWire, now, id_.value(), g.id.value(),
                             msg.seq);
         } else {
-            metrics().add(obs::metric::kGcsDataSent);
+            data_sent_.add();
             metrics().trace(obs::TraceKind::kDataOnWire, now, id_.value(), g.id.value(),
                             msg.seq);
             // Phase boundary: each payload (head + coalesced followers)
@@ -447,9 +456,9 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
         }
     }
     if (orders_like_app(kind)) {
-        msg.knowledge = knowledge_snapshot(g.id);
+        msg.knowledge = knowledge_.snapshot(g.id);
         msg.causal_vc = g.engine.causal_vector();
-        note_knowledge(g.id, msg.epoch, id_, msg.seq + 1);
+        knowledge_.note(KnowledgeEntry{g.id, msg.epoch, id_, msg.seq + 1});
     }
 
     g.last_send_time = orb_->scheduler().now();
@@ -598,8 +607,7 @@ void GroupCommEndpoint::pump(Group& g) {
     // instead of costing one broadcast each.
     schedule_order_flush(g);
     std::vector<DataMsg> ordered = g.engine.take_deliverable();
-    metrics().observe(obs::metric::kGcsHoldbackDepth,
-                      static_cast<SimDuration>(g.engine.pending_count()));
+    holdback_depth_.observe(static_cast<SimDuration>(g.engine.pending_count()));
     for (auto& msg : ordered) g.release_queue.push_back(std::move(msg));
     try_release_all();
 }
@@ -617,8 +625,7 @@ void GroupCommEndpoint::flush_order(Group& g) {
     const auto order = g.engine.take_order_to_send();
     if (!order) return;
     const SimTime now = orb_->scheduler().now();
-    metrics().observe(obs::metric::kGcsOrderBatchRefs,
-                      static_cast<SimDuration>(order->refs.size()));
+    order_batch_refs_.observe(static_cast<SimDuration>(order->refs.size()));
     // Sequencer-turnaround boundary: each ref now has an agreed position and
     // the assignment goes on the wire.  The span is recovered from the
     // unstable store (the sequencer holds every unassigned message).
@@ -678,10 +685,26 @@ bool GroupCommEndpoint::barrier_satisfied(const DataMsg& msg) const {
         if (entry.epoch > g->view.epoch) return false;  // our install is behind
         if (!g->view.contains(entry.sender)) continue;  // departed member
         const auto it = g->inbound.find(entry.sender);
-        const Seqno delivered = it == g->inbound.end() ? 0 : it->second.delivered_app_count;
+        const Seqno delivered = it == g->inbound.end() ? 0 : it->second.delivered.count();
         if (delivered < entry.count) return false;
     }
     return true;
+}
+
+bool GroupCommEndpoint::delivered(const Group& g, const MsgRef& ref) const {
+    if (ref.sender == id_) return g.own_delivered.contains(ref.seq);
+    const auto it = g.inbound.find(ref.sender);
+    return it != g.inbound.end() && it->second.delivered.contains(ref.seq);
+}
+
+void GroupCommEndpoint::note_delivered(Group& g, const DataMsg& msg) {
+    if (msg.sender == id_) {
+        g.own_delivered.note(msg.seq);
+    } else {
+        g.inbound[msg.sender].delivered.note(msg.seq);
+    }
+    knowledge_.note(KnowledgeEntry{g.id, msg.epoch, msg.sender, msg.seq + 1});
+    knowledge_.merge(msg.knowledge);
 }
 
 void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
@@ -694,12 +717,11 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
     }
     NEWTOP_ENSURES(msg.kind == DataKind::kApplication, "only application data is delivered");
     const std::uint64_t payloads = 1 + msg.batch.size();
-    g.delivered_refs.insert(MsgRef{msg.sender, msg.seq});
     g.delivered_count += payloads;
     const SimTime now = orb_->scheduler().now();
     const std::uint64_t ref = obs::pack_delivered_ref(msg.epoch, msg.sender.value(), msg.seq);
-    metrics().add(obs::metric::kGcsDelivered, payloads);
-    metrics().observe(obs::metric::kGcsDeliveryLatencyUs, now - msg.sent_at);
+    delivered_payloads_.add(payloads);
+    delivery_latency_.observe(now - msg.sent_at);
     // subject = group, detail = the delivered {epoch, sender, seq} ref: the
     // raw material for the oracle's total-order / virtual-synchrony checks.
     // A coalesced batch shares one ref, so it stays one oracle event.
@@ -713,12 +735,7 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
         metrics().trace(obs::TraceKind::kPayloadDelivered, now, id_.value(), extra, 0,
                         g.id.value(), ref);
     }
-    if (msg.sender != id_) {
-        auto& stream = g.inbound[msg.sender];
-        stream.delivered_app_count = std::max(stream.delivered_app_count, msg.seq + 1);
-    }
-    note_knowledge(g.id, msg.epoch, msg.sender, msg.seq + 1);
-    merge_knowledge(msg.knowledge);
+    note_delivered(g, msg);
 
     const bool own = msg.sender == id_;
     if (deliver_handler_) {
@@ -749,21 +766,15 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
 void GroupCommEndpoint::apply_config_delivery(Group& g, const DataMsg& msg) {
     // Stream accounting first: the proposal occupied a seqno and an agreed
     // order slot, so it must count as delivered for the virtual-synchrony
-    // cut (delivered_refs) and appear in the oracle's total-order event
-    // stream (kDataDelivered) — the switch point is itself an ordered event
-    // every member sees in the same position.
-    g.delivered_refs.insert(MsgRef{msg.sender, msg.seq});
+    // cut (the sender's delivered prefix) and appear in the oracle's
+    // total-order event stream (kDataDelivered) — the switch point is
+    // itself an ordered event every member sees in the same position.
     ++g.delivered_count;
     const SimTime now = orb_->scheduler().now();
     const std::uint64_t ref = obs::pack_delivered_ref(msg.epoch, msg.sender.value(), msg.seq);
     metrics().trace(obs::TraceKind::kDataDelivered, now, id_.value(), msg.span, 0, g.id.value(),
                     ref);
-    if (msg.sender != id_) {
-        auto& stream = g.inbound[msg.sender];
-        stream.delivered_app_count = std::max(stream.delivered_app_count, msg.seq + 1);
-    }
-    note_knowledge(g.id, msg.epoch, msg.sender, msg.seq + 1);
-    merge_knowledge(msg.knowledge);
+    note_delivered(g, msg);
 
     ConfigChangeMsg change;
     try {
@@ -788,33 +799,6 @@ void GroupCommEndpoint::apply_config_delivery(Group& g, const DataMsg& msg) {
         Group* gp = find_group(id);
         if (gp != nullptr) maybe_start_view_change(*gp);
     });
-}
-
-// -- causal knowledge ------------------------------------------------------------
-
-void GroupCommEndpoint::note_knowledge(GroupId group, ViewEpoch epoch, EndpointId sender,
-                                       Seqno count) {
-    auto& slot = knowledge_[{group, sender}];
-    if (epoch > slot.first) {
-        slot = {epoch, count};
-    } else if (epoch == slot.first) {
-        slot.second = std::max(slot.second, count);
-    }
-}
-
-void GroupCommEndpoint::merge_knowledge(const std::vector<KnowledgeEntry>& entries) {
-    for (const KnowledgeEntry& entry : entries) {
-        note_knowledge(entry.group, entry.epoch, entry.sender, entry.count);
-    }
-}
-
-std::vector<KnowledgeEntry> GroupCommEndpoint::knowledge_snapshot(GroupId excluding) const {
-    std::vector<KnowledgeEntry> out;
-    for (const auto& [key, value] : knowledge_) {
-        if (key.first == excluding) continue;
-        out.push_back(KnowledgeEntry{key.first, value.first, key.second, value.second});
-    }
-    return out;
 }
 
 // -- NACK-based retransmission ------------------------------------------------------

@@ -156,9 +156,9 @@ private:
         Seqno next_expected{0};
         std::map<Seqno, DataMsg> out_of_order;
         SimTime last_heard{0};
-        /// Count form of "delivered app prefix": last delivered application
-        /// message's seq + 1 (for cross-group knowledge barriers).
-        Seqno delivered_app_count{0};
+        /// This sender's delivered application-like messages this epoch
+        /// (the view-change cut and cross-group knowledge barriers read it).
+        DeliveredPrefix delivered;
         TimerId nack_timer{0};
         /// φ-accrual inter-arrival history: the most recent positive gaps
         /// between this sender's messages (bounded ring, microseconds).
@@ -202,6 +202,8 @@ private:
 
         // send side
         Seqno next_send_seq{0};
+        /// Own application-like messages delivered back to us this epoch.
+        DeliveredPrefix own_delivered;
         SimTime last_send_time{0};
         bool ever_sent{false};
         /// Self-clocking for progress nulls: we only null when we have new
@@ -225,7 +227,6 @@ private:
 
         // receive side
         std::map<EndpointId, InboundStream> inbound;
-        std::set<MsgRef> delivered_refs;   // app messages delivered this epoch
         std::deque<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
         std::map<MsgRef, DataMsg> unstable;  // own + received, this epoch
 
@@ -314,14 +315,17 @@ private:
     void try_release(Group& g);
     void try_release_all();
     [[nodiscard]] bool barrier_satisfied(const DataMsg& msg) const;
+    /// True if the application-like message `ref` was delivered here this
+    /// epoch (each sender's deliveries form a seq prefix).
+    [[nodiscard]] bool delivered(const Group& g, const MsgRef& ref) const;
+    /// Stream accounting shared by every delivery: advance the sender's
+    /// delivered prefix and fold in the causal knowledge the message carries.
+    void note_delivered(Group& g, const DataMsg& msg);
     void deliver_to_app(Group& g, DataMsg msg);
     /// Agreed delivery of a DataKind::kConfig message: decode the proposal,
     /// arm pending_config (last-wins across the totally-ordered stream) and
     /// trigger the flush-delimited view change that will honour it.
     void apply_config_delivery(Group& g, const DataMsg& msg);
-    void note_knowledge(GroupId group, ViewEpoch epoch, EndpointId sender, Seqno count);
-    void merge_knowledge(const std::vector<KnowledgeEntry>& entries);
-    [[nodiscard]] std::vector<KnowledgeEntry> knowledge_snapshot(GroupId excluding) const;
     void schedule_nack(Group& g, EndpointId sender);
     void send_nack(GroupId group_id, EndpointId sender);
 
@@ -368,7 +372,7 @@ private:
     void finish_if_flushes_complete(Group& g);
     void deliver_cut(Group& g, const InstallMsg& msg);
     void install_view(Group& g, const InstallMsg& msg);
-    void resubmit_undelivered(Group& g, const std::set<MsgRef>& delivered_in_cut);
+    void resubmit_undelivered(Group& g);
     /// Adaptive ordering policy: after an install, the leader of a group
     /// with adaptive_asym_threshold > 0 proposes a switch to the sequencer
     /// protocol when membership reaches the threshold (and back to the
@@ -395,13 +399,22 @@ private:
     /// by the network, outlives every endpoint generation).
     obs::MetricsRegistry* gauge_registry_{nullptr};
     std::vector<obs::GaugeHandle> gauges_;
+    /// Per-message metrics, bumped through handles into the same registry.
+    obs::Counter multicasts_;
+    obs::Counter data_sent_;
+    obs::Counter order_sent_;
+    obs::Counter nulls_sent_;
+    obs::Counter delivered_payloads_;
+    obs::Histogram delivery_latency_;
+    obs::Histogram holdback_depth_;
+    obs::Histogram order_batch_refs_;
     /// Peers whose "gcs.phi.<peer>" gauge is already registered (handles
     /// live in gauges_ and unregister with the rest).
     std::set<EndpointId> phi_gauge_peers_;
 
     std::map<GroupId, Group> groups_;
-    /// Cross-group causal knowledge: (group, sender) -> (epoch, count).
-    std::map<std::pair<GroupId, EndpointId>, std::pair<ViewEpoch, Seqno>> knowledge_;
+    /// Cross-group causal knowledge, spanning all of this endpoint's groups.
+    KnowledgeTable knowledge_;
     /// Joins awaiting completion: group name -> retry timer.
     std::map<std::string, TimerId> pending_joins_;
 

@@ -273,28 +273,27 @@ void GroupCommEndpoint::apply_stability_report(
 }
 
 void GroupCommEndpoint::recompute_stability(Group& g) {
-    if (g.view.members.size() < 2) return;
+    const std::vector<EndpointId>& members = g.view.members;
+    if (members.size() < 2) return;
     // A message (sender m, seq s) is stable once every member has received
     // m's stream contiguously past s; then nobody can ever NACK it and it
-    // need not appear in a view-change flush.
-    const auto own = received_counts(g);
-    for (const EndpointId sender : g.view.members) {
-        Seqno floor = ~Seqno{0};
-        for (const EndpointId member : g.view.members) {
-            Seqno count = 0;
-            if (member == id_) {
-                for (const auto& [m, c] : own) {
-                    if (m == sender) count = c;
-                }
-            } else {
-                const auto rit = g.stability_reports.find(member);
-                if (rit != g.stability_reports.end()) {
-                    const auto cit = rit->second.find(sender);
-                    if (cit != rit->second.end()) count = cit->second;
-                }
-            }
-            floor = std::min(floor, count);
+    // need not appear in a view-change flush.  floors[i] is the least count
+    // any member reports for members[i], starting from our own.
+    auto floors = received_counts(g);
+    for (const EndpointId member : members) {
+        if (member == id_) continue;
+        const auto rit = g.stability_reports.find(member);
+        // A member that never reported holds every floor at 0.
+        if (rit == g.stability_reports.end()) return;
+        // Both sides ascend by member id: one merge walk per report.
+        auto cit = rit->second.begin();
+        for (auto& [sender, floor] : floors) {
+            while (cit != rit->second.end() && cit->first < sender) ++cit;
+            const bool reported = cit != rit->second.end() && cit->first == sender;
+            floor = std::min(floor, reported ? cit->second : Seqno{0});
         }
+    }
+    for (const auto& [sender, floor] : floors) {
         if (floor == 0) continue;
         const auto begin = g.unstable.lower_bound(MsgRef{sender, 0});
         const auto end = g.unstable.lower_bound(MsgRef{sender, floor});

@@ -375,7 +375,7 @@ void GroupCommEndpoint::deliver_cut(Group& g, const InstallMsg& msg) {
             if (!orders_like_app(data.kind)) continue;
             if (data.epoch != g.view.epoch) continue;
             const MsgRef ref{data.sender, data.seq};
-            if (g.delivered_refs.contains(ref)) continue;
+            if (delivered(g, ref)) continue;
             pending.try_emplace(ref, std::move(data));
         }
     };
@@ -466,10 +466,10 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     g.state = Group::State::kNormal;
     g.leading = false;
     g.next_send_seq = 0;
+    g.own_delivered = {};
     g.ever_sent = false;
     g.inflight_sends = 0;  // the old epoch's in-flight sends died with it
     g.inbound.clear();
-    g.delivered_refs.clear();
     g.release_queue.clear();
     g.unstable.clear();
     g.stability_reports.clear();
@@ -529,14 +529,14 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     }
 }
 
-void GroupCommEndpoint::resubmit_undelivered(Group& g, const std::set<MsgRef>& delivered) {
+void GroupCommEndpoint::resubmit_undelivered(Group& g) {
     // Our messages that made it into nobody's delivery (they were not in
     // the cut) would otherwise vanish; atomicity lets us resubmit them in
     // the new view (the paper's client-retry discussion, §4.1).
     std::vector<PendingSend> payloads;
     for (const auto& [ref, data] : g.unstable) {
         if (data.sender != id_ || !orders_like_app(data.kind)) continue;
-        if (delivered.contains(ref)) continue;
+        if (delivered(g, ref)) continue;
         // A coalesced message resubmits every payload it carried, in their
         // original submission order.  Spans stay attached: a resubmitted
         // payload still belongs to its original invocation.  An undelivered
@@ -558,7 +558,7 @@ void GroupCommEndpoint::handle_install(const InstallMsg& msg) {
 
     if (g.installed && g.view.contains(id_)) {
         deliver_cut(g, msg);
-        resubmit_undelivered(g, g.delivered_refs);
+        resubmit_undelivered(g);
     }
 
     install_view(g, msg);

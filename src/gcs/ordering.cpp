@@ -1,63 +1,107 @@
 #include "gcs/ordering.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace newtop {
 
+namespace {
+
+/// The entry for `member` in per-member entries sorted by id, or nullptr.
+template <typename Entries>
+auto* find_member(Entries& entries, EndpointId member) {
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), member,
+        [](const auto& entry, EndpointId m) { return entry.member < m; });
+    return it != entries.end() && it->member == member ? &*it : nullptr;
+}
+
+}  // namespace
+
 // -- SymmetricOrder -----------------------------------------------------------
 
 void SymmetricOrder::reset(std::vector<EndpointId> members) {
-    holdback_.clear();
-    latest_ts_.clear();
-    for (EndpointId m : members) latest_ts_[m] = 0;
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    streams_.clear();
+    streams_.resize(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) streams_[i].member = members[i];
+    held_count_ = 0;
 }
 
 void SymmetricOrder::on_data(DataMsg msg) {
-    auto it = latest_ts_.find(msg.sender);
-    NEWTOP_EXPECTS(it != latest_ts_.end(), "data from non-member fed to symmetric order");
-    it->second = std::max(it->second, msg.ts);
+    Stream* stream = find_member(streams_, msg.sender);
+    NEWTOP_EXPECTS(stream != nullptr, "data from non-member fed to symmetric order");
     if (orders_like_app(msg.kind)) {
-        holdback_.emplace(Key{msg.ts, msg.sender}, std::move(msg));
+        // The merge in head() relies on each FIFO being in ts order.
+        NEWTOP_EXPECTS(msg.ts > stream->latest_ts,
+                       "a sender's timestamps must strictly increase along its stream");
+        stream->latest_ts = msg.ts;
+        // newtop-lint: allow(hot-path-alloc): one FIFO per member, bounded by the holdback; deque blocks recycle as it drains
+        stream->held.push_back(std::move(msg));
+        ++held_count_;
+    } else {
+        stream->latest_ts = std::max(stream->latest_ts, msg.ts);
     }
 }
 
-bool SymmetricOrder::deliverable(const Key& key) const {
-    // `key` is always the lowest-ordered held-back message (the holdback
-    // map is scanned in order).  It is safe to deliver once every other
-    // member has been heard from at ts >= key.ts: successive sends from a
-    // member carry strictly increasing timestamps, so q's future messages
-    // order after key; and if q's message *at* key.ts orders before key it
-    // would itself be the holdback head.
-    for (const auto& [member, ts] : latest_ts_) {
-        if (member == key.sender) continue;
-        if (ts < key.ts) return false;
+std::size_t SymmetricOrder::head() const {
+    std::size_t best = streams_.size();
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+        // Ascending member order: a strict < keeps the lower id on ts ties.
+        if (!streams_[i].held.empty() &&
+            (best == streams_.size() ||
+             streams_[i].held.front().ts < streams_[best].held.front().ts)) {
+            best = i;
+        }
+    }
+    return best;
+}
+
+bool SymmetricOrder::deliverable(std::size_t head) const {
+    // `head` holds the lowest-ordered held-back message.  It is safe to
+    // deliver once every other member has been heard from at ts >= its ts:
+    // successive sends from a member carry strictly increasing timestamps,
+    // so q's future messages order after it; and if q's message *at* that
+    // ts orders before it, q's stream would itself be the head.
+    const Lamport ts = streams_[head].held.front().ts;
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+        if (i != head && streams_[i].latest_ts < ts) return false;
     }
     return true;
 }
 
+DataMsg SymmetricOrder::pop(std::size_t head) {
+    auto& held = streams_[head].held;
+    DataMsg msg = std::move(held.front());
+    held.pop_front();
+    --held_count_;
+    return msg;
+}
+
 std::vector<DataMsg> SymmetricOrder::take_deliverable() {
     std::vector<DataMsg> out;
-    while (!holdback_.empty() && deliverable(holdback_.begin()->first)) {
+    for (std::size_t h = head(); h != streams_.size() && deliverable(h); h = head()) {
         // newtop-lint: allow(hot-path-alloc): delivery batch is bounded by the holdback queue; amortized across the batch
-        out.push_back(std::move(holdback_.begin()->second));
-        holdback_.erase(holdback_.begin());
+        out.push_back(pop(h));
     }
     return out;
 }
 
 std::optional<Lamport> SymmetricOrder::head_ts() const {
-    if (holdback_.empty()) return std::nullopt;
-    return holdback_.begin()->first.ts;
+    const std::size_t h = head();
+    if (h == streams_.size()) return std::nullopt;
+    return streams_[h].held.front().ts;
 }
 
 std::vector<DataMsg> SymmetricOrder::drain_pending() {
     std::vector<DataMsg> out;
-    out.reserve(holdback_.size());
-    for (auto& [key, msg] : holdback_) out.push_back(std::move(msg));
-    holdback_.clear();
+    out.reserve(held_count_);
+    for (std::size_t h = head(); h != streams_.size(); h = head()) out.push_back(pop(h));
     return out;
 }
 
@@ -68,13 +112,13 @@ void SequencerOrder::reset(std::vector<EndpointId> members, EndpointId self) {
     NEWTOP_EXPECTS(std::is_sorted(members.begin(), members.end()), "members must be sorted");
     self_ = self;
     sequencer_ = members.front();
-    next_assign_ = 0;
-    next_deliver_ = 0;
-    fresh_assignments_.clear();
-    assignment_.clear();
+    senders_.clear();
+    senders_.resize(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) senders_[i].member = members[i];
+    data_count_ = 0;
     log_.clear();
-    data_store_.clear();
-    seen_refs_.clear();
+    broadcast_ = 0;
+    next_deliver_ = 0;
 }
 
 void SequencerOrder::on_data(DataMsg msg) {
@@ -84,74 +128,87 @@ void SequencerOrder::on_data(DataMsg msg) {
         return;
     }
     if (!orders_like_app(msg.kind)) return;  // nulls bypass ordering
+    SenderQueue* queue = find_member(senders_, msg.sender);
+    NEWTOP_EXPECTS(queue != nullptr, "data from non-member fed to sequencer order");
+    if (msg.seq < queue->next_seq) return;  // retransmitted duplicate
+    queue->next_seq = msg.seq + 1;
     const MsgRef ref{msg.sender, msg.seq};
-    // Dedupe on the ref, covering refs already assigned, already delivered
-    // (erased from data_store_/assignment_), and still pending.  Without
-    // this a retransmitted message earns a second order slot whose data can
-    // never reappear, and take_deliverable() stalls there permanently.
-    if (!seen_refs_.insert(ref).second) return;
-    data_store_.emplace(ref, std::move(msg));
+    // newtop-lint: allow(hot-path-alloc): one FIFO per member, bounded by the holdback; deque blocks recycle as it drains
+    queue->data.push_back(std::move(msg));
+    ++data_count_;
     if (is_sequencer()) {
-        // The assignment enters log_ only once its order record is actually
-        // handed out for broadcast (take_order_to_send).  Until then it is
-        // private state no other member can have observed, and it must not
-        // leak into a view-change flush: a fragment that never saw the
-        // order record sorts the same messages by (ts, sender), and
-        // honouring an unsent arrival order here would contradict it.
-        assignment_.emplace(next_assign_, ref);
-        ++next_assign_;
-        // newtop-lint: allow(hot-path-alloc): bounded by the ordering window; drained and reused every step
-        fresh_assignments_.push_back(ref);
+        // The assignment is broadcast, and so enters assignment_log(), only
+        // once its order record is actually handed out (take_order_to_send).
+        // Until then it is private state no other member can have observed,
+        // and it must not leak into a view-change flush: a fragment that
+        // never saw the order record sorts the same messages by (ts,
+        // sender), and honouring an unsent arrival order here would
+        // contradict it.
+        // newtop-lint: allow(hot-path-alloc): one entry per ordered message of the epoch, amortized doubling; cleared at each view install
+        log_.push_back(ref);
     }
 }
 
 void SequencerOrder::on_order(const OrderRecord& record) {
     if (is_sequencer()) return;  // we made the assignments ourselves
-    for (std::size_t i = 0; i < record.refs.size(); ++i) {
-        assignment_.emplace(record.first_order + i, record.refs[i]);
-        log_.emplace(record.first_order + i, record.refs[i]);
-    }
+    // Records ride the sequencer's FIFO stream, so each starts where the
+    // previous one ended; a gap would stall delivery at the missing number.
+    NEWTOP_EXPECTS(record.first_order == log_.size(),
+                   "order records must cover order numbers contiguously");
+    log_.insert(log_.end(), record.refs.begin(), record.refs.end());
+    broadcast_ = log_.size();
 }
 
 std::optional<OrderRecord> SequencerOrder::take_order_to_send() {
-    if (fresh_assignments_.empty()) return std::nullopt;
+    if (fresh_count() == 0) return std::nullopt;
     OrderRecord out;
-    out.first_order = next_assign_ - fresh_assignments_.size();
-    for (std::size_t i = 0; i < fresh_assignments_.size(); ++i) {
-        log_.emplace(out.first_order + i, fresh_assignments_[i]);
-    }
-    // Copied, not moved: the fresh list keeps its capacity for the next step.
-    out.refs.assign(fresh_assignments_.begin(), fresh_assignments_.end());
-    fresh_assignments_.clear();
+    out.first_order = broadcast_;
+    out.refs.assign(log_.begin() + static_cast<std::ptrdiff_t>(broadcast_), log_.end());
+    broadcast_ = log_.size();
     return out;
 }
 
 std::vector<DataMsg> SequencerOrder::take_deliverable() {
     std::vector<DataMsg> out;
-    while (true) {
-        auto order_it = assignment_.find(next_deliver_);
-        if (order_it == assignment_.end()) break;
-        // The sequencer never delivers ahead of its own broadcast: an order
-        // that has not been taken for sending is invisible to every flush,
-        // so committing to it locally could not survive a view change.
-        if (is_sequencer() && !log_.contains(next_deliver_)) break;
-        auto data_it = data_store_.find(order_it->second);
-        if (data_it == data_store_.end()) break;
+    // The sequencer never delivers ahead of its own broadcast: an order that
+    // has not been taken for sending is invisible to every flush, so
+    // committing to it locally could not survive a view change.
+    while (next_deliver_ < broadcast_) {
+        const MsgRef& ref = log_[next_deliver_];
+        SenderQueue* queue = find_member(senders_, ref.sender);
+        if (queue == nullptr || queue->data.empty()) break;  // data not here yet
+        // FIFO streams, assigned in arrival order: the sender's oldest
+        // undelivered message is the one this order number names.
+        NEWTOP_EXPECTS(queue->data.front().seq == ref.seq,
+                       "sequencer order must follow each sender's FIFO stream");
         // newtop-lint: allow(hot-path-alloc): delivery batch bounded by contiguous assigned prefix; amortized
-        out.push_back(std::move(data_it->second));
-        data_store_.erase(data_it);
-        assignment_.erase(order_it);
+        out.push_back(std::move(queue->data.front()));
+        queue->data.pop_front();
+        --data_count_;
         ++next_deliver_;
     }
     return out;
 }
 
+std::size_t SequencerOrder::pending_count() const {
+    std::size_t n = data_count_;
+    for (std::size_t i = next_deliver_; i < log_.size(); ++i) {
+        // An undelivered assignment's data is here iff its seq was fed.
+        const SenderQueue* queue = find_member(senders_, log_[i].sender);
+        if (queue == nullptr || log_[i].seq >= queue->next_seq) ++n;
+    }
+    return n;
+}
+
 std::vector<DataMsg> SequencerOrder::drain_pending() {
     std::vector<DataMsg> out;
-    out.reserve(data_store_.size());
-    for (auto& [ref, msg] : data_store_) out.push_back(std::move(msg));
-    data_store_.clear();
-    assignment_.clear();
+    out.reserve(data_count_);
+    for (SenderQueue& queue : senders_) {
+        std::move(queue.data.begin(), queue.data.end(), std::back_inserter(out));
+        queue.data.clear();
+    }
+    data_count_ = 0;
+    next_deliver_ = log_.size();  // the undelivered assignments go too
     return out;
 }
 
@@ -213,6 +270,54 @@ std::vector<std::pair<EndpointId, Seqno>> CausalOrder::delivered_vector() const 
     return out;
 }
 
+// -- DeliveredPrefix ----------------------------------------------------------
+
+void DeliveredPrefix::note(Seqno seq) {
+    // A delivery below the count would mean a skipped message is already
+    // reported as delivered, and a view-change cut would silently drop it.
+    NEWTOP_EXPECTS(seq >= count_, "a sender's messages must be delivered in seq order");
+    count_ = seq + 1;
+}
+
+// -- KnowledgeTable -----------------------------------------------------------
+
+namespace {
+bool key_less(const KnowledgeEntry& a, const KnowledgeEntry& b) {
+    return std::tie(a.group, a.sender) < std::tie(b.group, b.sender);
+}
+}  // namespace
+
+std::size_t KnowledgeTable::note_from(std::size_t from, const KnowledgeEntry& entry) {
+    // Searching forward is only valid while the input stays sorted.
+    if (from > 0 && !key_less(entries_[from - 1], entry)) from = 0;
+    auto it = std::lower_bound(entries_.begin() + static_cast<std::ptrdiff_t>(from),
+                               entries_.end(), entry, key_less);
+    if (it == entries_.end() || key_less(entry, *it)) {
+        // New (group, sender): grows once per pair, never per message.
+        it = entries_.insert(it, entry);
+    } else if (entry.epoch > it->epoch) {
+        it->epoch = entry.epoch;
+        it->count = entry.count;
+    } else if (entry.epoch == it->epoch) {
+        it->count = std::max(it->count, entry.count);
+    }
+    return static_cast<std::size_t>(it - entries_.begin()) + 1;
+}
+
+void KnowledgeTable::merge(const std::vector<KnowledgeEntry>& entries) {
+    std::size_t from = 0;
+    for (const KnowledgeEntry& entry : entries) from = note_from(from, entry);
+}
+
+std::vector<KnowledgeEntry> KnowledgeTable::snapshot(GroupId excluding) const {
+    std::vector<KnowledgeEntry> out;
+    out.reserve(entries_.size());
+    for (const KnowledgeEntry& entry : entries_) {
+        if (entry.group != excluding) out.push_back(entry);
+    }
+    return out;
+}
+
 // -- OrderingEngine -----------------------------------------------------------
 
 OrderingEngine::OrderingEngine(OrderMode mode, const std::vector<EndpointId>& members,
@@ -254,8 +359,11 @@ std::optional<Lamport> OrderingEngine::symmetric_head() const {
 std::vector<std::pair<std::uint64_t, MsgRef>> OrderingEngine::flush_orders() const {
     const auto* sequencer = std::get_if<SequencerOrder>(&engine_);
     if (sequencer == nullptr) return {};
-    const auto& log = sequencer->assignment_log();
-    return {log.begin(), log.end()};
+    const auto log = sequencer->assignment_log();
+    std::vector<std::pair<std::uint64_t, MsgRef>> out;
+    out.reserve(log.size());
+    for (std::size_t i = 0; i < log.size(); ++i) out.emplace_back(i, log[i]);
+    return out;
 }
 
 std::vector<std::pair<EndpointId, Seqno>> OrderingEngine::causal_vector() const {

@@ -20,9 +20,10 @@
 #pragma once
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <optional>
-#include <set>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -42,6 +43,11 @@ NEWTOP_WIRE(OrderRecord, first_order, refs);
 /// Symmetric total order.  Deterministic rule shared by all members:
 /// deliver pending messages in (ts, sender) order, releasing the head once
 /// no member can still produce an earlier-ordered message.
+///
+/// Held messages sit in one FIFO per member.  A sender's timestamps
+/// strictly increase along its stream (every send ticks the sender's
+/// Lamport clock), so each FIFO is already in ts order and the delivery
+/// order is a k-way merge: the head is the least (front ts, member).
 class SymmetricOrder {
 public:
     /// Install membership (resets all ordering state).
@@ -49,6 +55,8 @@ public:
 
     /// Feed one FIFO-contiguous message (application or null) from a
     /// current member.  Nulls advance the order but are not delivered.
+    /// An application-like message must carry a timestamp above every
+    /// one already fed from its sender.
     void on_data(DataMsg msg);
 
     /// Messages now deliverable, in delivery order.
@@ -57,10 +65,10 @@ public:
     /// True if application messages are still waiting to be ordered —
     /// drives the event-driven time-silence mechanism: while someone's
     /// message is held back, everyone must keep nulling.
-    [[nodiscard]] bool has_pending() const { return !holdback_.empty(); }
+    [[nodiscard]] bool has_pending() const { return held_count_ != 0; }
 
     /// Number of application messages currently held back (diagnostics).
-    [[nodiscard]] std::size_t pending_count() const { return holdback_.size(); }
+    [[nodiscard]] std::size_t pending_count() const { return held_count_; }
 
     /// Lowest timestamp this engine still considers undeliverable (for
     /// diagnostics/tests).
@@ -70,16 +78,20 @@ public:
     std::vector<DataMsg> drain_pending();
 
 private:
-    struct Key {
-        Lamport ts;
-        EndpointId sender;
-        friend auto operator<=>(const Key&, const Key&) = default;
+    struct Stream {
+        EndpointId member;
+        Lamport latest_ts{0};        // highest ts heard, nulls included
+        std::deque<DataMsg> held;    // undelivered application-like messages
     };
 
-    [[nodiscard]] bool deliverable(const Key& key) const;
+    /// Index of the stream whose front orders first, or streams_.size()
+    /// when nothing is held.
+    [[nodiscard]] std::size_t head() const;
+    [[nodiscard]] bool deliverable(std::size_t head) const;
+    DataMsg pop(std::size_t head);
 
-    std::map<Key, DataMsg> holdback_;
-    std::map<EndpointId, Lamport> latest_ts_;
+    std::vector<Stream> streams_;  // ascending member id
+    std::size_t held_count_{0};
 };
 
 /// Asymmetric total order.  The sequencer assigns consecutive order
@@ -87,6 +99,12 @@ private:
 /// in order-number sequence once both the data and its order record are
 /// present.  The sequencer's own messages are ordered with zero extra hops
 /// — the property the restricted-group optimisation (§4.2) exploits.
+///
+/// State is per-sender FIFO.  Each sender's messages arrive in increasing
+/// seq, and the sequencer assigns them order numbers in that same arrival
+/// order, so the next message to deliver is always the front of its
+/// sender's queue.  Order records cover 0, 1, 2, ... contiguously, so the
+/// assignments of an epoch are one vector indexed by order number.
 class SequencerOrder {
 public:
     /// Install membership; `self` determines the sequencer role.
@@ -95,13 +113,16 @@ public:
     [[nodiscard]] bool is_sequencer() const { return self_ == sequencer_; }
     [[nodiscard]] EndpointId sequencer() const { return sequencer_; }
 
-    /// Feed one FIFO-contiguous message.  Nulls bypass ordering; a kOrder
-    /// message is decoded as an OrderRecord and applied, except the
-    /// sequencer's own, whose assignments are already here.  Throws
+    /// Feed one FIFO-contiguous message from a current member.  Nulls
+    /// bypass ordering; a kOrder message is decoded as an OrderRecord and
+    /// applied, except the sequencer's own, whose assignments are already
+    /// here.  A message whose seq is not above every seq already fed from
+    /// its sender is a retransmitted duplicate and is dropped.  Throws
     /// DecodeError for a malformed order record.
     void on_data(DataMsg msg);
 
-    /// Feed an order record from the sequencer.
+    /// Feed an order record from the sequencer.  Records must continue the
+    /// order numbers exactly where the previous one ended.
     void on_order(const OrderRecord& record);
 
     /// If this member is the sequencer and new assignments were made,
@@ -110,52 +131,56 @@ public:
 
     /// Assignments made but not yet handed out for broadcast — the batch an
     /// ORDER flush would cover.
-    [[nodiscard]] std::size_t fresh_count() const { return fresh_assignments_.size(); }
+    [[nodiscard]] std::size_t fresh_count() const { return log_.size() - broadcast_; }
 
     /// Messages now deliverable, in global order.
     std::vector<DataMsg> take_deliverable();
 
     [[nodiscard]] bool has_pending() const {
-        return !data_store_.empty() || !assignment_.empty();
+        return data_count_ != 0 || next_deliver_ < log_.size();
     }
 
     /// Number of distinct application messages awaiting order or data
     /// (diagnostics).  The two pending sets can be disjoint — data waiting
     /// for its order record, and assigned order numbers whose data has not
     /// arrived — so this counts their union, not the larger of the two.
-    [[nodiscard]] std::size_t pending_count() const {
-        std::size_t n = data_store_.size();
-        for (const auto& [order, ref] : assignment_) {
-            if (!data_store_.contains(ref)) ++n;
-        }
-        return n;
-    }
+    [[nodiscard]] std::size_t pending_count() const;
 
     /// All *broadcast* assignments learned this epoch (including delivered
-    /// ones) — the view-change flush reports these so the cut preserves
-    /// sequencer order.  Assignments whose order record was never taken for
-    /// sending are deliberately absent: no other member can have delivered
-    /// by them, and the cut's (ts, sender) fallback must win instead.
-    [[nodiscard]] const std::map<std::uint64_t, MsgRef>& assignment_log() const { return log_; }
+    /// ones), indexed by order number — the view-change flush reports these
+    /// so the cut preserves sequencer order.  Assignments whose order record
+    /// was never taken for sending are deliberately absent: no other member
+    /// can have delivered by them, and the cut's (ts, sender) fallback must
+    /// win instead.
+    [[nodiscard]] std::span<const MsgRef> assignment_log() const {
+        return {log_.data(), broadcast_};
+    }
 
     /// Remove and return everything still held back (view-change flush).
     std::vector<DataMsg> drain_pending();
 
 private:
+    struct SenderQueue {
+        EndpointId member;
+        /// One past the highest seq fed from this sender.  Streams are
+        /// FIFO, so anything below it is a retransmitted duplicate — of a
+        /// pending message or of one already delivered.  Without this a
+        /// duplicate earns a second order slot whose data can never
+        /// reappear, and take_deliverable() stalls there permanently.
+        Seqno next_seq{0};
+        std::deque<DataMsg> data;  // fed, undelivered, in seq order
+    };
+
     EndpointId self_;
     EndpointId sequencer_;
-    std::uint64_t next_assign_{0};   // sequencer: next order number to hand out
+    std::vector<SenderQueue> senders_;  // ascending member id
+    std::size_t data_count_{0};
+    /// Order number -> message, for every assignment known this epoch.  At
+    /// the sequencer the tail past broadcast_ is fresh: assigned, not yet
+    /// handed out.  Elsewhere broadcast_ == log_.size().
+    std::vector<MsgRef> log_;
+    std::size_t broadcast_{0};
     std::uint64_t next_deliver_{0};  // everyone: next order number to deliver
-    std::vector<MsgRef> fresh_assignments_;
-    std::map<std::uint64_t, MsgRef> assignment_;  // order number -> undelivered message
-    std::map<std::uint64_t, MsgRef> log_;         // order number -> message (whole epoch)
-    std::map<MsgRef, DataMsg> data_store_;        // undelivered data
-    /// Every ref ever fed to on_data this epoch — including delivered ones,
-    /// whose data/assignment entries are already gone.  Duplicates (e.g. a
-    /// redundant retransmission) must not reach the assignment path: a
-    /// second order slot for the same ref can never be satisfied once the
-    /// first delivery consumed the data, wedging delivery forever.
-    std::set<MsgRef> seen_refs_;
 };
 
 /// Causal order via dependency vectors: message m carries, per member, how
@@ -185,6 +210,51 @@ private:
 
     std::map<EndpointId, Seqno> delivered_count_;
     std::vector<DataMsg> pending_;
+};
+
+/// The application-like messages of one sender delivered in the current
+/// epoch.  Every engine releases a sender's messages in seq order, so the
+/// delivered set is always a seq prefix and one count records it.
+class DeliveredPrefix {
+public:
+    /// Record delivery of the sender's message `seq`.  Delivery never goes
+    /// back inside the prefix.
+    void note(Seqno seq);
+
+    /// True if the sender's application-like message `seq` was delivered.
+    [[nodiscard]] bool contains(Seqno seq) const { return seq < count_; }
+
+    /// Last delivered seq + 1 (0 before the first delivery).
+    [[nodiscard]] Seqno count() const { return count_; }
+
+private:
+    Seqno count_{0};
+};
+
+/// Cross-group causal knowledge: for each (group, sender), the latest epoch
+/// heard of and how many of the sender's stream messages are known to exist
+/// in it.  A flat vector sorted by (group, sender): a single note binary-
+/// searches, and merging a peer's snapshot, which is sorted the same way,
+/// walks forward through the table.
+class KnowledgeTable {
+public:
+    /// Raise (group, sender)'s entry: a later epoch replaces it, the same
+    /// epoch keeps the larger count, an earlier epoch is ignored.
+    void note(const KnowledgeEntry& entry) { note_from(0, entry); }
+
+    /// note() every entry of a peer's snapshot.  Entries out of
+    /// (group, sender) order still land correctly, just more slowly.
+    void merge(const std::vector<KnowledgeEntry>& entries);
+
+    /// Every entry outside group `excluding`, in (group, sender) order.
+    [[nodiscard]] std::vector<KnowledgeEntry> snapshot(GroupId excluding) const;
+
+private:
+    /// note() searching only at or after index `from` when the entry sorts
+    /// after entries_[from - 1]; returns the index just past the entry.
+    std::size_t note_from(std::size_t from, const KnowledgeEntry& entry);
+
+    std::vector<KnowledgeEntry> entries_;  // sorted and unique by (group, sender)
 };
 
 /// The one ordering engine of a group: the protocol its OrderMode names,

@@ -472,7 +472,7 @@ void InvocationService::send_call(Binding& b, PendingCall call) {
     // Re-stamped on every send, so a retry after a rebind carries the fresh
     // attempt's give-up time, not the original one.
     request.deadline = b.options.call_timeout > 0 ? now + b.options.call_timeout : 0;
-    const Bytes wire = encode_envelope(request);
+    Bytes wire = encode_envelope(request);
     const GroupId target = b.cs_group;
 
     if (call.issued_at < 0) {
@@ -498,8 +498,9 @@ void InvocationService::send_call(Binding& b, PendingCall call) {
     // GCS phase events chain back to this invocation.
     const GroupId group = target;
     orb_->network().node(orb_->node_id()).cpu().execute(
-        calibration::kLocalHandoffCost, [this, group, wire, span = request.span] {
-            if (endpoint_->is_member(group)) endpoint_->multicast(group, wire, span);
+        calibration::kLocalHandoffCost,
+        [this, group, wire = std::move(wire), span = request.span]() mutable {
+            if (endpoint_->is_member(group)) endpoint_->multicast(group, std::move(wire), span);
         });
 
     if (one_way && call.handler) {

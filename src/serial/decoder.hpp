@@ -32,10 +32,10 @@ public:
     /// buffer); the view's owner keeps the storage alive while decoding.
     explicit Decoder(BytesView buf) : data_(buf.data()), size_(buf.size()) {}
 
-    std::uint8_t get_u8();
-    std::uint16_t get_u16() { return static_cast<std::uint16_t>(get_le(2)); }
-    std::uint32_t get_u32() { return static_cast<std::uint32_t>(get_le(4)); }
-    std::uint64_t get_u64() { return get_le(8); }
+    std::uint8_t get_u8() { return get_le<std::uint8_t>(); }
+    std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
+    std::uint32_t get_u32() { return get_le<std::uint32_t>(); }
+    std::uint64_t get_u64() { return get_le<std::uint64_t>(); }
     std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
     std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
     bool get_bool();
@@ -56,8 +56,23 @@ public:
     [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
 private:
-    std::uint64_t get_le(std::size_t n);
-    void require(std::size_t n) const;
+    /// One fixed-width little-endian field: a single bounds check, then a
+    /// byte-order-independent assembly the compiler folds into one load.
+    template <typename T>
+    T get_le() {
+        require(sizeof(T));
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            v |= std::uint64_t{data_[pos_ + i]} << (8 * i);
+        }
+        pos_ += sizeof(T);
+        return static_cast<T>(v);
+    }
+
+    void require(std::size_t n) const {
+        if (size_ - pos_ < n) throw_truncated();
+    }
+    [[noreturn]] static void throw_truncated();
 
     const std::uint8_t* data_;
     std::size_t size_;

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gcs/endpoint.hpp"
@@ -810,6 +811,56 @@ TEST(GcsView, RankAndLeader) {
 TEST(GcsView, UnsortedWireViewRejected) {
     View v{GroupId(1), 1, {EndpointId(5), EndpointId(3)}};
     EXPECT_THROW(decode_from_bytes<View>(encode_to_bytes(v)), DecodeError);
+}
+
+// -- Cross-group causal knowledge ------------------------------------------------
+
+// Merging a peer's snapshot walks it forward through the table; entries out
+// of (group, sender) order must still land exactly as if noted one by one,
+// and as the pair-keyed map the table replaced would hold them.
+TEST(KnowledgeTable, MergeMatchesOneNotePerEntryInAnyOrder) {
+    const auto key_less = [](const KnowledgeEntry& a, const KnowledgeEntry& b) {
+        return std::tie(a.group, a.sender) < std::tie(b.group, b.sender);
+    };
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        std::map<std::pair<GroupId, EndpointId>, std::pair<ViewEpoch, Seqno>> reference;
+        KnowledgeTable merged;
+        KnowledgeTable noted;
+        for (int round = 0; round < 4; ++round) {
+            std::vector<KnowledgeEntry> entries;
+            const std::uint64_t n = rng.next_in(0, 12);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                entries.push_back(KnowledgeEntry{GroupId(rng.next_in(1, 4)), rng.next_in(0, 3),
+                                                 EndpointId(rng.next_in(1, 5)),
+                                                 rng.next_in(0, 20)});
+            }
+            // A peer's snapshot arrives sorted; exercise the fallback too.
+            if (rng.next_bool(0.5)) std::stable_sort(entries.begin(), entries.end(), key_less);
+            merged.merge(entries);
+            for (const KnowledgeEntry& e : entries) {
+                noted.note(e);
+                auto& slot = reference[{e.group, e.sender}];
+                if (e.epoch > slot.first) {
+                    slot = {e.epoch, e.count};
+                } else if (e.epoch == slot.first) {
+                    slot.second = std::max(slot.second, e.count);
+                }
+            }
+            const GroupId excluding(rng.next_in(0, 4));
+            std::vector<KnowledgeEntry> expected;
+            for (const auto& [key, value] : reference) {
+                if (key.first != excluding) {
+                    expected.push_back(KnowledgeEntry{key.first, value.first, key.second,
+                                                      value.second});
+                }
+            }
+            const std::vector<KnowledgeEntry> snapshot = merged.snapshot(excluding);
+            ASSERT_EQ(snapshot, expected) << "seed " << seed;
+            ASSERT_EQ(encode_to_bytes(snapshot), encode_to_bytes(noted.snapshot(excluding)))
+                << "seed " << seed;
+        }
+    }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gcs/ordering.hpp"
@@ -461,6 +466,405 @@ TEST(OrderingEngine, SequencerAppliesPeerOrderRecordsAndSkipsItsOwn) {
     garbled.sender = kA;
     EXPECT_NO_THROW(sequencer.on_data(garbled));
     EXPECT_FALSE(sequencer.has_pending());
+}
+
+// -- Per-sender FIFO engines against the map-based reference models ---------
+//
+// SymmetricOrder and SequencerOrder keep their state as per-sender FIFOs.
+// The map-based engines they replaced are kept here, logic unchanged, as
+// reference models: fed the same per-sender-FIFO input, both must agree on
+// every observable.
+
+class MapSymmetricOrder {
+public:
+    void reset(const std::vector<EndpointId>& members) {
+        holdback_.clear();
+        latest_ts_.clear();
+        for (EndpointId m : members) latest_ts_[m] = 0;
+    }
+
+    void on_data(DataMsg msg) {
+        auto& latest = latest_ts_.at(msg.sender);
+        latest = std::max(latest, msg.ts);
+        if (orders_like_app(msg.kind)) {
+            holdback_.emplace(Key{msg.ts, msg.sender}, std::move(msg));
+        }
+    }
+
+    std::vector<DataMsg> take_deliverable() {
+        std::vector<DataMsg> out;
+        while (!holdback_.empty() && deliverable(holdback_.begin()->first)) {
+            out.push_back(std::move(holdback_.begin()->second));
+            holdback_.erase(holdback_.begin());
+        }
+        return out;
+    }
+
+    [[nodiscard]] bool has_pending() const { return !holdback_.empty(); }
+    [[nodiscard]] std::size_t pending_count() const { return holdback_.size(); }
+
+    [[nodiscard]] std::optional<Lamport> head_ts() const {
+        if (holdback_.empty()) return std::nullopt;
+        return holdback_.begin()->first.first;
+    }
+
+    std::vector<DataMsg> drain_pending() {
+        std::vector<DataMsg> out;
+        for (auto& [key, msg] : holdback_) out.push_back(std::move(msg));
+        holdback_.clear();
+        return out;
+    }
+
+private:
+    using Key = std::pair<Lamport, EndpointId>;
+
+    [[nodiscard]] bool deliverable(const Key& key) const {
+        for (const auto& [member, ts] : latest_ts_) {
+            if (member != key.second && ts < key.first) return false;
+        }
+        return true;
+    }
+
+    std::map<Key, DataMsg> holdback_;
+    std::map<EndpointId, Lamport> latest_ts_;
+};
+
+class MapSequencerOrder {
+public:
+    void reset(const std::vector<EndpointId>& members, EndpointId self) {
+        *this = MapSequencerOrder{};
+        self_ = self;
+        sequencer_ = members.front();
+    }
+
+    [[nodiscard]] bool is_sequencer() const { return self_ == sequencer_; }
+
+    void on_data(DataMsg msg) {
+        if (msg.kind == DataKind::kOrder) {
+            if (msg.sender != self_) on_order(decode_from_bytes<OrderRecord>(msg.payload));
+            return;
+        }
+        if (!orders_like_app(msg.kind)) return;
+        const MsgRef ref{msg.sender, msg.seq};
+        if (!seen_refs_.insert(ref).second) return;
+        data_store_.emplace(ref, std::move(msg));
+        if (is_sequencer()) {
+            assignment_.emplace(next_assign_, ref);
+            ++next_assign_;
+            fresh_.push_back(ref);
+        }
+    }
+
+    void on_order(const OrderRecord& record) {
+        if (is_sequencer()) return;
+        for (std::size_t i = 0; i < record.refs.size(); ++i) {
+            assignment_.emplace(record.first_order + i, record.refs[i]);
+            log_.emplace(record.first_order + i, record.refs[i]);
+        }
+    }
+
+    std::optional<OrderRecord> take_order_to_send() {
+        if (fresh_.empty()) return std::nullopt;
+        OrderRecord out;
+        out.first_order = next_assign_ - fresh_.size();
+        for (std::size_t i = 0; i < fresh_.size(); ++i) log_.emplace(out.first_order + i, fresh_[i]);
+        out.refs = fresh_;
+        fresh_.clear();
+        return out;
+    }
+
+    [[nodiscard]] std::size_t fresh_count() const { return fresh_.size(); }
+
+    std::vector<DataMsg> take_deliverable() {
+        std::vector<DataMsg> out;
+        while (true) {
+            const auto order_it = assignment_.find(next_deliver_);
+            if (order_it == assignment_.end()) break;
+            if (is_sequencer() && !log_.contains(next_deliver_)) break;
+            const auto data_it = data_store_.find(order_it->second);
+            if (data_it == data_store_.end()) break;
+            out.push_back(std::move(data_it->second));
+            data_store_.erase(data_it);
+            assignment_.erase(order_it);
+            ++next_deliver_;
+        }
+        return out;
+    }
+
+    [[nodiscard]] bool has_pending() const { return !data_store_.empty() || !assignment_.empty(); }
+
+    [[nodiscard]] std::size_t pending_count() const {
+        std::size_t n = data_store_.size();
+        for (const auto& [order, ref] : assignment_) {
+            if (!data_store_.contains(ref)) ++n;
+        }
+        return n;
+    }
+
+    [[nodiscard]] std::vector<std::pair<std::uint64_t, MsgRef>> flush_orders() const {
+        return {log_.begin(), log_.end()};
+    }
+
+    std::vector<DataMsg> drain_pending() {
+        std::vector<DataMsg> out;
+        for (auto& [ref, msg] : data_store_) out.push_back(std::move(msg));
+        data_store_.clear();
+        assignment_.clear();
+        return out;
+    }
+
+private:
+    EndpointId self_;
+    EndpointId sequencer_;
+    std::uint64_t next_assign_{0};
+    std::uint64_t next_deliver_{0};
+    std::vector<MsgRef> fresh_;
+    std::map<std::uint64_t, MsgRef> assignment_;
+    std::map<std::uint64_t, MsgRef> log_;
+    std::map<MsgRef, DataMsg> data_store_;
+    std::set<MsgRef> seen_refs_;
+};
+
+using Observed = std::vector<std::tuple<EndpointId, Seqno, Lamport, DataKind>>;
+
+Observed observed(const std::vector<DataMsg>& msgs) {
+    Observed out;
+    for (const DataMsg& m : msgs) out.emplace_back(m.sender, m.seq, m.ts, m.kind);
+    return out;
+}
+
+std::vector<std::pair<std::uint64_t, MsgRef>> indexed(std::span<const MsgRef> log) {
+    std::vector<std::pair<std::uint64_t, MsgRef>> out;
+    for (std::size_t i = 0; i < log.size(); ++i) out.emplace_back(i, log[i]);
+    return out;
+}
+
+/// 2-5 members with gaps between their ids, ascending.
+std::vector<EndpointId> random_members(Rng& rng) {
+    std::vector<EndpointId> members;
+    std::uint64_t id = 0;
+    const std::uint64_t n = rng.next_in(2, 5);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        id += rng.next_in(1, 3);
+        members.emplace_back(id);
+    }
+    return members;
+}
+
+/// One epoch of traffic: each member's stream in send order.  Every send
+/// ticks the sender's Lamport clock, and random receipts pull it up to a
+/// peer's, so timestamps strictly increase along a stream and tie across
+/// streams.  Application-like messages take consecutive seqs; nulls carry
+/// none.  A null sometimes trails the message sent after it, as an
+/// unsequenced null can.  A final null per member lets everything order.
+std::vector<std::vector<DataMsg>> random_streams(Rng& rng,
+                                                 const std::vector<EndpointId>& members) {
+    const std::size_t n = members.size();
+    std::vector<std::vector<DataMsg>> streams(n);
+    std::vector<Lamport> lamport(n, 0);
+    std::vector<Seqno> next_seq(n, 0);
+    const std::uint64_t sends = rng.next_in(1, 60);
+    for (std::uint64_t i = 0; i < sends; ++i) {
+        const std::size_t m = rng.next_in(0, n - 1);
+        if (rng.next_bool(0.3)) lamport[m] = std::max(lamport[m], lamport[rng.next_in(0, n - 1)]);
+        const std::uint64_t roll = rng.next_in(0, 9);
+        const DataKind kind = roll < 3   ? DataKind::kNull
+                              : roll < 4 ? DataKind::kConfig
+                                         : DataKind::kApplication;
+        const Seqno seq = kind == DataKind::kNull ? 0 : next_seq[m]++;
+        streams[m].push_back(data(members[m], seq, ++lamport[m], kind));
+    }
+    for (auto& stream : streams) {
+        for (std::size_t i = 0; i + 1 < stream.size(); ++i) {
+            if (stream[i].kind == DataKind::kNull && rng.next_bool(0.3)) {
+                std::swap(stream[i], stream[i + 1]);
+                ++i;
+            }
+        }
+    }
+    const Lamport top = *std::max_element(lamport.begin(), lamport.end());
+    for (std::size_t m = 0; m < n; ++m) {
+        streams[m].push_back(data(members[m], 0, top + 1 + m, DataKind::kNull));
+    }
+    return streams;
+}
+
+/// A random interleaving of `streams` that keeps each one in order.
+std::vector<DataMsg> interleave(Rng& rng, const std::vector<std::vector<DataMsg>>& streams) {
+    std::vector<std::size_t> cursor(streams.size(), 0);
+    std::vector<DataMsg> out;
+    while (true) {
+        std::vector<std::size_t> ready;
+        for (std::size_t i = 0; i < streams.size(); ++i) {
+            if (cursor[i] < streams[i].size()) ready.push_back(i);
+        }
+        if (ready.empty()) return out;
+        const std::size_t i = ready[rng.next_in(0, ready.size() - 1)];
+        out.push_back(streams[i][cursor[i]++]);
+    }
+}
+
+TEST(FifoEngines, SymmetricMatchesMapReference) {
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        const std::vector<EndpointId> members = random_members(rng);
+        SymmetricOrder order;
+        MapSymmetricOrder reference;
+        const std::uint64_t epochs = rng.next_in(1, 3);
+        for (std::uint64_t epoch = 0; epoch < epochs; ++epoch) {
+            order.reset(members);
+            reference.reset(members);
+            const std::vector<DataMsg> feed = interleave(rng, random_streams(rng, members));
+            // Stop early now and then: the epoch ends with work still held.
+            const std::size_t stop =
+                rng.next_bool(0.5) ? feed.size() : rng.next_in(0, feed.size());
+            for (std::size_t i = 0; i < stop; ++i) {
+                order.on_data(feed[i]);
+                reference.on_data(feed[i]);
+                if (rng.next_bool(0.6)) {
+                    ASSERT_EQ(observed(order.take_deliverable()),
+                              observed(reference.take_deliverable()))
+                        << "seed " << seed << " step " << i;
+                }
+                ASSERT_EQ(order.head_ts(), reference.head_ts()) << "seed " << seed;
+                ASSERT_EQ(order.pending_count(), reference.pending_count()) << "seed " << seed;
+                ASSERT_EQ(order.has_pending(), reference.has_pending()) << "seed " << seed;
+            }
+            if (rng.next_bool(0.5)) {
+                ASSERT_EQ(observed(order.drain_pending()), observed(reference.drain_pending()))
+                    << "seed " << seed;
+                ASSERT_FALSE(order.has_pending());
+            } else {
+                ASSERT_EQ(observed(order.take_deliverable()),
+                          observed(reference.take_deliverable()))
+                    << "seed " << seed;
+            }
+        }
+    }
+}
+
+TEST(FifoEngines, SequencerMatchesMapReference) {
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        const std::vector<EndpointId> members = random_members(rng);
+        const EndpointId self = members[rng.next_in(0, members.size() - 1)];
+        SequencerOrder order;
+        MapSequencerOrder reference;
+        const std::uint64_t epochs = rng.next_in(1, 3);
+        for (std::uint64_t epoch = 0; epoch < epochs; ++epoch) {
+            order.reset(members, self);
+            reference.reset(members, self);
+            const auto streams = random_streams(rng, members);
+            std::vector<DataMsg> feed = interleave(rng, streams);
+            if (!order.is_sequencer()) {
+                // The sequencer's assignments: its own arrival order, handed
+                // out in records of random size that ride its stream.
+                std::vector<MsgRef> assigned;
+                for (const DataMsg& m : interleave(rng, streams)) {
+                    if (orders_like_app(m.kind)) assigned.push_back(MsgRef{m.sender, m.seq});
+                }
+                std::vector<DataMsg> records;
+                for (std::size_t at = 0; at < assigned.size();) {
+                    const std::size_t end = std::min<std::size_t>(
+                        assigned.size(), at + rng.next_in(1, 4));
+                    OrderRecord record{at, {assigned.begin() + static_cast<std::ptrdiff_t>(at),
+                                            assigned.begin() + static_cast<std::ptrdiff_t>(end)}};
+                    records.push_back(order_record(members.front(), records.size(), record));
+                    at = end;
+                }
+                feed = interleave(rng, {feed, records});
+            }
+            const std::size_t stop =
+                rng.next_bool(0.5) ? feed.size() : rng.next_in(0, feed.size());
+            std::vector<DataMsg> fed;  // application-like messages fed so far
+            for (std::size_t i = 0; i < stop;) {
+                // A retransmission of data already fed, pending or
+                // delivered, may turn up at any time.
+                const bool duplicate = !fed.empty() && rng.next_bool(0.15);
+                const DataMsg msg = duplicate ? fed[rng.next_in(0, fed.size() - 1)] : feed[i++];
+                if (orders_like_app(msg.kind)) fed.push_back(msg);
+                if (msg.kind == DataKind::kOrder && rng.next_bool(0.5)) {
+                    const auto record = decode_from_bytes<OrderRecord>(msg.payload);
+                    order.on_order(record);
+                    reference.on_order(record);
+                } else {
+                    order.on_data(msg);
+                    reference.on_data(msg);
+                }
+                if (order.is_sequencer() && rng.next_bool(0.4)) {
+                    const auto sent = order.take_order_to_send();
+                    const auto expected = reference.take_order_to_send();
+                    ASSERT_EQ(sent.has_value(), expected.has_value()) << "seed " << seed;
+                    if (sent) {
+                        EXPECT_EQ(sent->first_order, expected->first_order);
+                        EXPECT_EQ(sent->refs, expected->refs);
+                    }
+                }
+                if (rng.next_bool(0.6)) {
+                    ASSERT_EQ(observed(order.take_deliverable()),
+                              observed(reference.take_deliverable()))
+                        << "seed " << seed << " step " << i;
+                }
+                ASSERT_EQ(order.fresh_count(), reference.fresh_count()) << "seed " << seed;
+                ASSERT_EQ(order.pending_count(), reference.pending_count()) << "seed " << seed;
+                ASSERT_EQ(order.has_pending(), reference.has_pending()) << "seed " << seed;
+                ASSERT_EQ(indexed(order.assignment_log()), reference.flush_orders())
+                    << "seed " << seed;
+            }
+            if (rng.next_bool(0.5)) {
+                ASSERT_EQ(observed(order.drain_pending()), observed(reference.drain_pending()))
+                    << "seed " << seed;
+                ASSERT_FALSE(order.has_pending());
+            } else {
+                ASSERT_EQ(observed(order.take_deliverable()),
+                          observed(reference.take_deliverable()))
+                    << "seed " << seed;
+            }
+        }
+    }
+}
+
+// -- The FIFO invariants guard themselves ------------------------------------
+
+TEST(FifoInvariants, SymmetricRejectsTimestampsThatDoNotIncrease) {
+    SymmetricOrder order;
+    order.reset({kA, kB});
+    order.on_data(data(kA, 0, 5));
+    EXPECT_THROW(order.on_data(data(kA, 1, 5)), PreconditionError);
+    order.on_data(data(kB, 0, 9, DataKind::kNull));
+    EXPECT_THROW(order.on_data(data(kB, 1, 8)), PreconditionError);
+    // Nulls only raise the latest timestamp, so a stale one is harmless.
+    EXPECT_NO_THROW(order.on_data(data(kB, 0, 7, DataKind::kNull)));
+}
+
+TEST(FifoInvariants, SequencerRejectsFeedOutOfSenderOrder) {
+    SequencerOrder order;
+    order.reset({kA, kB}, kB);
+    order.on_data(data(kA, 1, 2));
+    order.on_data(data(kA, 0, 1));  // below the high-water mark: taken for a duplicate
+    order.on_order(OrderRecord{0, {MsgRef{kA, 0}, MsgRef{kA, 1}}});
+    EXPECT_THROW(order.take_deliverable(), PreconditionError);
+}
+
+TEST(FifoInvariants, SequencerRejectsNonContiguousOrderRecords) {
+    SequencerOrder order;
+    order.reset({kA, kB}, kB);
+    order.on_order(OrderRecord{0, {MsgRef{kA, 0}}});
+    EXPECT_THROW(order.on_order(OrderRecord{2, {MsgRef{kA, 1}}}), PreconditionError);
+    EXPECT_THROW(order.on_order(OrderRecord{0, {MsgRef{kA, 0}}}), PreconditionError);
+    EXPECT_NO_THROW(order.on_order(OrderRecord{1, {MsgRef{kA, 1}}}));
+}
+
+TEST(FifoInvariants, DeliveredPrefixRejectsDeliveryInsideThePrefix) {
+    DeliveredPrefix prefix;
+    EXPECT_FALSE(prefix.contains(0));
+    prefix.note(0);
+    prefix.note(2);  // seq 1 was an order record, never delivered
+    EXPECT_TRUE(prefix.contains(1));
+    EXPECT_FALSE(prefix.contains(3));
+    EXPECT_EQ(prefix.count(), 3u);
+    EXPECT_THROW(prefix.note(2), PreconditionError);
+    EXPECT_THROW(prefix.note(1), PreconditionError);
 }
 
 }  // namespace
