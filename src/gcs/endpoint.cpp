@@ -426,7 +426,7 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
         metrics().trace(obs::TraceKind::kNullOnWire, now, id_.value(), g.id.value());
     } else {
         msg.seq = g.next_send_seq++;
-        g.unstable.emplace(MsgRef{id_, msg.seq}, msg);
+        g.unstable.add(msg);
         if (kind == DataKind::kOrder) {
             order_sent_.add();
             metrics().trace(obs::TraceKind::kOrderOnWire, now, id_.value(), g.id.value(),
@@ -591,7 +591,7 @@ void GroupCommEndpoint::note_payload_arrival(const DataMsg& msg) {
 
 void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg) {
     note_payload_arrival(msg);
-    g.unstable.emplace(MsgRef{msg.sender, msg.seq}, msg);
+    g.unstable.add(msg);
     try {
         g.engine.on_data(std::move(msg));
     } catch (const DecodeError& err) {
@@ -630,9 +630,8 @@ void GroupCommEndpoint::flush_order(Group& g) {
     // the assignment goes on the wire.  The span is recovered from the
     // unstable store (the sequencer holds every unassigned message).
     for (const MsgRef& ref : order->refs) {
-        const auto it = g.unstable.find(ref);
-        const obs::SpanContext span = it == g.unstable.end() ? obs::SpanContext{}
-                                                             : it->second.span;
+        const DataMsg* held = g.unstable.find(ref);
+        const obs::SpanContext span = held == nullptr ? obs::SpanContext{} : held->span;
         metrics().trace(obs::TraceKind::kOrderAssigned, now, id_.value(), span, 0, g.id.value(),
                         obs::pack_delivered_ref(g.view.epoch, ref.sender.value(), ref.seq));
     }
@@ -836,10 +835,9 @@ void GroupCommEndpoint::handle_nack(const NackMsg& msg) {
     Group* g = find_group(msg.group);
     if (g == nullptr || msg.epoch != g->view.epoch) return;
     for (const Seqno seq : msg.missing) {
-        const auto it = g->unstable.find(MsgRef{id_, seq});
-        if (it != g->unstable.end()) {
+        if (const DataMsg* held = g->unstable.find(MsgRef{id_, seq})) {
             metrics().add(obs::metric::kGcsRetransmits);
-            send_wire(msg.requester, it->second);
+            send_wire(msg.requester, *held);
         }
         // Absent => the message went stable, meaning the requester had
         // already received it; the NACK raced a delivery.

@@ -228,7 +228,7 @@ private:
         // receive side
         std::map<EndpointId, InboundStream> inbound;
         std::deque<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
-        std::map<MsgRef, DataMsg> unstable;  // own + received, this epoch
+        UnstableStore unstable;  // own + received, this epoch
 
         /// The protocol config.order names, rebuilt at each view install.
         OrderingEngine engine;

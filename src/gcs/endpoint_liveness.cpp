@@ -293,12 +293,7 @@ void GroupCommEndpoint::recompute_stability(Group& g) {
             floor = std::min(floor, reported ? cit->second : Seqno{0});
         }
     }
-    for (const auto& [sender, floor] : floors) {
-        if (floor == 0) continue;
-        const auto begin = g.unstable.lower_bound(MsgRef{sender, 0});
-        const auto end = g.unstable.lower_bound(MsgRef{sender, floor});
-        g.unstable.erase(begin, end);
-    }
+    for (const auto& [sender, floor] : floors) g.unstable.erase_below(sender, floor);
 }
 
 }  // namespace newtop

@@ -117,7 +117,8 @@ void GroupCommEndpoint::on_join_retry(const std::string& name) {
         if (contact != id_) send_wire(contact, req);
     }
     pending->second = orb_->scheduler().schedule_after(
-        2 * info->config.view_change_timeout, [this, name] { on_join_retry(name); });
+        2 * info->config.view_change_timeout,
+        [this, name = std::string(name)] { on_join_retry(name); });
 }
 
 void GroupCommEndpoint::handle_join(const JoinReq& msg) {
@@ -255,7 +256,7 @@ void GroupCommEndpoint::begin_round(Group& g) {
     // Our own flush, locally.
     std::vector<DataMsg> own;
     own.reserve(g.unstable.size());
-    for (const auto& [ref, msg] : g.unstable) own.push_back(msg);
+    g.unstable.for_each([&own](const DataMsg& msg) { own.push_back(msg); });
     add_flush(g, id_, std::move(own), g.engine.flush_orders());
 
     orb_->scheduler().cancel(g.vc_timer);
@@ -301,7 +302,7 @@ void GroupCommEndpoint::handle_propose(const ProposeMsg& msg) {
         flush.coordinator = msg.coordinator;
         flush.sender = id_;
         flush.unstable.reserve(g.unstable.size());
-        for (const auto& [ref, data] : g.unstable) flush.unstable.push_back(data);
+        g.unstable.for_each([&flush](const DataMsg& data) { flush.unstable.push_back(data); });
         flush.orders = g.engine.flush_orders();
         metrics().add(obs::metric::kGcsFlushesSent);
         metrics().trace(obs::TraceKind::kFlushSent, orb_->scheduler().now(), id_.value(),
@@ -534,9 +535,9 @@ void GroupCommEndpoint::resubmit_undelivered(Group& g) {
     // the cut) would otherwise vanish; atomicity lets us resubmit them in
     // the new view (the paper's client-retry discussion, §4.1).
     std::vector<PendingSend> payloads;
-    for (const auto& [ref, data] : g.unstable) {
-        if (data.sender != id_ || !orders_like_app(data.kind)) continue;
-        if (delivered(g, ref)) continue;
+    g.unstable.for_each([&](const DataMsg& data) {
+        if (data.sender != id_ || !orders_like_app(data.kind)) return;
+        if (delivered(g, MsgRef{data.sender, data.seq})) return;
         // A coalesced message resubmits every payload it carried, in their
         // original submission order.  Spans stay attached: a resubmitted
         // payload still belongs to its original invocation.  An undelivered
@@ -548,7 +549,7 @@ void GroupCommEndpoint::resubmit_undelivered(Group& g) {
                 data.batch[i],
                 i < data.batch_spans.size() ? data.batch_spans[i] : obs::SpanContext{}});
         }
-    }
+    });
     for (PendingSend& pending : payloads) g.blocked_sends.push_back(std::move(pending));
 }
 

@@ -279,6 +279,68 @@ void DeliveredPrefix::note(Seqno seq) {
     count_ = seq + 1;
 }
 
+// -- UnstableStore -------------------------------------------------------------
+
+void UnstableStore::add(const DataMsg& msg) {
+    const auto it = std::lower_bound(
+        streams_.begin(), streams_.end(), msg.sender,
+        [](const Stream& stream, EndpointId m) { return stream.member < m; });
+    Stream* stream = nullptr;
+    if (it != streams_.end() && it->member == msg.sender) {
+        stream = &*it;
+        // Index arithmetic in find() and erase_below() rests on this.
+        NEWTOP_EXPECTS(msg.seq == stream->first + stream->count,
+                       "a sender's unstable messages must be one contiguous seq run");
+    } else {
+        stream = &*streams_.insert(it, Stream{msg.sender, msg.seq, 0, 0, {}});
+    }
+    if (stream->count == stream->slots.size()) grow(*stream);
+    stream->slots[(stream->head + stream->count) & (stream->slots.size() - 1)] = msg;
+    ++stream->count;
+    ++size_;
+}
+
+void UnstableStore::grow(Stream& stream) {
+    constexpr std::size_t kMinSlots = 4;
+    // Unroll the full ring so the oldest message sits in slot 0, then
+    // double it; the new slots follow the newest message.
+    std::rotate(stream.slots.begin(),
+                stream.slots.begin() + static_cast<std::ptrdiff_t>(stream.head),
+                stream.slots.end());
+    stream.head = 0;
+    // newtop-lint: allow(hot-path-alloc): the ring doubles only past the sender's deepest unstable run so far this epoch; adds then reuse its slots
+    stream.slots.resize(std::max(kMinSlots, 2 * stream.slots.size()));
+}
+
+const DataMsg* UnstableStore::find(MsgRef ref) const {
+    const Stream* stream = find_member(streams_, ref.sender);
+    if (stream == nullptr || ref.seq < stream->first || ref.seq - stream->first >= stream->count) {
+        return nullptr;
+    }
+    return &stream->at(ref.seq - stream->first);
+}
+
+void UnstableStore::erase_below(EndpointId sender, Seqno floor) {
+    Stream* stream = find_member(streams_, sender);
+    if (stream == nullptr || floor <= stream->first) return;
+    const auto drop =
+        static_cast<std::size_t>(std::min<Seqno>(floor - stream->first, stream->count));
+    // Release what the dropped messages hold: a slot left full would pin
+    // its payloads until the ring comes round to it again.
+    for (std::size_t i = 0; i < drop; ++i) {
+        stream->slots[(stream->head + i) & (stream->slots.size() - 1)] = DataMsg{};
+    }
+    stream->head = (stream->head + drop) & (stream->slots.size() - 1);
+    stream->first += drop;
+    stream->count -= drop;
+    size_ -= drop;
+}
+
+void UnstableStore::clear() {
+    streams_.clear();
+    size_ = 0;
+}
+
 // -- KnowledgeTable -----------------------------------------------------------
 
 namespace {

@@ -231,6 +231,64 @@ private:
     Seqno count_{0};
 };
 
+/// The messages of the current epoch that are not yet known stable: own
+/// sends and in-order arrivals, kept for NACK retransmission and the
+/// view-change flush.
+///
+/// Each sender's held messages are one contiguous seq run.  Own sends take
+/// consecutive seqs, arrivals are ingested in seq order, stability drops a
+/// prefix, and a view install clears the store.  So the store keeps one
+/// ring per sender, in ascending sender id, and finds a message by index.
+/// Iteration is sender-major and seq-minor, which is exactly MsgRef order.
+class UnstableStore {
+public:
+    /// Keep a copy of `msg`.  After a sender's first message in the epoch,
+    /// each of its messages must continue the run: seq is one past the last
+    /// seq added, whatever stability has dropped since.
+    void add(const DataMsg& msg);
+
+    /// The held message `ref`, or nullptr.
+    [[nodiscard]] const DataMsg* find(MsgRef ref) const;
+
+    /// Drop `sender`'s messages below seq `floor`: they went stable.
+    void erase_below(EndpointId sender, Seqno floor);
+
+    /// Visit every held message in (sender, seq) order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+        for (const Stream& stream : streams_) {
+            for (std::size_t i = 0; i < stream.count; ++i) fn(stream.at(i));
+        }
+    }
+
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+
+    /// Forget every message and sender (view install).
+    void clear();
+
+private:
+    struct Stream {
+        EndpointId member;
+        Seqno first{0};              // seq of the oldest held message
+        std::size_t head{0};         // slot holding `first`
+        std::size_t count{0};
+        /// The ring.  Its size is zero or a power of two and only grows,
+        /// so once it covers the sender's deepest run an add allocates no
+        /// slot, only the copy's own buffers.
+        std::vector<DataMsg> slots;
+
+        [[nodiscard]] const DataMsg& at(std::size_t i) const {
+            return slots[(head + i) & (slots.size() - 1)];
+        }
+    };
+
+    static void grow(Stream& stream);
+
+    std::vector<Stream> streams_;  // ascending member id
+    std::size_t size_{0};
+};
+
 /// Cross-group causal knowledge: for each (group, sender), the latest epoch
 /// heard of and how many of the sender's stream messages are known to exist
 /// in it.  A flat vector sorted by (group, sender): a single note binary-

@@ -9,6 +9,19 @@
 
 namespace newtop {
 
+namespace {
+/// Per-mode reply-wait histogram names (issue to handler completion).
+std::string_view reply_wait_metric(InvocationMode mode) {
+    switch (mode) {
+        case InvocationMode::kOneWay: return obs::metric::kInvReplyWaitOneway;
+        case InvocationMode::kWaitFirst: return obs::metric::kInvReplyWaitFirst;
+        case InvocationMode::kWaitMajority: return obs::metric::kInvReplyWaitMajority;
+        case InvocationMode::kWaitAll: return obs::metric::kInvReplyWaitAll;
+    }
+    return obs::metric::kInvReplyWaitOther;
+}
+}  // namespace
+
 InvocationService::InvocationService(Orb& orb, GroupCommEndpoint& endpoint,
                                      Directory& directory)
     : orb_(&orb),
@@ -16,7 +29,17 @@ InvocationService::InvocationService(Orb& orb, GroupCommEndpoint& endpoint,
       directory_(&directory),
       // Seeded from the endpoint identity: deterministic per world, yet
       // distinct clients jitter their backoff retries differently.
-      backoff_rng_(0x9e3779b97f4a7c15ULL ^ endpoint.id().value()) {}
+      backoff_rng_(0x9e3779b97f4a7c15ULL ^ endpoint.id().value()),
+      calls_sent_(metrics(), obs::metric::kInvCallsSent),
+      calls_completed_(metrics(), obs::metric::kInvCallsCompleted),
+      calls_failed_(metrics(), obs::metric::kInvCallsFailed),
+      replies_collected_(metrics(), obs::metric::kInvRepliesCollected),
+      rm_replies_collected_(metrics(), obs::metric::kInvRmRepliesCollected) {
+    for (std::size_t mode = 0; mode < reply_wait_.size(); ++mode) {
+        reply_wait_[mode] = obs::Histogram(
+            metrics(), reply_wait_metric(static_cast<InvocationMode>(mode)));
+    }
+}
 
 obs::MetricsRegistry& InvocationService::metrics() const { return orb_->network().metrics(); }
 

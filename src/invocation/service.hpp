@@ -21,6 +21,7 @@
 // deliveries/view events and NSO management traffic into it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -274,6 +275,15 @@ private:
     /// Jitter for backoff retries; seeded per-endpoint so worlds stay
     /// deterministic and concurrent bindings do not retry in lockstep.
     Rng backoff_rng_;
+    /// Per-call metrics, bumped through handles into the world's registry.
+    obs::Counter calls_sent_;
+    obs::Counter calls_completed_;
+    obs::Counter calls_failed_;
+    obs::Counter replies_collected_;
+    obs::Counter rm_replies_collected_;
+    /// Reply-wait histogram per InvocationMode value; the last slot takes
+    /// any value past kWaitAll.
+    std::array<obs::Histogram, 5> reply_wait_;
 };
 
 }  // namespace newtop

@@ -21,17 +21,6 @@ namespace {
 /// not thunder back in lockstep when the service recovers.
 constexpr SimDuration kBackoffBase = 250_ms;
 constexpr SimDuration kBackoffCap = 4_s;
-
-/// Per-mode reply-wait histogram names (issue to handler completion).
-std::string_view reply_wait_metric(InvocationMode mode) {
-    switch (mode) {
-        case InvocationMode::kOneWay: return obs::metric::kInvReplyWaitOneway;
-        case InvocationMode::kWaitFirst: return obs::metric::kInvReplyWaitFirst;
-        case InvocationMode::kWaitMajority: return obs::metric::kInvReplyWaitMajority;
-        case InvocationMode::kWaitAll: return obs::metric::kInvReplyWaitAll;
-    }
-    return obs::metric::kInvReplyWaitOther;
-}
 }  // namespace
 
 InvocationService::Binding* InvocationService::find_binding(BindingId id) {
@@ -477,7 +466,7 @@ void InvocationService::send_call(Binding& b, PendingCall call) {
 
     if (call.issued_at < 0) {
         call.issued_at = now;
-        metrics().add(obs::metric::kInvCallsSent);
+        calls_sent_.add();
         metrics().trace(obs::TraceKind::kRequestSent, now, endpoint_->id().value(), call.span,
                         0, b.id, call.seq);
     } else {
@@ -533,13 +522,14 @@ void InvocationService::arm_call_timeout(Binding& b, PendingCall& call) {
 void InvocationService::complete_call(Binding& b, PendingCall call, bool complete) {
     orb_->scheduler().cancel(call.timeout);
     const SimTime now = orb_->scheduler().now();
-    metrics().add(complete ? obs::metric::kInvCallsCompleted : obs::metric::kInvCallsFailed);
+    (complete ? calls_completed_ : calls_failed_).add();
     metrics().trace(complete ? obs::TraceKind::kCallCompleted : obs::TraceKind::kCallFailed,
                     now, endpoint_->id().value(), call.span, 0, b.id,
                     obs::pack_completion_detail(static_cast<std::uint64_t>(call.mode),
                                                 call.seq));
     if (call.issued_at >= 0) {
-        metrics().observe(reply_wait_metric(call.mode), now - call.issued_at);
+        reply_wait_[std::min(static_cast<std::size_t>(call.mode), reply_wait_.size() - 1)]
+            .observe(now - call.issued_at);
     }
     if (!call.handler) return;
     GroupReply reply;
@@ -569,7 +559,7 @@ void InvocationService::collect_closed_reply(Binding& b, const ReplyEnv& reply) 
     PendingCall& call = it->second;
     if (!call.repliers.insert(reply.replier).second) return;
     call.replies.push_back(ReplyEntry{reply.replier, reply.ok, reply.value});
-    metrics().add(obs::metric::kInvRepliesCollected);
+    replies_collected_.add();
     metrics().trace(obs::TraceKind::kReplyCollected, orb_->scheduler().now(),
                     endpoint_->id().value(), call.span, reply.span.span,
                     reply.replier.value(), reply.call.seq);

@@ -178,7 +178,7 @@ void InvocationService::handle_cs_request(Served& served, GroupId cs_group,
         execute_and(served, request.call, request.method, request.args, manager_span,
                     request.deadline, [this, &served, cs_group, manager_span](ReplyEnv reply) {
                         served.reply_cache[reply.call.origin] = reply;
-                        metrics().add(obs::metric::kInvRmRepliesCollected);
+                        rm_replies_collected_.add();
                         metrics().trace(obs::TraceKind::kReplyCollected,
                                         orb_->scheduler().now(), endpoint_->id().value(),
                                         manager_span, reply.span.span, reply.replier.value(),
@@ -254,7 +254,7 @@ void InvocationService::handle_server_reply(Served& served, const ReplyEnv& repl
     Served::Collecting& collecting = it->second;
     if (!collecting.repliers.insert(reply.replier).second) return;
     collecting.replies.push_back(ReplyEntry{reply.replier, reply.ok, reply.value});
-    metrics().add(obs::metric::kInvRmRepliesCollected);
+    rm_replies_collected_.add();
     metrics().trace(obs::TraceKind::kReplyCollected, orb_->scheduler().now(),
                     endpoint_->id().value(), collecting.span, reply.span.span,
                     reply.replier.value(), reply.call.seq);

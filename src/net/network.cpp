@@ -44,6 +44,8 @@ NodeId Network::add_node(SiteId site) {
         return static_cast<std::uint64_t>(raw->cpu().backlog(at));
     });
     partition_cell_.push_back(0);
+    for (auto& row : last_arrival_) row.push_back(0);
+    last_arrival_.emplace_back(nodes_.size(), SimTime{0});
     return id;
 }
 
@@ -110,7 +112,7 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
 
     // FIFO per (from, to): arrival may not precede the previous arrival.
     SimTime arrival = scheduler_->now() + delay;
-    auto& last = last_arrival_[{from, to}];
+    SimTime& last = last_arrival_[from.value()][to.value()];
     arrival = std::max(arrival, last);
     last = arrival;
 

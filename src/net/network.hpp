@@ -155,8 +155,9 @@ private:
     std::map<std::pair<SiteId, SiteId>, LinkDegrade> degraded_links_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<int> partition_cell_;
-    // Arrival time of the previous message per (from, to), for FIFO links.
-    std::map<std::pair<NodeId, NodeId>, SimTime> last_arrival_;
+    // Arrival time of the previous message per (from, to), for FIFO links:
+    // last_arrival_[from][to], node_count() square, grown by add_node.
+    std::vector<std::vector<SimTime>> last_arrival_;
     obs::MetricsRegistry metrics_;
     // Handles into metrics_ for the per-message path (declared after it).
     obs::Counter messages_sent_;

@@ -33,6 +33,7 @@ Bytes Orb::encode_request(std::uint64_t request_id, bool oneway, ObjectKey key,
     Encoder counter = Encoder::counter();
     write_request(counter, request_id, oneway, key, method, args);
     Encoder e(arena_.acquire(counter.size()));
+    e.reserve(counter.size());
     write_request(e, request_id, oneway, key, method, args);
     return std::move(e).take();
 }
@@ -174,6 +175,7 @@ void Orb::send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, By
     // payload: size it exactly and encode into a recycled buffer.
     const std::size_t frame_size = 1 + 8 + 1 + 4 + payload.size();
     Encoder e(arena_.acquire(frame_size));
+    e.reserve(frame_size);
     e.put_u8(kMsgReply);
     e.put_u64(request_id);
     e.put_u8(static_cast<std::uint8_t>(status));

@@ -5,6 +5,7 @@
 // run-time errors early).  Decoders never copy the input buffer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -56,17 +57,21 @@ public:
     [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
 private:
-    /// One fixed-width little-endian field: a single bounds check, then a
-    /// byte-order-independent assembly the compiler folds into one load.
+    /// One fixed-width little-endian field: a single bounds check, then an
+    /// assembly that does not depend on the host's byte order.  It is a fold
+    /// with one shift-or per byte and no loop, a pattern GCC and Clang merge
+    /// into a single load (a loop over the bytes is not merged at -O2).
     template <typename T>
     T get_le() {
         require(sizeof(T));
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i) {
-            v |= std::uint64_t{data_[pos_ + i]} << (8 * i);
-        }
+        const T v = load_le<T>(data_ + pos_, std::make_index_sequence<sizeof(T)>{});
         pos_ += sizeof(T);
-        return static_cast<T>(v);
+        return v;
+    }
+
+    template <typename T, std::size_t... I>
+    static T load_le(const std::uint8_t* in, std::index_sequence<I...>) {
+        return static_cast<T>(((static_cast<std::uint64_t>(in[I]) << (8 * I)) | ...));
     }
 
     void require(std::size_t n) const {

@@ -12,11 +12,20 @@
 // Allocation discipline: the hot encode paths run once per simulated wire
 // message, so the encoder supports exact pre-sizing.  A *counting* encoder
 // (Encoder::counter()) runs the same encode() functions but only tallies
-// bytes; a real encoder then reserves that size up front and appends with
-// bulk writes, so one encode costs at most one allocation — zero when it
-// adopts a recycled buffer with enough capacity (see serial/arena.hpp).
+// bytes; a real encoder then reserves that size up front, so one encode
+// costs at most one allocation — zero when it adopts a recycled buffer with
+// enough capacity (see serial/arena.hpp).
+//
+// Writes go through a cursor: `buf_` is sized ahead of the bytes written
+// (`len_`) and each field is stored in place at the cursor, so a pre-sized
+// encode never resizes per field.  Only a field that does not fit calls the
+// out-of-line grow(), which sizes geometrically but stops at the buffer's
+// capacity while the field still fits in it: an adopted arena buffer (up to
+// 1 MiB) is zero-filled only about as far as the message reaches, never to
+// its whole capacity.  take() trims the buffer to the cursor.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -33,8 +42,8 @@ class Encoder {
 public:
     Encoder() = default;
 
-    /// Adopt `buf`'s storage (cleared, capacity kept) so encoding reuses a
-    /// recycled buffer instead of allocating a fresh one.
+    /// Adopt `buf`'s storage (its bytes discarded, capacity kept) so
+    /// encoding reuses a recycled buffer instead of allocating a fresh one.
     explicit Encoder(Bytes buf) : buf_(std::move(buf)) { buf_.clear(); }
 
     /// A counting encoder: runs every put_* but only tallies the byte
@@ -42,11 +51,7 @@ public:
     /// message's exact wire size before encoding for real.
     [[nodiscard]] static Encoder counter() { return Encoder(CountingTag{}); }
 
-    void put_u8(std::uint8_t v) {
-        if (counting_) { ++count_; return; }
-        // newtop-lint: allow(hot-path-alloc): counting pass + reserve() pre-size buf_, so steady-state pushes never reallocate
-        buf_.push_back(v);
-    }
+    void put_u8(std::uint8_t v) { put_le(v); }
     void put_u16(std::uint16_t v) { put_le(v); }
     void put_u32(std::uint32_t v) { put_le(v); }
     void put_u64(std::uint64_t v) { put_le(v); }
@@ -61,16 +66,22 @@ public:
     /// Append `n` raw bytes in one bulk write.
     void put_bytes(const std::uint8_t* data, std::size_t n);
 
-    /// Pre-size the output buffer (no-op while counting).
+    /// Pre-size the output buffer for a message of `n` bytes in all, so
+    /// encoding it never calls grow() (no-op while counting).
     void reserve(std::size_t n) {
-        if (!counting_) buf_.reserve(n);
+        if (counting_ || buf_.size() >= n) return;
+        buf_.reserve(n);
+        buf_.resize(n);
     }
 
-    /// Finish and take the encoded buffer.
-    [[nodiscard]] Bytes take() && { return std::move(buf_); }
+    /// Finish and take the encoded buffer, trimmed to the bytes written.
+    [[nodiscard]] Bytes take() && {
+        buf_.resize(len_);
+        return std::move(buf_);
+    }
 
     /// Bytes written (or, for a counting encoder, tallied) so far.
-    [[nodiscard]] std::size_t size() const { return counting_ ? count_ : buf_.size(); }
+    [[nodiscard]] std::size_t size() const { return len_; }
 
     /// Output buffer capacity (allocation diagnostics in tests).
     [[nodiscard]] std::size_t capacity() const { return buf_.capacity(); }
@@ -82,21 +93,28 @@ private:
     struct CountingTag {};
     explicit Encoder(CountingTag) : counting_(true) {}
 
+    /// One fixed-width little-endian field stored at the cursor.  The fold
+    /// writes each byte by shift, so the format does not depend on the host's
+    /// byte order, and the compiler merges the stores into one.
     template <typename T>
     void put_le(T v) {
-        if (counting_) {
-            count_ += sizeof(T);
-            return;
+        if (!counting_) {
+            if (buf_.size() - len_ < sizeof(T)) grow(sizeof(T));
+            store_le(buf_.data() + len_, v, std::make_index_sequence<sizeof(T)>{});
         }
-        const std::size_t at = buf_.size();
-        buf_.resize(at + sizeof(T));
-        for (std::size_t i = 0; i < sizeof(T); ++i) {
-            buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-        }
+        len_ += sizeof(T);
     }
 
-    Bytes buf_;
-    std::size_t count_{0};
+    template <typename T, std::size_t... I>
+    static void store_le(std::uint8_t* out, T v, std::index_sequence<I...>) {
+        ((out[I] = static_cast<std::uint8_t>(v >> (8 * I))), ...);
+    }
+
+    /// Make room for `n` more bytes past the cursor (see the header comment).
+    void grow(std::size_t n);
+
+    Bytes buf_;            // sized ahead of the cursor; bytes past len_ are scratch
+    std::size_t len_{0};   // bytes written, or tallied while counting
     bool counting_{false};
 };
 

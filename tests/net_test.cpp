@@ -121,6 +121,60 @@ TEST_F(NetFixture, PerPairFifoOrderPreserved) {
     for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(received[i], i);
 }
 
+// The FIFO table grows with every add_node: links to and from a node added
+// mid-run, and the links that were already carrying traffic, keep order.
+TEST_F(NetFixture, PerPairFifoHoldsAcrossNodesAddedMidRun) {
+    Network net(scheduler,
+                two_site_topology({.latency = 100, .jitter = 90}, {.latency = 400, .jitter = 300}),
+                5);
+    std::vector<NodeId> nodes{net.add_node(SiteId(0)), net.add_node(SiteId(1))};
+    // received[to][from]: payload counters in arrival order.
+    std::vector<std::vector<std::vector<std::uint8_t>>> received;
+    const auto attach = [&](NodeId id) {
+        received.resize(id.value() + 1);
+        net.node(id).set_receiver([&received, id](NodeId from, const Bytes& payload) {
+            auto& row = received[id.value()];
+            if (row.size() <= from.value()) row.resize(from.value() + 1);
+            row[from.value()].push_back(payload.at(0));
+        });
+    };
+    for (const NodeId id : nodes) attach(id);
+    std::vector<std::vector<std::uint8_t>> sent(8, std::vector<std::uint8_t>(8, 0));
+    const auto burst = [&] {
+        for (const NodeId from : nodes) {
+            for (const NodeId to : nodes) {
+                if (from == to) continue;
+                std::uint8_t& next = sent[from.value()][to.value()];
+                for (int i = 0; i < 5; ++i) net.send(from, to, Bytes{next++});
+            }
+        }
+    };
+    SimTime at = 0;
+    for (int round = 0; round < 6; ++round, at += 150) {
+        scheduler.schedule_at(at, [&, round] {
+            if (round % 2 == 1) {
+                const SiteId site(static_cast<SiteId::rep_type>(round % 3 == 0));
+                nodes.push_back(net.add_node(site));
+                attach(nodes.back());
+            }
+            burst();
+        });
+    }
+    scheduler.run();
+    ASSERT_EQ(nodes.size(), 5u);
+    for (const NodeId from : nodes) {
+        for (const NodeId to : nodes) {
+            if (from == to) continue;
+            const std::uint8_t count = sent[from.value()][to.value()];
+            ASSERT_GT(count, 0);
+            ASSERT_GT(received[to.value()].size(), from.value());
+            const auto& got = received[to.value()][from.value()];
+            ASSERT_EQ(got.size(), count) << from.value() << "->" << to.value();
+            for (std::uint8_t i = 0; i < count; ++i) EXPECT_EQ(got[i], i);
+        }
+    }
+}
+
 TEST_F(NetFixture, LossDropsApproximatelyTheConfiguredFraction) {
     Network net(scheduler,
                 two_site_topology({.latency = 10, .loss = 0.25}, {.latency = 1}), 5);

@@ -824,6 +824,77 @@ TEST(FifoEngines, SequencerMatchesMapReference) {
     }
 }
 
+// -- UnstableStore against the map it replaced ------------------------------
+
+/// Every held message as (ref, wire bytes), in iteration order.
+std::vector<std::pair<MsgRef, Bytes>> held(const UnstableStore& store) {
+    std::vector<std::pair<MsgRef, Bytes>> out;
+    store.for_each([&out](const DataMsg& m) {
+        out.emplace_back(MsgRef{m.sender, m.seq}, encode_to_bytes(m));
+    });
+    return out;
+}
+
+std::vector<std::pair<MsgRef, Bytes>> held(const std::map<MsgRef, DataMsg>& reference) {
+    std::vector<std::pair<MsgRef, Bytes>> out;
+    for (const auto& [ref, m] : reference) out.emplace_back(ref, encode_to_bytes(m));
+    return out;
+}
+
+// The endpoint's unstable store used to be a std::map<MsgRef, DataMsg>.
+// Under any mix of contiguous per-sender adds (own sends and in-order
+// arrivals alike), stability drops with floors below, inside and past a
+// sender's run, lookups that hit and miss, and view-install clears, the
+// per-sender rings must iterate, find and count exactly as that map did.
+TEST(UnstableStore, MatchesMapReference) {
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        const std::vector<EndpointId> members = random_members(rng);  // self is one of them
+        UnstableStore store;
+        std::map<MsgRef, DataMsg> reference;
+        const std::uint64_t epochs = rng.next_in(1, 3);
+        for (std::uint64_t epoch = 0; epoch < epochs; ++epoch) {
+            store.clear();
+            reference.clear();
+            std::map<EndpointId, Seqno> next_seq;
+            const std::uint64_t steps = rng.next_in(0, 150);
+            for (std::uint64_t step = 0; step < steps; ++step) {
+                const EndpointId sender = members[rng.next_in(0, members.size() - 1)];
+                Seqno& next = next_seq[sender];
+                const std::uint64_t action = rng.next_in(0, 9);
+                if (action < 5) {
+                    DataMsg m = data(sender, next++, step + 1);
+                    m.batch.assign(rng.next_in(0, 2), Bytes(3, static_cast<std::uint8_t>(step)));
+                    store.add(m);
+                    reference.emplace(MsgRef{m.sender, m.seq}, m);
+                } else if (action < 7) {
+                    // From 0 up to a few past the run's end.
+                    const Seqno floor = rng.next_in(0, next + 3);
+                    store.erase_below(sender, floor);
+                    reference.erase(reference.lower_bound(MsgRef{sender, 0}),
+                                    reference.lower_bound(MsgRef{sender, floor}));
+                } else {
+                    const MsgRef ref{sender, rng.next_in(0, next + 1)};
+                    const DataMsg* found = store.find(ref);
+                    const auto it = reference.find(ref);
+                    ASSERT_EQ(found != nullptr, it != reference.end())
+                        << "seed " << seed << " step " << step;
+                    if (found != nullptr) {
+                        ASSERT_EQ(encode_to_bytes(*found), encode_to_bytes(it->second))
+                            << "seed " << seed << " step " << step;
+                    }
+                }
+                ASSERT_EQ(store.size(), reference.size()) << "seed " << seed << " step " << step;
+                ASSERT_EQ(store.empty(), reference.empty()) << "seed " << seed;
+                if (rng.next_bool(0.2)) {
+                    ASSERT_EQ(held(store), held(reference)) << "seed " << seed << " step " << step;
+                }
+            }
+            ASSERT_EQ(held(store), held(reference)) << "seed " << seed;
+        }
+    }
+}
+
 // -- The FIFO invariants guard themselves ------------------------------------
 
 TEST(FifoInvariants, SymmetricRejectsTimestampsThatDoNotIncrease) {
@@ -853,6 +924,22 @@ TEST(FifoInvariants, SequencerRejectsNonContiguousOrderRecords) {
     EXPECT_THROW(order.on_order(OrderRecord{2, {MsgRef{kA, 1}}}), PreconditionError);
     EXPECT_THROW(order.on_order(OrderRecord{0, {MsgRef{kA, 0}}}), PreconditionError);
     EXPECT_NO_THROW(order.on_order(OrderRecord{1, {MsgRef{kA, 1}}}));
+}
+
+TEST(FifoInvariants, UnstableStoreRejectsNonContiguousAdd) {
+    UnstableStore store;
+    store.add(data(kA, 0, 1));
+    EXPECT_THROW(store.add(data(kA, 2, 3)), PreconditionError);  // gap
+    EXPECT_THROW(store.add(data(kA, 0, 1)), PreconditionError);  // duplicate
+    store.add(data(kA, 1, 2));
+    // A floor past the run empties it, but the run still ends at seq 2.
+    store.erase_below(kA, 5);
+    EXPECT_TRUE(store.empty());
+    EXPECT_THROW(store.add(data(kA, 5, 6)), PreconditionError);
+    EXPECT_NO_THROW(store.add(data(kA, 2, 3)));
+    // Another sender's run starts wherever its first message is.
+    EXPECT_NO_THROW(store.add(data(kB, 4, 4)));
+    EXPECT_EQ(store.size(), 2u);
 }
 
 TEST(FifoInvariants, DeliveredPrefixRejectsDeliveryInsideThePrefix) {

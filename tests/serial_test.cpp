@@ -327,6 +327,120 @@ TEST(Serial, CountingEncoderMatchesRealSize) {
     }
 }
 
+// Every fixed width, through the encoder's in-place stores and the
+// decoder's folded loads: 0, 1, the extremes, a lone high bit in each byte
+// and two mixed patterns, laid out little-endian byte by byte.
+template <typename T>
+void expect_fixed_width_roundtrips() {
+    std::vector<T> values{T{0}, T{1}, std::numeric_limits<T>::max(),
+                          std::numeric_limits<T>::min()};
+    std::uint64_t ascending = 0;
+    std::uint64_t alternating = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+        values.push_back(static_cast<T>(std::uint64_t{0x80} << (8 * i)));
+        ascending |= std::uint64_t{i + 1} << (8 * i);
+        alternating |= std::uint64_t{i % 2 == 0 ? 0xa5u : 0x5au} << (8 * i);
+    }
+    values.push_back(static_cast<T>(ascending));
+    values.push_back(static_cast<T>(alternating));
+    for (const T v : values) {
+        const Bytes wire = encode_to_bytes(v);
+        ASSERT_EQ(wire.size(), sizeof(T));
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            EXPECT_EQ(wire[i], static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i)))
+                << "byte " << i << " of " << +v;
+        }
+        EXPECT_EQ(decode_from_bytes<T>(wire), v);
+    }
+}
+
+TEST(Serial, EveryFixedWidthRoundtripsByteExactly) {
+    expect_fixed_width_roundtrips<std::uint8_t>();
+    expect_fixed_width_roundtrips<std::uint16_t>();
+    expect_fixed_width_roundtrips<std::uint32_t>();
+    expect_fixed_width_roundtrips<std::uint64_t>();
+    expect_fixed_width_roundtrips<std::int32_t>();
+    expect_fixed_width_roundtrips<std::int64_t>();
+    // Back to back at every misalignment.
+    Encoder e;
+    e.put_u8(0xfe);
+    e.put_u64(0x0102030405060708ULL);
+    e.put_u16(0xbeef);
+    e.put_u32(0xcafef00d);
+    e.put_i64(-2);
+    const Bytes wire = std::move(e).take();
+    ASSERT_EQ(wire.size(), 1u + 8 + 2 + 4 + 8);
+    Decoder d(wire);
+    EXPECT_EQ(d.get_u8(), 0xfe);
+    EXPECT_EQ(d.get_u64(), 0x0102030405060708ULL);
+    EXPECT_EQ(d.get_u16(), 0xbeef);
+    EXPECT_EQ(d.get_u32(), 0xcafef00du);
+    EXPECT_EQ(d.get_i64(), -2);
+    EXPECT_TRUE(d.exhausted());
+}
+
+// How the output buffer was sized must never show in the bytes: growing
+// from empty, an exact reserve, an adopted arena buffer far larger than the
+// message (holding stale bytes) and an adopted buffer of exactly the
+// message's size all encode the same message alike.
+TEST(Serial, EncoderBytesIndependentOfBufferSizing) {
+    Rng rng(0x51e);
+    for (int iter = 0; iter < 100; ++iter) {
+        std::vector<std::pair<int, Bytes>> fields;
+        const auto n = rng.next_in(0, 40);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            fields.emplace_back(static_cast<int>(rng.next_in(0, 4)), random_payload(rng, 300));
+        }
+        const auto write = [&fields](Encoder& e) {
+            for (const auto& [kind, blob] : fields) {
+                const std::uint64_t v = blob.size() * 0x9e3779b97f4a7c15ULL;
+                switch (kind) {
+                    case 0: e.put_u8(static_cast<std::uint8_t>(v)); break;
+                    case 1: e.put_u16(static_cast<std::uint16_t>(v)); break;
+                    case 2: e.put_u32(static_cast<std::uint32_t>(v)); break;
+                    case 3: e.put_u64(v); break;
+                    default: e.put_blob(blob); break;
+                }
+            }
+        };
+        Encoder counter = Encoder::counter();
+        write(counter);
+
+        Encoder grown;
+        write(grown);
+        Encoder exact;
+        exact.reserve(counter.size());
+        write(exact);
+        EXPECT_EQ(exact.capacity(), counter.size());
+        EncodeArena arena;
+        Bytes retired(4096, 0xee);
+        retired.reserve(std::size_t{1} << 20);  // the largest buffer the arena pools
+        const std::uint8_t* storage = retired.data();
+        arena.recycle(std::move(retired));
+        Encoder adopted(arena.acquire(16));
+        write(adopted);
+        // Adopted with room for exactly this message and no reserve():
+        // growth stops at the capacity instead of reallocating.
+        Bytes snug;
+        snug.reserve(counter.size());
+        const std::uint8_t* snug_storage = snug.data();
+        Encoder fitted(std::move(snug));
+        write(fitted);
+
+        const Bytes expected = std::move(grown).take();
+        ASSERT_EQ(expected.size(), counter.size());
+        EXPECT_EQ(std::move(exact).take(), expected) << "iter " << iter;
+        const Bytes from_arena = std::move(adopted).take();
+        EXPECT_EQ(from_arena.data(), storage);  // never reallocated
+        EXPECT_EQ(from_arena, expected) << "iter " << iter;
+        const Bytes from_snug = std::move(fitted).take();
+        if (!expected.empty()) {
+            EXPECT_EQ(from_snug.data(), snug_storage);
+        }
+        EXPECT_EQ(from_snug, expected) << "iter " << iter;
+    }
+}
+
 // Regression: put_le used to grow the buffer one push_back at a time, and
 // blob encodes never pre-sized.  Encoding a 64 KiB payload must perform
 // O(1) allocations: after the exact reserve, the buffer never reallocates.
