@@ -201,9 +201,9 @@ void GroupCommEndpoint::on_wire(BytesView payload) {
         return;
     }
     std::visit(
-        [this](auto&& body) {
+        [this, payload](auto&& body) {
             using T = std::decay_t<decltype(body)>;
-            if constexpr (std::is_same_v<T, DataMsg>) handle_data(std::move(body));
+            if constexpr (std::is_same_v<T, DataMsg>) handle_data(std::move(body), payload);
             else if constexpr (std::is_same_v<T, NackMsg>) handle_nack(body);
             else if constexpr (std::is_same_v<T, OrderMsg>) { /* order records ride DataMsg */ }
             else if constexpr (std::is_same_v<T, JoinReq>) handle_join(body);
@@ -230,20 +230,27 @@ constexpr SimDuration kGcsCallTimeout = 60_s;
 }  // namespace
 
 void GroupCommEndpoint::send_wire(EndpointId to, const GcsMessage& msg) {
+    send_wire(to, encode_gcs_message(msg));
+}
+
+void GroupCommEndpoint::send_wire(EndpointId to, const Bytes& wire) {
     if (to == id_) {
         // Local short-circuit (e.g. coordinator flushing to itself).
-        on_wire(encode_gcs_message(msg));
+        on_wire(wire);
         return;
     }
-    orb_->invoke(directory_->endpoint_ior(to), kGcsDeliverMethod, encode_gcs_message(msg),
+    orb_->invoke(directory_->endpoint_ior(to), kGcsDeliverMethod, wire,
                  [](ReplyStatus, const Bytes&) {}, kGcsCallTimeout);
 }
 
 void GroupCommEndpoint::multicast_wire(const Group& g, const GcsMessage& msg) {
+    multicast_wire(g, encode_gcs_message(msg));
+}
+
+void GroupCommEndpoint::multicast_wire(const Group& g, const Bytes& wire) {
     // The paper-era ORB has no multicast: the endpoint issues one synchronous
     // invocation per member (threads give wire-parallelism; the CPU
     // serializes the marshalling) — §2.2.
-    const Bytes wire = encode_gcs_message(msg);
     for (const EndpointId member : g.view.members) {
         if (member == id_) continue;
         orb_->invoke(directory_->endpoint_ior(member), kGcsDeliverMethod, wire,
@@ -418,6 +425,10 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     msg.batch = std::move(batch);
     msg.span = span;
     msg.batch_spans = std::move(batch_spans);
+    // The held frame of a stream message: encoded before knowledge and
+    // causal_vc are attached below, so NACK retransmits and FLUSH carry
+    // neither field.
+    const UnstableStore::Held* held = nullptr;
     if (kind == DataKind::kNull) {
         msg.seq = 0;  // nulls are ephemeral: no stream seqno, no retransmit
         msg.received_counts = received_counts(g);
@@ -426,7 +437,7 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
         metrics().trace(obs::TraceKind::kNullOnWire, now, id_.value(), g.id.value());
     } else {
         msg.seq = g.next_send_seq++;
-        g.unstable.add(msg);
+        held = &g.unstable.add(msg, encode_gcs_message(msg));
         if (kind == DataKind::kOrder) {
             order_sent_.add();
             metrics().trace(obs::TraceKind::kOrderOnWire, now, id_.value(), g.id.value(),
@@ -466,7 +477,12 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     g.received_since_send = false;
     g.last_sent_ts = msg.ts;
 
-    multicast_wire(g, msg);
+    // The held frame is the wire frame unless fields were attached since.
+    if (held != nullptr && msg.knowledge.empty() && msg.causal_vc.empty()) {
+        multicast_wire(g, held->wire);
+    } else {
+        multicast_wire(g, encode_gcs_message(msg));
+    }
 
     // Local self-ingest: feed our own message straight to the engine.
     if (kind == DataKind::kApplication) note_payload_arrival(msg);
@@ -475,7 +491,7 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     kick_liveness(g);
 }
 
-void GroupCommEndpoint::handle_data(DataMsg msg) {
+void GroupCommEndpoint::handle_data(DataMsg msg, BytesView wire) {
     clock_ = std::max(clock_, msg.ts);
     Group* gp = find_group(msg.group);
     if (gp == nullptr) return;  // never knew this group (or already removed)
@@ -554,12 +570,14 @@ void GroupCommEndpoint::handle_data(DataMsg msg) {
     }
 
     const EndpointId sender = msg.sender;
-    ingest_in_order(g, std::move(msg));
+    ingest_in_order(g, std::move(msg), Bytes(wire.begin(), wire.end()));
     ++stream.next_expected;
-    // Drain any buffered continuation.
+    // Drain any buffered continuation.  Its frame is gone, so it is encoded
+    // again: the codec is canonical, so the bytes are the ones that arrived.
     auto it = stream.out_of_order.begin();
     while (it != stream.out_of_order.end() && it->first == stream.next_expected) {
-        ingest_in_order(g, std::move(it->second));
+        Bytes frame = encode_gcs_message(it->second);
+        ingest_in_order(g, std::move(it->second), std::move(frame));
         it = stream.out_of_order.erase(it);
         ++stream.next_expected;
     }
@@ -589,9 +607,9 @@ void GroupCommEndpoint::note_payload_arrival(const DataMsg& msg) {
     }
 }
 
-void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg) {
+void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg, Bytes wire) {
     note_payload_arrival(msg);
-    g.unstable.add(msg);
+    g.unstable.add(msg, std::move(wire));
     try {
         g.engine.on_data(std::move(msg));
     } catch (const DecodeError& err) {
@@ -606,9 +624,10 @@ void GroupCommEndpoint::pump(Group& g) {
     // assigned at this instant shares one multi-assignment ORDER broadcast
     // instead of costing one broadcast each.
     schedule_order_flush(g);
-    std::vector<DataMsg> ordered = g.engine.take_deliverable();
+    g.engine.take_deliverable(deliverable_);
     holdback_depth_.observe(static_cast<SimDuration>(g.engine.pending_count()));
-    for (auto& msg : ordered) g.release_queue.push_back(std::move(msg));
+    for (DataMsg& msg : deliverable_) g.release_queue.push(std::move(msg));
+    deliverable_.clear();
     try_release_all();
 }
 
@@ -630,7 +649,7 @@ void GroupCommEndpoint::flush_order(Group& g) {
     // the assignment goes on the wire.  The span is recovered from the
     // unstable store (the sequencer holds every unassigned message).
     for (const MsgRef& ref : order->refs) {
-        const DataMsg* held = g.unstable.find(ref);
+        const UnstableStore::Held* held = g.unstable.find(ref);
         const obs::SpanContext span = held == nullptr ? obs::SpanContext{} : held->span;
         metrics().trace(obs::TraceKind::kOrderAssigned, now, id_.value(), span, 0, g.id.value(),
                         obs::pack_delivered_ref(g.view.epoch, ref.sender.value(), ref.seq));
@@ -654,9 +673,7 @@ void GroupCommEndpoint::on_order_flush(GroupId id) {
 
 void GroupCommEndpoint::try_release(Group& g) {
     while (!g.release_queue.empty() && barrier_satisfied(g.release_queue.front())) {
-        DataMsg msg = std::move(g.release_queue.front());
-        g.release_queue.pop_front();
-        deliver_to_app(g, std::move(msg));
+        deliver_to_app(g, g.release_queue.pop_front());
     }
 }
 
@@ -740,13 +757,15 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
     if (deliver_handler_) {
         // Hand each payload to the application object over the colocated ORB
         // boundary (message m3 of fig. 9): costs CPU but no wire traffic.
-        // Coalesced payloads unpack here, in their submission order.
+        // Coalesced payloads unpack here, in their submission order.  The
+        // payload moves from the message into the closure and on to the
+        // handler; no copy is made on the way.
         auto hand_off = [&](Bytes payload) {
             Delivery delivery{g.id, msg.sender, msg.ts, std::move(payload)};
             orb_->network().node(orb_->node_id()).cpu().execute(
                 calibration::kLocalHandoffCost,
-                [handler = deliver_handler_, delivery = std::move(delivery)] {
-                    handler(delivery);
+                [handler = deliver_handler_, delivery = std::move(delivery)]() mutable {
+                    handler(std::move(delivery));
                 });
         };
         hand_off(std::move(msg.payload));
@@ -835,9 +854,9 @@ void GroupCommEndpoint::handle_nack(const NackMsg& msg) {
     Group* g = find_group(msg.group);
     if (g == nullptr || msg.epoch != g->view.epoch) return;
     for (const Seqno seq : msg.missing) {
-        if (const DataMsg* held = g->unstable.find(MsgRef{id_, seq})) {
+        if (const UnstableStore::Held* held = g->unstable.find(MsgRef{id_, seq})) {
             metrics().add(obs::metric::kGcsRetransmits);
-            send_wire(msg.requester, *held);
+            send_wire(msg.requester, held->wire);
         }
         // Absent => the message went stable, meaning the requester had
         // already received it; the NACK raced a delivery.

@@ -41,14 +41,16 @@ inline constexpr std::uint32_t kGcsDeliverMethod = 100;
 
 class GroupCommEndpoint {
 public:
-    /// An application message delivered in agreed order.
+    /// An application message delivered in agreed order.  The handler
+    /// receives it as an rvalue and may take the payload; a handler taking
+    /// `const Delivery&` binds as well.
     struct Delivery {
         GroupId group;
         EndpointId sender;
         Lamport ts{0};
         Bytes payload;
     };
-    using DeliverHandler = std::function<void(const Delivery&)>;
+    using DeliverHandler = std::function<void(Delivery&&)>;
 
     /// A new view was installed at this member.
     struct ViewChangeEvent {
@@ -227,7 +229,7 @@ private:
 
         // receive side
         std::map<EndpointId, InboundStream> inbound;
-        std::deque<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
+        FifoRing<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
         UnstableStore unstable;  // own + received, this epoch
 
         /// The protocol config.order names, rebuilt at each view install.
@@ -291,7 +293,11 @@ private:
     [[nodiscard]] obs::MetricsRegistry& metrics() const;
     void on_wire(BytesView payload);
     void send_wire(EndpointId to, const GcsMessage& msg);
+    /// Send an already-encoded GCS frame.
+    void send_wire(EndpointId to, const Bytes& wire);
     void multicast_wire(const Group& g, const GcsMessage& msg);
+    /// Multicast an already-encoded GCS frame to the other view members.
+    void multicast_wire(const Group& g, const Bytes& wire);
     Group* find_group(GroupId id);
     const Group* find_group(GroupId id) const;
     Group& ensure_skeleton(GroupId id);
@@ -303,15 +309,16 @@ private:
     void park_coalesced(Group& g);
     void send_data(Group& g, DataKind kind, Bytes payload, obs::SpanContext span = {},
                    std::vector<Bytes> batch = {}, std::vector<obs::SpanContext> batch_spans = {});
-    void handle_data(DataMsg msg);
+    /// `wire` is the frame `msg` was decoded from.
+    void handle_data(DataMsg msg, BytesView wire);
     void handle_nack(const NackMsg& msg);
     void note_payload_arrival(const DataMsg& msg);
-    void ingest_in_order(Group& g, DataMsg msg);
+    /// `wire` is msg's frame, which the unstable store keeps.
+    void ingest_in_order(Group& g, DataMsg msg, Bytes wire);
     void pump(Group& g);
     void schedule_order_flush(Group& g);
     void flush_order(Group& g);
     void on_order_flush(GroupId id);
-    void release_ordered(Group& g, std::vector<DataMsg> ordered);
     void try_release(Group& g);
     void try_release_all();
     [[nodiscard]] bool barrier_satisfied(const DataMsg& msg) const;
@@ -417,6 +424,10 @@ private:
     KnowledgeTable knowledge_;
     /// Joins awaiting completion: group name -> retry timer.
     std::map<std::string, TimerId> pending_joins_;
+
+    /// pump()'s buffer for the engine's deliverables; empty between pumps,
+    /// its capacity reused by the next.
+    std::vector<DataMsg> deliverable_;
 
     /// Re-entrancy guard for drain_coalesced: a drained send can deliver
     /// synchronously (single-member group), returning a credit and

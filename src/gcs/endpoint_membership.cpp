@@ -256,7 +256,7 @@ void GroupCommEndpoint::begin_round(Group& g) {
     // Our own flush, locally.
     std::vector<DataMsg> own;
     own.reserve(g.unstable.size());
-    g.unstable.for_each([&own](const DataMsg& msg) { own.push_back(msg); });
+    g.unstable.for_each([&own](DataMsg&& msg) { own.push_back(std::move(msg)); });
     add_flush(g, id_, std::move(own), g.engine.flush_orders());
 
     orb_->scheduler().cancel(g.vc_timer);
@@ -302,7 +302,8 @@ void GroupCommEndpoint::handle_propose(const ProposeMsg& msg) {
         flush.coordinator = msg.coordinator;
         flush.sender = id_;
         flush.unstable.reserve(g.unstable.size());
-        g.unstable.for_each([&flush](const DataMsg& data) { flush.unstable.push_back(data); });
+        g.unstable.for_each(
+            [&flush](DataMsg&& data) { flush.unstable.push_back(std::move(data)); });
         flush.orders = g.engine.flush_orders();
         metrics().add(obs::metric::kGcsFlushesSent);
         metrics().trace(obs::TraceKind::kFlushSent, orb_->scheduler().now(), id_.value(),
@@ -381,9 +382,10 @@ void GroupCommEndpoint::deliver_cut(Group& g, const InstallMsg& msg) {
         }
     };
     absorb(g.engine.drain_pending());
-    absorb({std::make_move_iterator(g.release_queue.begin()),
-            std::make_move_iterator(g.release_queue.end())});
-    g.release_queue.clear();
+    std::vector<DataMsg> released;
+    released.reserve(g.release_queue.size());
+    while (!g.release_queue.empty()) released.push_back(g.release_queue.pop_front());
+    absorb(std::move(released));
     absorb(msg.cut);
 
     // Cut delivery ignores cross-group barriers: blocking the flush on
@@ -535,7 +537,7 @@ void GroupCommEndpoint::resubmit_undelivered(Group& g) {
     // the cut) would otherwise vanish; atomicity lets us resubmit them in
     // the new view (the paper's client-retry discussion, §4.1).
     std::vector<PendingSend> payloads;
-    g.unstable.for_each([&](const DataMsg& data) {
+    g.unstable.for_each([&](DataMsg&& data) {
         if (data.sender != id_ || !orders_like_app(data.kind)) return;
         if (delivered(g, MsgRef{data.sender, data.seq})) return;
         // A coalesced message resubmits every payload it carried, in their
@@ -543,10 +545,10 @@ void GroupCommEndpoint::resubmit_undelivered(Group& g) {
         // payload still belongs to its original invocation.  An undelivered
         // config proposal resubmits too (kind preserved) — reconfiguration
         // requests are never silently lost to a view change.
-        payloads.push_back(PendingSend{data.payload, data.span, data.kind});
+        payloads.push_back(PendingSend{std::move(data.payload), data.span, data.kind});
         for (std::size_t i = 0; i < data.batch.size(); ++i) {
             payloads.push_back(PendingSend{
-                data.batch[i],
+                std::move(data.batch[i]),
                 i < data.batch_spans.size() ? data.batch_spans[i] : obs::SpanContext{}});
         }
     });

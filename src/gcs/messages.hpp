@@ -242,4 +242,10 @@ using GcsMessage = std::variant<DataMsg, NackMsg, OrderMsg, JoinReq, LeaveReq, S
 Bytes encode_gcs_message(const GcsMessage& msg);
 GcsMessage decode_gcs_message(BytesView wire);
 
+/// The frame of a DataMsg, byte for byte what encode_gcs_message(GcsMessage{msg})
+/// returns, encoded from the message in place (no variant copy is built).
+Bytes encode_gcs_message(const DataMsg& msg);
+/// The DataMsg a frame holds; throws DecodeError for any other message.
+DataMsg decode_data_message(BytesView wire);
+
 }  // namespace newtop

@@ -1,7 +1,6 @@
 #include "gcs/ordering.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <tuple>
 #include <utility>
 
@@ -41,8 +40,7 @@ void SymmetricOrder::on_data(DataMsg msg) {
         NEWTOP_EXPECTS(msg.ts > stream->latest_ts,
                        "a sender's timestamps must strictly increase along its stream");
         stream->latest_ts = msg.ts;
-        // newtop-lint: allow(hot-path-alloc): one FIFO per member, bounded by the holdback; deque blocks recycle as it drains
-        stream->held.push_back(std::move(msg));
+        stream->held.push(std::move(msg));
         ++held_count_;
     } else {
         stream->latest_ts = std::max(stream->latest_ts, msg.ts);
@@ -76,19 +74,20 @@ bool SymmetricOrder::deliverable(std::size_t head) const {
 }
 
 DataMsg SymmetricOrder::pop(std::size_t head) {
-    auto& held = streams_[head].held;
-    DataMsg msg = std::move(held.front());
-    held.pop_front();
     --held_count_;
-    return msg;
+    return streams_[head].held.pop_front();
+}
+
+void SymmetricOrder::take_deliverable(std::vector<DataMsg>& out) {
+    for (std::size_t h = head(); h != streams_.size() && deliverable(h); h = head()) {
+        // newtop-lint: allow(hot-path-alloc): the caller's buffer keeps its capacity across pumps
+        out.push_back(pop(h));
+    }
 }
 
 std::vector<DataMsg> SymmetricOrder::take_deliverable() {
     std::vector<DataMsg> out;
-    for (std::size_t h = head(); h != streams_.size() && deliverable(h); h = head()) {
-        // newtop-lint: allow(hot-path-alloc): delivery batch is bounded by the holdback queue; amortized across the batch
-        out.push_back(pop(h));
-    }
+    take_deliverable(out);
     return out;
 }
 
@@ -133,8 +132,7 @@ void SequencerOrder::on_data(DataMsg msg) {
     if (msg.seq < queue->next_seq) return;  // retransmitted duplicate
     queue->next_seq = msg.seq + 1;
     const MsgRef ref{msg.sender, msg.seq};
-    // newtop-lint: allow(hot-path-alloc): one FIFO per member, bounded by the holdback; deque blocks recycle as it drains
-    queue->data.push_back(std::move(msg));
+    queue->data.push(std::move(msg));
     ++data_count_;
     if (is_sequencer()) {
         // The assignment is broadcast, and so enters assignment_log(), only
@@ -168,8 +166,7 @@ std::optional<OrderRecord> SequencerOrder::take_order_to_send() {
     return out;
 }
 
-std::vector<DataMsg> SequencerOrder::take_deliverable() {
-    std::vector<DataMsg> out;
+void SequencerOrder::take_deliverable(std::vector<DataMsg>& out) {
     // The sequencer never delivers ahead of its own broadcast: an order that
     // has not been taken for sending is invisible to every flush, so
     // committing to it locally could not survive a view change.
@@ -181,12 +178,16 @@ std::vector<DataMsg> SequencerOrder::take_deliverable() {
         // undelivered message is the one this order number names.
         NEWTOP_EXPECTS(queue->data.front().seq == ref.seq,
                        "sequencer order must follow each sender's FIFO stream");
-        // newtop-lint: allow(hot-path-alloc): delivery batch bounded by contiguous assigned prefix; amortized
-        out.push_back(std::move(queue->data.front()));
-        queue->data.pop_front();
+        // newtop-lint: allow(hot-path-alloc): the caller's buffer keeps its capacity across pumps
+        out.push_back(queue->data.pop_front());
         --data_count_;
         ++next_deliver_;
     }
+}
+
+std::vector<DataMsg> SequencerOrder::take_deliverable() {
+    std::vector<DataMsg> out;
+    take_deliverable(out);
     return out;
 }
 
@@ -204,8 +205,7 @@ std::vector<DataMsg> SequencerOrder::drain_pending() {
     std::vector<DataMsg> out;
     out.reserve(data_count_);
     for (SenderQueue& queue : senders_) {
-        std::move(queue.data.begin(), queue.data.end(), std::back_inserter(out));
-        queue.data.clear();
+        while (!queue.data.empty()) out.push_back(queue.data.pop_front());
     }
     data_count_ = 0;
     next_deliver_ = log_.size();  // the undelivered assignments go too
@@ -237,15 +237,14 @@ bool CausalOrder::satisfied(const DataMsg& msg) const {
     return true;
 }
 
-std::vector<DataMsg> CausalOrder::take_deliverable() {
-    std::vector<DataMsg> out;
+void CausalOrder::take_deliverable(std::vector<DataMsg>& out) {
     bool progressed = true;
     while (progressed) {
         progressed = false;
         for (auto it = pending_.begin(); it != pending_.end();) {
             if (satisfied(*it)) {
                 ++delivered_count_[it->sender];
-                // newtop-lint: allow(hot-path-alloc): delivery batch bounded by satisfied pending set; amortized
+                // newtop-lint: allow(hot-path-alloc): the caller's buffer keeps its capacity across pumps
                 out.push_back(std::move(*it));
                 it = pending_.erase(it);
                 progressed = true;
@@ -254,7 +253,6 @@ std::vector<DataMsg> CausalOrder::take_deliverable() {
             }
         }
     }
-    return out;
 }
 
 std::vector<DataMsg> CausalOrder::drain_pending() {
@@ -281,7 +279,7 @@ void DeliveredPrefix::note(Seqno seq) {
 
 // -- UnstableStore -------------------------------------------------------------
 
-void UnstableStore::add(const DataMsg& msg) {
+const UnstableStore::Held& UnstableStore::add(const DataMsg& msg, Bytes wire) {
     const auto it = std::lower_bound(
         streams_.begin(), streams_.end(), msg.sender,
         [](const Stream& stream, EndpointId m) { return stream.member < m; });
@@ -289,50 +287,31 @@ void UnstableStore::add(const DataMsg& msg) {
     if (it != streams_.end() && it->member == msg.sender) {
         stream = &*it;
         // Index arithmetic in find() and erase_below() rests on this.
-        NEWTOP_EXPECTS(msg.seq == stream->first + stream->count,
+        NEWTOP_EXPECTS(msg.seq == stream->first + stream->held.size(),
                        "a sender's unstable messages must be one contiguous seq run");
     } else {
-        stream = &*streams_.insert(it, Stream{msg.sender, msg.seq, 0, 0, {}});
+        stream = &*streams_.insert(it, Stream{msg.sender, msg.seq, {}});
     }
-    if (stream->count == stream->slots.size()) grow(*stream);
-    stream->slots[(stream->head + stream->count) & (stream->slots.size() - 1)] = msg;
-    ++stream->count;
     ++size_;
+    return stream->held.push(Held{std::move(wire), msg.span});
 }
 
-void UnstableStore::grow(Stream& stream) {
-    constexpr std::size_t kMinSlots = 4;
-    // Unroll the full ring so the oldest message sits in slot 0, then
-    // double it; the new slots follow the newest message.
-    std::rotate(stream.slots.begin(),
-                stream.slots.begin() + static_cast<std::ptrdiff_t>(stream.head),
-                stream.slots.end());
-    stream.head = 0;
-    // newtop-lint: allow(hot-path-alloc): the ring doubles only past the sender's deepest unstable run so far this epoch; adds then reuse its slots
-    stream.slots.resize(std::max(kMinSlots, 2 * stream.slots.size()));
-}
-
-const DataMsg* UnstableStore::find(MsgRef ref) const {
+const UnstableStore::Held* UnstableStore::find(MsgRef ref) const {
     const Stream* stream = find_member(streams_, ref.sender);
-    if (stream == nullptr || ref.seq < stream->first || ref.seq - stream->first >= stream->count) {
+    if (stream == nullptr || ref.seq < stream->first ||
+        ref.seq - stream->first >= stream->held.size()) {
         return nullptr;
     }
-    return &stream->at(ref.seq - stream->first);
+    return &stream->held[ref.seq - stream->first];
 }
 
 void UnstableStore::erase_below(EndpointId sender, Seqno floor) {
     Stream* stream = find_member(streams_, sender);
     if (stream == nullptr || floor <= stream->first) return;
     const auto drop =
-        static_cast<std::size_t>(std::min<Seqno>(floor - stream->first, stream->count));
-    // Release what the dropped messages hold: a slot left full would pin
-    // its payloads until the ring comes round to it again.
-    for (std::size_t i = 0; i < drop; ++i) {
-        stream->slots[(stream->head + i) & (stream->slots.size() - 1)] = DataMsg{};
-    }
-    stream->head = (stream->head + drop) & (stream->slots.size() - 1);
+        static_cast<std::size_t>(std::min<Seqno>(floor - stream->first, stream->held.size()));
+    for (std::size_t i = 0; i < drop; ++i) stream->held.pop_front();
     stream->first += drop;
-    stream->count -= drop;
     size_ -= drop;
 }
 
@@ -349,31 +328,52 @@ bool key_less(const KnowledgeEntry& a, const KnowledgeEntry& b) {
 }
 }  // namespace
 
-std::size_t KnowledgeTable::note_from(std::size_t from, const KnowledgeEntry& entry) {
-    // Searching forward is only valid while the input stays sorted.
-    if (from > 0 && !key_less(entries_[from - 1], entry)) from = 0;
-    auto it = std::lower_bound(entries_.begin() + static_cast<std::ptrdiff_t>(from),
-                               entries_.end(), entry, key_less);
-    if (it == entries_.end() || key_less(entry, *it)) {
-        // New (group, sender): grows once per pair, never per message.
-        it = entries_.insert(it, entry);
-    } else if (entry.epoch > it->epoch) {
-        it->epoch = entry.epoch;
-        it->count = entry.count;
-    } else if (entry.epoch == it->epoch) {
-        it->count = std::max(it->count, entry.count);
-    }
-    return static_cast<std::size_t>(it - entries_.begin()) + 1;
+std::size_t KnowledgeTable::lower_bound(const KnowledgeEntry& entry) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(entries_.begin(), entries_.end(), entry, key_less) - entries_.begin());
 }
 
+void KnowledgeTable::raise_at(std::size_t at, const KnowledgeEntry& entry) {
+    if (at == entries_.size() || key_less(entry, entries_[at])) {
+        // New (group, sender): grows once per pair, never per message.
+        entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(at), entry);
+        return;
+    }
+    KnowledgeEntry& held = entries_[at];
+    if (entry.epoch > held.epoch) {
+        held.epoch = entry.epoch;
+        held.count = entry.count;
+    } else if (entry.epoch == held.epoch) {
+        held.count = std::max(held.count, entry.count);
+    }
+}
+
+void KnowledgeTable::note(const KnowledgeEntry& entry) { raise_at(lower_bound(entry), entry); }
+
 void KnowledgeTable::merge(const std::vector<KnowledgeEntry>& entries) {
-    std::size_t from = 0;
-    for (const KnowledgeEntry& entry : entries) from = note_from(from, entry);
+    // One forward walk over both sorted sequences: `at` only moves ahead
+    // while the input ascends (a repeated key finds the same entry again).
+    // An entry ordered before its predecessor restarts from a search.
+    std::size_t at = 0;
+    const KnowledgeEntry* prev = nullptr;
+    for (const KnowledgeEntry& entry : entries) {
+        if (prev != nullptr && key_less(entry, *prev)) {
+            at = lower_bound(entry);
+        } else {
+            while (at < entries_.size() && key_less(entries_[at], entry)) ++at;
+        }
+        raise_at(at, entry);
+        prev = &entry;
+    }
 }
 
 std::vector<KnowledgeEntry> KnowledgeTable::snapshot(GroupId excluding) const {
+    // Sized to what it keeps: a send in an endpoint's only group, the
+    // common case, snapshots nothing and allocates nothing.
     std::vector<KnowledgeEntry> out;
-    out.reserve(entries_.size());
+    out.reserve(static_cast<std::size_t>(
+        std::count_if(entries_.begin(), entries_.end(),
+                      [excluding](const KnowledgeEntry& entry) { return entry.group != excluding; })));
     for (const KnowledgeEntry& entry : entries_) {
         if (entry.group != excluding) out.push_back(entry);
     }
@@ -397,8 +397,8 @@ void OrderingEngine::on_data(DataMsg msg) {
     std::visit([&](auto& engine) { engine.on_data(std::move(msg)); }, engine_);
 }
 
-std::vector<DataMsg> OrderingEngine::take_deliverable() {
-    return std::visit([](auto& engine) { return engine.take_deliverable(); }, engine_);
+void OrderingEngine::take_deliverable(std::vector<DataMsg>& out) {
+    std::visit([&out](auto& engine) { engine.take_deliverable(out); }, engine_);
 }
 
 bool OrderingEngine::has_pending() const {

@@ -20,17 +20,88 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "gcs/messages.hpp"
 #include "gcs/types.hpp"
+#include "util/check.hpp"
 
 namespace newtop {
+
+/// A FIFO queue on a ring buffer: the one container behind every per-sender
+/// message queue of the data path (the engines' holdback FIFOs, the
+/// endpoint's release queue and the unstable store's runs).
+///
+/// The capacity is zero or a power of two and only grows, doubling when a
+/// push finds the ring full, so once it covers the deepest queue seen a
+/// push or pop allocates nothing.  Popping (and clear()) leaves the slot
+/// value-initialised: a slot never pins the buffers of a message that left.
+template <typename T>
+class FifoRing {
+public:
+    [[nodiscard]] bool empty() const { return count_ == 0; }
+    [[nodiscard]] std::size_t size() const { return count_; }
+    [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+
+    /// The i-th oldest element.
+    [[nodiscard]] T& operator[](std::size_t i) { return slots_[slot(i)]; }
+    [[nodiscard]] const T& operator[](std::size_t i) const { return slots_[slot(i)]; }
+    [[nodiscard]] T& front() { return (*this)[0]; }
+    [[nodiscard]] const T& front() const { return (*this)[0]; }
+
+    /// Append `value` and return the element as stored (valid until the
+    /// ring next changes).
+    T& push(T value) {
+        if (count_ == slots_.size()) grow();
+        T& stored = slots_[slot(count_)];
+        stored = std::move(value);
+        ++count_;
+        return stored;
+    }
+
+    /// Remove and return the oldest element.
+    T pop_front() {
+        NEWTOP_EXPECTS(count_ != 0, "pop_front on an empty ring");
+        T& oldest = slots_[head_];
+        T out = std::move(oldest);
+        oldest = T{};
+        head_ = (head_ + 1) & (slots_.size() - 1);
+        --count_;
+        return out;
+    }
+
+    /// Drop every element; the capacity stays.
+    void clear() {
+        for (std::size_t i = 0; i < count_; ++i) (*this)[i] = T{};
+        head_ = 0;
+        count_ = 0;
+    }
+
+private:
+    static constexpr std::size_t kMinCapacity = 4;
+
+    [[nodiscard]] std::size_t slot(std::size_t i) const {
+        return (head_ + i) & (slots_.size() - 1);
+    }
+
+    /// Double the ring, unrolled so the oldest element sits in slot 0.
+    void grow() {
+        // newtop-lint: allow(hot-path-alloc): the ring doubles only past its deepest queue so far; pushes and pops then reuse its slots
+        std::vector<T> bigger(std::max(kMinCapacity, 2 * slots_.size()));
+        for (std::size_t i = 0; i < count_; ++i) bigger[i] = std::move((*this)[i]);
+        slots_ = std::move(bigger);
+        head_ = 0;
+    }
+
+    std::vector<T> slots_;
+    std::size_t head_{0};   // slot of the oldest element
+    std::size_t count_{0};
+};
 
 /// Payload of a DataKind::kOrder stream message: the sequencer's record
 /// that refs[i] holds global order number first_order + i.
@@ -59,7 +130,9 @@ public:
     /// one already fed from its sender.
     void on_data(DataMsg msg);
 
-    /// Messages now deliverable, in delivery order.
+    /// Append the messages now deliverable to `out`, in delivery order.
+    void take_deliverable(std::vector<DataMsg>& out);
+    /// The same into a fresh vector, for perfbench's ordering microloop.
     std::vector<DataMsg> take_deliverable();
 
     /// True if application messages are still waiting to be ordered —
@@ -81,7 +154,7 @@ private:
     struct Stream {
         EndpointId member;
         Lamport latest_ts{0};        // highest ts heard, nulls included
-        std::deque<DataMsg> held;    // undelivered application-like messages
+        FifoRing<DataMsg> held;      // undelivered application-like messages
     };
 
     /// Index of the stream whose front orders first, or streams_.size()
@@ -133,7 +206,9 @@ public:
     /// ORDER flush would cover.
     [[nodiscard]] std::size_t fresh_count() const { return log_.size() - broadcast_; }
 
-    /// Messages now deliverable, in global order.
+    /// Append the messages now deliverable to `out`, in global order.
+    void take_deliverable(std::vector<DataMsg>& out);
+    /// The same into a fresh vector, for perfbench's ordering microloop.
     std::vector<DataMsg> take_deliverable();
 
     [[nodiscard]] bool has_pending() const {
@@ -168,7 +243,7 @@ private:
         /// duplicate earns a second order slot whose data can never
         /// reappear, and take_deliverable() stalls there permanently.
         Seqno next_seq{0};
-        std::deque<DataMsg> data;  // fed, undelivered, in seq order
+        FifoRing<DataMsg> data;  // fed, undelivered, in seq order
     };
 
     EndpointId self_;
@@ -192,7 +267,8 @@ public:
 
     void on_data(DataMsg msg);
 
-    std::vector<DataMsg> take_deliverable();
+    /// Append the messages whose dependencies are now met to `out`.
+    void take_deliverable(std::vector<DataMsg>& out);
 
     /// Snapshot of delivered counts, to stamp onto outgoing messages.
     [[nodiscard]] std::vector<std::pair<EndpointId, Seqno>> delivered_vector() const;
@@ -235,6 +311,10 @@ private:
 /// sends and in-order arrivals, kept for NACK retransmission and the
 /// view-change flush.
 ///
+/// A message is held as its GCS wire frame (encode_gcs_message) plus its
+/// span, not as a decoded DataMsg: a NACK retransmits the frame as it is,
+/// the sequencer reads the span, and only the view-change paths decode.
+///
 /// Each sender's held messages are one contiguous seq run.  Own sends take
 /// consecutive seqs, arrivals are ingested in seq order, stability drops a
 /// prefix, and a view install clears the store.  So the store keeps one
@@ -242,22 +322,32 @@ private:
 /// Iteration is sender-major and seq-minor, which is exactly MsgRef order.
 class UnstableStore {
 public:
-    /// Keep a copy of `msg`.  After a sender's first message in the epoch,
-    /// each of its messages must continue the run: seq is one past the last
-    /// seq added, whatever stability has dropped since.
-    void add(const DataMsg& msg);
+    struct Held {
+        Bytes wire;  // the message's GCS frame
+        obs::SpanContext span;
+    };
+
+    /// Keep `wire`, which must be encode_gcs_message(msg).  After a
+    /// sender's first message in the epoch, each of its messages must
+    /// continue the run: seq is one past the last seq added, whatever
+    /// stability has dropped since.  Returns the message as held, valid
+    /// until the store next changes.
+    const Held& add(const DataMsg& msg, Bytes wire);
 
     /// The held message `ref`, or nullptr.
-    [[nodiscard]] const DataMsg* find(MsgRef ref) const;
+    [[nodiscard]] const Held* find(MsgRef ref) const;
 
     /// Drop `sender`'s messages below seq `floor`: they went stable.
     void erase_below(EndpointId sender, Seqno floor);
 
-    /// Visit every held message in (sender, seq) order.
+    /// Decode every held message and pass it to `fn`, in (sender, seq)
+    /// order.  Only the view-change paths walk the store.
     template <typename Fn>
     void for_each(Fn&& fn) const {
         for (const Stream& stream : streams_) {
-            for (std::size_t i = 0; i < stream.count; ++i) fn(stream.at(i));
+            for (std::size_t i = 0; i < stream.held.size(); ++i) {
+                fn(decode_data_message(stream.held[i].wire));
+            }
         }
     }
 
@@ -270,20 +360,9 @@ public:
 private:
     struct Stream {
         EndpointId member;
-        Seqno first{0};              // seq of the oldest held message
-        std::size_t head{0};         // slot holding `first`
-        std::size_t count{0};
-        /// The ring.  Its size is zero or a power of two and only grows,
-        /// so once it covers the sender's deepest run an add allocates no
-        /// slot, only the copy's own buffers.
-        std::vector<DataMsg> slots;
-
-        [[nodiscard]] const DataMsg& at(std::size_t i) const {
-            return slots[(head + i) & (slots.size() - 1)];
-        }
+        Seqno first{0};  // seq of the oldest held message
+        FifoRing<Held> held;
     };
-
-    static void grow(Stream& stream);
 
     std::vector<Stream> streams_;  // ascending member id
     std::size_t size_{0};
@@ -293,12 +372,12 @@ private:
 /// heard of and how many of the sender's stream messages are known to exist
 /// in it.  A flat vector sorted by (group, sender): a single note binary-
 /// searches, and merging a peer's snapshot, which is sorted the same way,
-/// walks forward through the table.
+/// is one forward walk through both.
 class KnowledgeTable {
 public:
     /// Raise (group, sender)'s entry: a later epoch replaces it, the same
     /// epoch keeps the larger count, an earlier epoch is ignored.
-    void note(const KnowledgeEntry& entry) { note_from(0, entry); }
+    void note(const KnowledgeEntry& entry);
 
     /// note() every entry of a peer's snapshot.  Entries out of
     /// (group, sender) order still land correctly, just more slowly.
@@ -308,9 +387,10 @@ public:
     [[nodiscard]] std::vector<KnowledgeEntry> snapshot(GroupId excluding) const;
 
 private:
-    /// note() searching only at or after index `from` when the entry sorts
-    /// after entries_[from - 1]; returns the index just past the entry.
-    std::size_t note_from(std::size_t from, const KnowledgeEntry& entry);
+    /// note() `entry` into entries_[at], the first entry not ordered before it.
+    void raise_at(std::size_t at, const KnowledgeEntry& entry);
+    /// Index of the first entry not ordered before `entry`.
+    [[nodiscard]] std::size_t lower_bound(const KnowledgeEntry& entry) const;
 
     std::vector<KnowledgeEntry> entries_;  // sorted and unique by (group, sender)
 };
@@ -327,7 +407,8 @@ public:
     /// Feed one FIFO-contiguous stream message or null from a member.
     /// Throws DecodeError for a peer's malformed order record.
     void on_data(DataMsg msg);
-    std::vector<DataMsg> take_deliverable();
+    /// Append the messages now deliverable to `out`, in delivery order.
+    void take_deliverable(std::vector<DataMsg>& out);
     [[nodiscard]] bool has_pending() const;
     [[nodiscard]] std::size_t pending_count() const;
     std::vector<DataMsg> drain_pending();

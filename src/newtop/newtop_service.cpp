@@ -83,7 +83,7 @@ NewTopService::NewTopService(Orb& orb, Directory& directory)
     directory_->register_nso(endpoint_.id(), management_ior_);
 
     endpoint_.set_deliver_handler(
-        [this](const GroupCommEndpoint::Delivery& d) { route_delivery(d); });
+        [this](GroupCommEndpoint::Delivery&& d) { route_delivery(std::move(d)); });
     endpoint_.set_view_handler(
         [this](const GroupCommEndpoint::ViewChangeEvent& e) { route_view_change(e); });
     endpoint_.set_removed_handler([this](GroupId g) { route_removed(g); });
@@ -140,9 +140,10 @@ PeerGroup NewTopService::join_peer_group(const std::string& name, const GroupCon
 
 // -- routing ----------------------------------------------------------------------
 
-void NewTopService::route_delivery(const GroupCommEndpoint::Delivery& delivery) {
+void NewTopService::route_delivery(GroupCommEndpoint::Delivery&& delivery) {
     if (const auto peer = peers_.find(delivery.group); peer != peers_.end()) {
-        peer->second.handler(PeerMessage{delivery.group, delivery.sender, delivery.payload});
+        peer->second.handler(
+            PeerMessage{delivery.group, delivery.sender, std::move(delivery.payload)});
         return;
     }
     invocation_.on_deliver(delivery);

@@ -177,7 +177,9 @@ public:
 private:
     class ManagementServant;
 
-    void route_delivery(const GroupCommEndpoint::Delivery& delivery);
+    /// Hand a delivery to its peer-group handler (the payload moves into
+    /// the PeerMessage) or to the invocation layer.
+    void route_delivery(GroupCommEndpoint::Delivery&& delivery);
     void route_view_change(const GroupCommEndpoint::ViewChangeEvent& event);
     void route_removed(GroupId group);
     Bytes handle_management(std::uint32_t method, BytesView args);

@@ -1,5 +1,6 @@
 #include "orb/orb.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/calibration.hpp"
@@ -60,14 +61,16 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
     if (process_defunct()) return OrbCallId(0);
     invocations_.add();
     const std::uint64_t request_id = next_request_id_++;
-    Pending pending{std::move(handler), 0};
+    Pending pending{request_id, std::move(handler), 0};
     if (timeout > 0) {
         pending.timer = scheduler().schedule_after(timeout, [this, request_id] {
-            if (pending_.contains(request_id)) call_timeouts_.add();
+            if (find_call(request_id) != nullptr) call_timeouts_.add();
             complete(request_id, ReplyStatus::kTimeout, Bytes{});
         });
     }
-    pending_.emplace(request_id, std::move(pending));
+    // Ids ascend, so appending keeps the table sorted.
+    calls_.push_back(std::move(pending));
+    ++live_calls_;
 
     Bytes wire = encode_request(request_id, /*oneway=*/false, target.key, method, args);
     Node& self = network_->node(node_);
@@ -90,10 +93,28 @@ void Orb::invoke_oneway(const Ior& target, std::uint32_t method, const Bytes& ar
 }
 
 void Orb::cancel(OrbCallId id) {
-    auto it = pending_.find(id.value());
-    if (it == pending_.end()) return;
-    scheduler().cancel(it->second.timer);
-    pending_.erase(it);
+    if (Pending* call = find_call(id.value())) finish(*call);
+}
+
+Orb::Pending* Orb::find_call(std::uint64_t request_id) {
+    const auto it = std::lower_bound(
+        calls_.begin(), calls_.end(), request_id,
+        [](const Pending& call, std::uint64_t id) { return call.request_id < id; });
+    if (it == calls_.end() || it->request_id != request_id || !it->handler) return nullptr;
+    return &*it;
+}
+
+ReplyHandler Orb::finish(Pending& call) {
+    scheduler().cancel(call.timer);
+    ReplyHandler handler = std::move(call.handler);
+    call.handler = nullptr;
+    --live_calls_;
+    const std::size_t finished = calls_.size() - live_calls_;
+    if (finished > live_calls_ && finished >= kCompactFloor) {
+        // Order-preserving, so the table stays sorted by request id.
+        std::erase_if(calls_, [](const Pending& c) { return !c.handler; });
+    }
+    return handler;
 }
 
 void Orb::on_message(NodeId from, Bytes payload) {
@@ -196,7 +217,7 @@ void Orb::handle_reply(Decoder& d) {
         throw DecodeError("invalid reply status");
     }
     Bytes payload = d.get_blob();
-    if (pending_.find(request_id) == pending_.end()) return;  // late or duplicate reply
+    if (find_call(request_id) == nullptr) return;  // late or duplicate reply
     replies_received_.add();
 
     Node& self = network_->node(node_);
@@ -208,11 +229,11 @@ void Orb::handle_reply(Decoder& d) {
 }
 
 void Orb::complete(std::uint64_t request_id, ReplyStatus status, const Bytes& payload) {
-    auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;  // cancelled or already completed
-    ReplyHandler handler = std::move(it->second.handler);
-    scheduler().cancel(it->second.timer);
-    pending_.erase(it);
+    Pending* call = find_call(request_id);
+    if (call == nullptr) return;  // cancelled or already completed
+    // The handler runs after finish(): it may invoke again, which can
+    // reallocate the table.
+    ReplyHandler handler = finish(*call);
     // A dead process runs no completion handlers; the entry is still
     // reaped above so a timeout timer from a previous life cannot leak it.
     if (process_defunct()) return;

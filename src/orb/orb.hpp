@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "net/network.hpp"
 #include "orb/ior.hpp"
@@ -82,11 +82,32 @@ public:
     void invoke_group(const Iogr& group, std::uint32_t method, Bytes args,
                       ReplyHandler handler, SimDuration per_member_timeout);
 
+    // -- Diagnostics (tests) --------------------------------------------------
+
+    /// Two-way calls awaiting their reply, timeout or cancel.
+    [[nodiscard]] std::size_t pending_calls() const { return live_calls_; }
+    /// Entries in the call table, finished ones not yet dropped included.
+    [[nodiscard]] std::size_t call_table_size() const { return calls_.size(); }
+
+    /// The call table never drops finished entries while it holds fewer.
+    static constexpr std::size_t kCompactFloor = 64;
+
 private:
+    /// One two-way call.  An empty handler marks a finished (completed,
+    /// timed out or cancelled) call whose entry has not been dropped yet.
     struct Pending {
+        std::uint64_t request_id{0};
         ReplyHandler handler;
         TimerId timer{0};
     };
+
+    /// The unfinished call `request_id`, or nullptr.
+    Pending* find_call(std::uint64_t request_id);
+    /// Mark `call` finished: cancel its timer and empty its handler, which
+    /// is returned.  Drops every finished entry in one pass once they
+    /// outnumber the unfinished ones (and the floor), so no completion
+    /// shifts the table.
+    ReplyHandler finish(Pending& call);
 
     void on_message(NodeId from, Bytes payload);
     void handle_request(NodeId from, Decoder& d, Bytes wire);
@@ -114,9 +135,11 @@ private:
     /// state request/reply path allocates nothing.
     EncodeArena arena_;
     std::uint64_t next_request_id_{1};
-    // Ordered by request id so iteration (timeout sweeps, drain-on-shutdown)
-    // can never leak hash-table layout into completion or trace order.
-    std::map<std::uint64_t, Pending> pending_;
+    /// The call table, in ascending request id: ids are issued in order, so
+    /// invoke() appends and a lookup is a binary search.  Never iterated in
+    /// any order that reaches completion or the trace.
+    std::vector<Pending> calls_;
+    std::size_t live_calls_{0};
 };
 
 }  // namespace newtop

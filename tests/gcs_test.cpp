@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -673,6 +674,74 @@ TEST_F(LanGcs, StabilityPrunesUnstableStore) {
     EXPECT_EQ(world.ep(b).group_stats(g).unstable, 0u);
 }
 
+/// The GCS frame an ORB request carries to an endpoint servant, or nullopt
+/// for anything else (replies, other methods).
+std::optional<Bytes> gcs_frame(const Bytes& orb_wire) {
+    Decoder d(orb_wire);
+    if (d.get_u8() != 1) return std::nullopt;  // not a request
+    d.get_u64();                               // request id
+    d.get_bool();                              // oneway
+    ObjectKey key;
+    decode(d, key);
+    if (d.get_u32() != kGcsDeliverMethod) return std::nullopt;
+    const BytesView args = d.get_blob_view();
+    return Bytes(args.begin(), args.end());
+}
+
+// An own message is held for retransmission as it was before the
+// cross-group knowledge and the causal vector were attached, and a NACK
+// gets exactly those bytes back.  The original multicast carries both
+// fields; the retransmit is the encoding of the same message without them.
+TEST_F(LanGcs, NackRetransmitsOwnMessageAsHeldBeforeKnowledge) {
+    const auto a = world.add_endpoint(SiteId(0));
+    const auto b = world.add_endpoint(SiteId(0));
+    const GroupId other = world.ep(a).create_group("other", config_for(OrderMode::kTotalSymmetric));
+    const GroupId causal = world.ep(a).create_group("causal", config_for(OrderMode::kCausal));
+    world.ep(b).join_group("other");
+    world.ep(b).join_group("causal");
+    world.run_for(500_ms);
+    ASSERT_TRUE(world.ep(b).is_member(other));
+    ASSERT_TRUE(world.ep(b).is_member(causal));
+    // B speaks in `other`, so A's next send in `causal` carries knowledge of it.
+    world.ep(b).multicast(other, payload_of("from-b"));
+    world.run_for(100_ms);
+    ASSERT_EQ(world.log_of(a, other), std::vector<std::string>{"from-b"});
+
+    // From here on B's node hands A's application frames in `causal` to the test.
+    std::vector<Bytes> frames;
+    const EndpointId sender = world.ep(a).id();
+    world.net.node(world.orbs[b]->node_id()).set_receiver([&](NodeId, Bytes wire) {
+        const std::optional<Bytes> frame = gcs_frame(wire);
+        if (!frame) return;
+        const GcsMessage msg = decode_gcs_message(*frame);
+        const DataMsg* data = std::get_if<DataMsg>(&msg);
+        if (data != nullptr && data->group == causal && data->sender == sender &&
+            data->kind == DataKind::kApplication) {
+            frames.push_back(*frame);
+        }
+    });
+    world.ep(a).multicast(causal, payload_of("from-a"));
+    world.run_for(20_ms);
+    ASSERT_EQ(frames.size(), 1u);
+    const DataMsg original = decode_data_message(frames[0]);
+    EXPECT_FALSE(original.knowledge.empty());
+    EXPECT_FALSE(original.causal_vc.empty());
+
+    // B asks for it again.
+    const NackMsg nack{causal, world.ep(a).current_view(causal)->epoch, world.ep(b).id(),
+                       {original.seq}};
+    world.orbs[b]->invoke(world.ep(a).service_ior(), kGcsDeliverMethod,
+                          encode_gcs_message(GcsMessage{nack}), [](ReplyStatus, const Bytes&) {},
+                          1_s);
+    world.run_for(20_ms);
+    ASSERT_EQ(frames.size(), 2u);
+    DataMsg held = original;
+    held.knowledge.clear();
+    held.causal_vc.clear();
+    EXPECT_EQ(frames[1], encode_gcs_message(GcsMessage{held}));
+    EXPECT_EQ(world.net.metrics().counter(obs::metric::kGcsRetransmits), 1u);
+}
+
 // -- wire format ---------------------------------------------------------------------
 
 TEST(GcsMessages, DataMsgRoundTrips) {
@@ -737,6 +806,25 @@ TEST(GcsMessages, AllVariantsRoundTrip) {
 TEST(GcsMessages, GarbageRejected) {
     EXPECT_THROW(decode_gcs_message(Bytes{99}), DecodeError);
     EXPECT_THROW(decode_gcs_message(Bytes{}), DecodeError);
+}
+
+TEST(GcsMessages, DataFrameIsTheVariantFrame) {
+    DataMsg m;
+    m.group = GroupId(3);
+    m.sender = EndpointId(2);
+    m.seq = 5;
+    m.knowledge = {KnowledgeEntry{GroupId(1), 2, EndpointId(4), 7}};
+    m.payload = payload_of("frame");
+    m.batch = {payload_of("more")};
+    m.causal_vc = {{EndpointId(2), 1}};
+    const Bytes frame = encode_gcs_message(m);
+    EXPECT_EQ(frame, encode_gcs_message(GcsMessage{m}));
+    EXPECT_EQ(encode_gcs_message(decode_data_message(frame)), frame);
+    // Any other message, or a frame with bytes after the message, is refused.
+    EXPECT_THROW(decode_data_message(encode_gcs_message(GcsMessage{LeaveReq{}})), DecodeError);
+    Bytes trailing = frame;
+    trailing.push_back(0);
+    EXPECT_THROW(decode_data_message(trailing), DecodeError);
 }
 
 TEST(GcsMessages, DataMsgBatchRoundTrips) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "net/calibration.hpp"
+#include "obs/names.hpp"
 #include "orb/orb.hpp"
 #include "util/check.hpp"
 
@@ -153,6 +154,84 @@ TEST_F(OrbFixture, CancelSuppressesHandler) {
     scheduler.run();
     EXPECT_FALSE(ran);
     EXPECT_EQ(servant->calls, 1);  // server still executed the request
+}
+
+// -- the call table ----------------------------------------------------------
+
+TEST_F(OrbFixture, CallsCompleteOutOfOrderAndCancelLeavesTheRestAlone) {
+    const NodeId dead_node = net.add_node(SiteId(0));
+    Orb dead(net, dead_node);
+    const Ior dead_target = dead.adapter().activate(std::make_shared<TestServant>(), "Test");
+    net.crash(dead_node);
+
+    std::vector<std::pair<int, ReplyStatus>> done;
+    auto record = [&done](int call) {
+        return [&done, call](ReplyStatus s, const Bytes&) { done.emplace_back(call, s); };
+    };
+    client.invoke(dead_target, kEcho, Bytes{}, record(1), 50_ms);
+    client.invoke(target, kEcho, Bytes{}, record(2), 1_s);
+    const OrbCallId third = client.invoke(target, kEcho, Bytes{}, record(3), 1_s);
+    client.invoke(dead_target, kEcho, Bytes{}, record(4), 20_ms);
+    client.invoke(target, kEcho, Bytes{}, record(5), 1_s);
+    EXPECT_EQ(client.pending_calls(), 5u);
+    client.cancel(third);
+    client.cancel(third);  // already gone: no effect
+    EXPECT_EQ(client.pending_calls(), 4u);
+    scheduler.run();
+    const std::vector<std::pair<int, ReplyStatus>> expected = {{2, ReplyStatus::kOk},
+                                                               {5, ReplyStatus::kOk},
+                                                               {4, ReplyStatus::kTimeout},
+                                                               {1, ReplyStatus::kTimeout}};
+    EXPECT_EQ(done, expected);
+    EXPECT_EQ(client.pending_calls(), 0u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kOrbCallTimeouts), 2u);
+}
+
+TEST_F(OrbFixture, ReplyAfterTimeoutChargesNoCpu) {
+    int completions = 0;
+    client.invoke(target, kEcho, Bytes(64, 7), [&](ReplyStatus s, const Bytes&) {
+        ++completions;
+        EXPECT_EQ(s, ReplyStatus::kTimeout);
+    }, 1);
+    // Run until the server has executed the request: the client's
+    // marshalling is done, and the reply is not back yet.
+    while (servant->calls == 0) ASSERT_TRUE(scheduler.step());
+    ASSERT_EQ(completions, 1);
+    const SimDuration charged = net.node(client_node).cpu().consumed();
+    scheduler.run();
+    EXPECT_EQ(completions, 1);
+    EXPECT_EQ(net.node(client_node).cpu().consumed(), charged);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kOrbRepliesReceived), 0u);
+}
+
+// Calls to a crashed peer sit at the front of the table until they time
+// out, in id order.  Finished entries are dropped in bulk once they
+// outnumber the unfinished ones, so the table stays within twice the calls
+// in flight (plus the floor), and each compaction scans no more entries
+// than twice the calls finished since the previous one: linear in total.
+TEST_F(OrbFixture, ManyCallsToACrashedPeerTimeOutWithABoundedTable) {
+    net.crash(server_node);
+    constexpr std::size_t kCalls = 10'000;
+    std::size_t timeouts = 0;
+    std::size_t previous_size = kCalls;
+    std::size_t scanned = 0;  // entries the compactions walked
+    bool bounded = true;
+    for (std::size_t i = 0; i < kCalls; ++i) {
+        client.invoke(target, kEcho, Bytes{}, [&](ReplyStatus s, const Bytes&) {
+            if (s == ReplyStatus::kTimeout) ++timeouts;
+            const std::size_t size = client.call_table_size();
+            bounded = bounded && size <= 2 * client.pending_calls() + Orb::kCompactFloor;
+            if (size < previous_size) scanned += previous_size;
+            previous_size = size;
+        }, 60_s);
+    }
+    EXPECT_EQ(client.call_table_size(), kCalls);
+    scheduler.run();
+    EXPECT_EQ(timeouts, kCalls);
+    EXPECT_TRUE(bounded);
+    EXPECT_LE(scanned, 2 * kCalls);
+    EXPECT_EQ(client.pending_calls(), 0u);
+    EXPECT_LT(client.call_table_size(), Orb::kCompactFloor);
 }
 
 TEST_F(OrbFixture, OnewayExecutesWithoutReply) {

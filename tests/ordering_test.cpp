@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -28,6 +30,14 @@ DataMsg data(EndpointId sender, Seqno seq, Lamport ts,
     return m;
 }
 
+/// Everything `engine` can deliver now, through its appending form.
+template <typename Engine>
+std::vector<DataMsg> deliverable(Engine& engine) {
+    std::vector<DataMsg> out;
+    engine.take_deliverable(out);
+    return out;
+}
+
 std::vector<std::pair<Lamport, EndpointId>> keys(const std::vector<DataMsg>& msgs) {
     std::vector<std::pair<Lamport, EndpointId>> out;
     for (const auto& m : msgs) out.emplace_back(m.ts, m.sender);
@@ -42,13 +52,13 @@ TEST(SymmetricOrder, HoldsUntilAllMembersHeardFrom) {
     SymmetricOrder order;
     order.reset({kA, kB, kC});
     order.on_data(data(kA, 0, 5));
-    EXPECT_TRUE(order.take_deliverable().empty());  // B and C silent
+    EXPECT_TRUE(deliverable(order).empty());  // B and C silent
     order.on_data(data(kB, 0, 7));
-    EXPECT_TRUE(order.take_deliverable().empty());  // C still silent
+    EXPECT_TRUE(deliverable(order).empty());  // C still silent
     order.on_data(data(kC, 0, 6, DataKind::kNull));
     // Now everyone has spoken past ts 5: A's message releases; B's (ts 7)
     // still waits on C (only heard ts 6) and A.
-    const auto batch = order.take_deliverable();
+    const auto batch = deliverable(order);
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0].sender, kA);
 }
@@ -61,7 +71,7 @@ TEST(SymmetricOrder, DeliversInTimestampOrderRegardlessOfArrival) {
     order.on_data(data(kC, 0, 12));
     order.on_data(data(kA, 1, 13, DataKind::kNull));
     order.on_data(data(kB, 1, 14, DataKind::kNull));
-    const auto batch = order.take_deliverable();
+    const auto batch = deliverable(order);
     EXPECT_EQ(keys(batch), (std::vector<std::pair<Lamport, EndpointId>>{{3, kA}, {9, kB}, {12, kC}}));
 }
 
@@ -70,7 +80,7 @@ TEST(SymmetricOrder, TimestampTieBrokenBySenderId) {
     order.reset({kA, kB});
     order.on_data(data(kB, 0, 5));
     order.on_data(data(kA, 0, 5));
-    const auto batch = order.take_deliverable();
+    const auto batch = deliverable(order);
     EXPECT_EQ(keys(batch), (std::vector<std::pair<Lamport, EndpointId>>{{5, kA}, {5, kB}}));
 }
 
@@ -79,7 +89,7 @@ TEST(SymmetricOrder, NullsAdvanceOrderButAreNotDelivered) {
     order.reset({kA, kB});
     order.on_data(data(kA, 0, 1));
     order.on_data(data(kB, 0, 2, DataKind::kNull));
-    const auto batch = order.take_deliverable();
+    const auto batch = deliverable(order);
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0].sender, kA);
     EXPECT_FALSE(order.has_pending());
@@ -89,7 +99,7 @@ TEST(SymmetricOrder, SingleMemberDeliversImmediately) {
     SymmetricOrder order;
     order.reset({kA});
     order.on_data(data(kA, 0, 1));
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
 }
 
 TEST(SymmetricOrder, RejectsNonMember) {
@@ -140,7 +150,7 @@ TEST(SymmetricOrder, AgreementProperty) {
                 if (ready.empty()) break;
                 const auto i = ready[pick.next_in(0, ready.size() - 1)];
                 order.on_data(by_sender[i][cursor[i]++]);
-                for (const auto& d : order.take_deliverable()) {
+                for (const auto& d : deliverable(order)) {
                     delivered.emplace_back(d.ts, d.sender);
                 }
             }
@@ -174,20 +184,20 @@ TEST(SequencerOrder, SequencerAssignsAndDeliversImmediately) {
     EXPECT_EQ(to_send->first_order, 0u);
     ASSERT_EQ(to_send->refs.size(), 1u);
     EXPECT_EQ(to_send->refs[0], (MsgRef{kB, 0}));
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
 }
 
 TEST(SequencerOrder, NonSequencerWaitsForOrderRecord) {
     SequencerOrder order;
     order.reset({kA, kB}, kB);
     order.on_data(data(kB, 0, 1));
-    EXPECT_TRUE(order.take_deliverable().empty());
+    EXPECT_TRUE(deliverable(order).empty());
     EXPECT_FALSE(order.take_order_to_send().has_value());
     OrderRecord om;
     om.first_order = 0;
     om.refs = {MsgRef{kB, 0}};
     order.on_order(om);
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
 }
 
 TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
@@ -199,7 +209,7 @@ TEST(SequencerOrder, DeliveryFollowsAssignmentNotArrival) {
     om.first_order = 0;
     om.refs = {MsgRef{kB, 0}, MsgRef{kC, 0}};  // sequencer saw B first
     order.on_order(om);
-    const auto batch = order.take_deliverable();
+    const auto batch = deliverable(order);
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_EQ(batch[0].sender, kB);
     EXPECT_EQ(batch[1].sender, kC);
@@ -212,9 +222,9 @@ TEST(SequencerOrder, OrderRecordBeforeDataHolds) {
     om.first_order = 0;
     om.refs = {MsgRef{kA, 0}};
     order.on_order(om);
-    EXPECT_TRUE(order.take_deliverable().empty());
+    EXPECT_TRUE(deliverable(order).empty());
     order.on_data(data(kA, 0, 3));
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
 }
 
 TEST(SequencerOrder, NullsBypassOrdering) {
@@ -222,7 +232,7 @@ TEST(SequencerOrder, NullsBypassOrdering) {
     order.reset({kA, kB}, kA);
     order.on_data(data(kB, 0, 1, DataKind::kNull));
     EXPECT_FALSE(order.take_order_to_send().has_value());
-    EXPECT_TRUE(order.take_deliverable().empty());
+    EXPECT_TRUE(deliverable(order).empty());
     EXPECT_FALSE(order.has_pending());
 }
 
@@ -239,12 +249,12 @@ TEST(SequencerOrder, RetransmittedDataDoesNotGetASecondOrderSlot) {
     const auto first = order.take_order_to_send();
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->refs.size(), 1u);
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
 
     // The next message must deliver; with the duplicate slot it stalls.
     order.on_data(data(kB, 1, 2));
     EXPECT_TRUE(order.take_order_to_send().has_value());
-    ASSERT_EQ(order.take_deliverable().size(), 1u);
+    ASSERT_EQ(deliverable(order).size(), 1u);
     EXPECT_FALSE(order.has_pending());
 }
 
@@ -253,11 +263,11 @@ TEST(SequencerOrder, DuplicateOfDeliveredDataIsIgnored) {
     order.reset({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     order.take_order_to_send();
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
     // The duplicate arrives after delivery (late retransmission).
     order.on_data(data(kB, 0, 1));
     EXPECT_FALSE(order.take_order_to_send().has_value());
-    EXPECT_TRUE(order.take_deliverable().empty());
+    EXPECT_TRUE(deliverable(order).empty());
     EXPECT_FALSE(order.has_pending());
 }
 
@@ -266,7 +276,7 @@ TEST(SequencerOrder, AssignmentLogKeepsDeliveredEntries) {
     order.reset({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
     order.take_order_to_send();
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
     EXPECT_EQ(order.assignment_log().size(), 1u);
 }
 
@@ -281,10 +291,10 @@ TEST(SequencerOrder, UnsentAssignmentsNeitherDeliverNorReachTheLog) {
     SequencerOrder order;
     order.reset({kA, kB}, kA);
     order.on_data(data(kB, 0, 1));
-    EXPECT_TRUE(order.take_deliverable().empty());
+    EXPECT_TRUE(deliverable(order).empty());
     EXPECT_TRUE(order.assignment_log().empty());
     order.take_order_to_send();
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
     EXPECT_EQ(order.assignment_log().size(), 1u);
 }
 
@@ -317,7 +327,7 @@ TEST(SequencerOrder, PendingCountCoversDisjointSets) {
     // Once the assignment's data arrives and delivers, only the unordered
     // data message remains pending.
     order.on_data(data(kB, 7, 2));
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
     EXPECT_EQ(order.pending_count(), 1u);
 }
 
@@ -334,9 +344,9 @@ TEST(CausalOrder, IndependentMessagesDeliverOnArrival) {
     CausalOrder order;
     order.reset({kA, kB});
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kB, 0}}));
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
     order.on_data(causal_data(kB, 0, {{kA, 0}, {kB, 0}}));
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
 }
 
 TEST(CausalOrder, DependentMessageWaitsForItsCause) {
@@ -344,9 +354,9 @@ TEST(CausalOrder, DependentMessageWaitsForItsCause) {
     order.reset({kA, kB, kC});
     // B's message depends on having delivered one message from A.
     order.on_data(causal_data(kB, 0, {{kA, 1}, {kB, 0}, {kC, 0}}));
-    EXPECT_TRUE(order.take_deliverable().empty());
+    EXPECT_TRUE(deliverable(order).empty());
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kB, 0}, {kC, 0}}));
-    const auto batch = order.take_deliverable();
+    const auto batch = deliverable(order);
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_EQ(batch[0].sender, kA);
     EXPECT_EQ(batch[1].sender, kB);
@@ -357,16 +367,16 @@ TEST(CausalOrder, ChainUnblocksTransitively) {
     order.reset({kA, kB, kC});
     order.on_data(causal_data(kC, 0, {{kA, 1}, {kB, 1}, {kC, 0}}));
     order.on_data(causal_data(kB, 0, {{kA, 1}, {kB, 0}, {kC, 0}}));
-    EXPECT_TRUE(order.take_deliverable().empty());
+    EXPECT_TRUE(deliverable(order).empty());
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kB, 0}, {kC, 0}}));
-    EXPECT_EQ(order.take_deliverable().size(), 3u);
+    EXPECT_EQ(deliverable(order).size(), 3u);
 }
 
 TEST(CausalOrder, DeliveredVectorTracksCounts) {
     CausalOrder order;
     order.reset({kA, kB});
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kB, 0}}));
-    order.take_deliverable();
+    deliverable(order);
     const auto vc = order.delivered_vector();
     ASSERT_EQ(vc.size(), 2u);
     EXPECT_EQ(vc[0], (std::pair{kA, Seqno{1}}));
@@ -377,7 +387,7 @@ TEST(CausalOrder, DependencyOnDepartedMemberIgnored) {
     CausalOrder order;
     order.reset({kA, kB});  // kC not a member
     order.on_data(causal_data(kA, 0, {{kA, 0}, {kC, 5}}));
-    EXPECT_EQ(order.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(order).size(), 1u);
 }
 
 // -- OrderingEngine -------------------------------------------------------------
@@ -398,7 +408,7 @@ TEST(OrderingEngine, SymmetricAnswersNeutrallyToOtherModesQueries) {
     EXPECT_EQ(engine.fresh_count(), 0u);
     EXPECT_FALSE(engine.take_order_to_send().has_value());
     engine.on_data(data(kB, 0, 5, DataKind::kNull));  // nulls advance the order
-    EXPECT_EQ(engine.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(engine).size(), 1u);
     EXPECT_FALSE(engine.has_pending());
     EXPECT_FALSE(engine.symmetric_head().has_value());
 }
@@ -417,7 +427,7 @@ TEST(OrderingEngine, SequencerAnswersNeutrallyToOtherModesQueries) {
     EXPECT_EQ(record->refs, (std::vector<MsgRef>{MsgRef{kB, 0}}));
     EXPECT_EQ(engine.flush_orders(),
               (std::vector<std::pair<std::uint64_t, MsgRef>>{{0, MsgRef{kB, 0}}}));
-    EXPECT_EQ(engine.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(engine).size(), 1u);
     EXPECT_EQ(engine.pending_count(), 0u);
 }
 
@@ -455,7 +465,7 @@ TEST(OrderingEngine, SequencerAppliesPeerOrderRecordsAndSkipsItsOwn) {
     OrderingEngine member(OrderMode::kTotalAsymmetric, {kA, kB}, kB);
     member.on_data(data(kB, 0, 1));
     member.on_data(order_record(kA, 0, OrderRecord{0, {MsgRef{kB, 0}}}));
-    EXPECT_EQ(member.take_deliverable().size(), 1u);
+    EXPECT_EQ(deliverable(member).size(), 1u);
 
     DataMsg garbled = order_record(kA, 1, OrderRecord{1, {}});
     garbled.payload.push_back(0);  // trailing byte
@@ -722,7 +732,7 @@ TEST(FifoEngines, SymmetricMatchesMapReference) {
                 order.on_data(feed[i]);
                 reference.on_data(feed[i]);
                 if (rng.next_bool(0.6)) {
-                    ASSERT_EQ(observed(order.take_deliverable()),
+                    ASSERT_EQ(observed(deliverable(order)),
                               observed(reference.take_deliverable()))
                         << "seed " << seed << " step " << i;
                 }
@@ -735,7 +745,7 @@ TEST(FifoEngines, SymmetricMatchesMapReference) {
                     << "seed " << seed;
                 ASSERT_FALSE(order.has_pending());
             } else {
-                ASSERT_EQ(observed(order.take_deliverable()),
+                ASSERT_EQ(observed(deliverable(order)),
                           observed(reference.take_deliverable()))
                     << "seed " << seed;
             }
@@ -801,7 +811,7 @@ TEST(FifoEngines, SequencerMatchesMapReference) {
                     }
                 }
                 if (rng.next_bool(0.6)) {
-                    ASSERT_EQ(observed(order.take_deliverable()),
+                    ASSERT_EQ(observed(deliverable(order)),
                               observed(reference.take_deliverable()))
                         << "seed " << seed << " step " << i;
                 }
@@ -816,7 +826,7 @@ TEST(FifoEngines, SequencerMatchesMapReference) {
                     << "seed " << seed;
                 ASSERT_FALSE(order.has_pending());
             } else {
-                ASSERT_EQ(observed(order.take_deliverable()),
+                ASSERT_EQ(observed(deliverable(order)),
                           observed(reference.take_deliverable()))
                     << "seed " << seed;
             }
@@ -824,7 +834,100 @@ TEST(FifoEngines, SequencerMatchesMapReference) {
     }
 }
 
+// -- FifoRing against std::deque ---------------------------------------------
+
+/// An element whose move leaves the source holding its buffer, as a copy
+/// would.  So a slot lets go of a popped element's buffer only if the ring
+/// resets it, which the buffer's expiry shows.
+struct Sticky {
+    std::shared_ptr<std::uint64_t> buffer;
+
+    Sticky() = default;
+    explicit Sticky(std::uint64_t value) : buffer(std::make_shared<std::uint64_t>(value)) {}
+    Sticky(const Sticky&) = default;
+    Sticky(Sticky&& other) noexcept : buffer(other.buffer) {}
+    Sticky& operator=(const Sticky&) = default;
+    Sticky& operator=(Sticky&& other) noexcept {
+        buffer = other.buffer;
+        return *this;
+    }
+    ~Sticky() = default;
+};
+
+// Random pushes, pops, indexed reads and clears against a deque.  The model
+// also tracks the ring's head slot, so the test can tell that the runs grow
+// the ring while it is wrapped, not only when its oldest element sits in
+// slot 0.
+TEST(FifoRing, MatchesDequeReference) {
+    std::size_t wrapped_growths = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        Rng rng(seed);
+        FifoRing<Sticky> ring;
+        std::deque<std::uint64_t> reference;
+        std::vector<std::weak_ptr<std::uint64_t>> gone;  // buffers of elements that left
+        std::size_t head = 0;  // the ring's head slot, modelled
+        std::uint64_t next = 0;
+        const double push_bias = 0.35 + 0.3 * rng.next_double();
+        const std::uint64_t steps = rng.next_in(50, 400);
+        for (std::uint64_t step = 0; step < steps; ++step) {
+            const std::uint64_t action = rng.next_in(0, 99);
+            if (action < 3) {
+                for (std::size_t i = 0; i < ring.size(); ++i) gone.push_back(ring[i].buffer);
+                const std::size_t capacity = ring.capacity();
+                ring.clear();
+                reference.clear();
+                head = 0;
+                ASSERT_EQ(ring.capacity(), capacity) << "seed " << seed;  // clear keeps it
+            } else if (rng.next_bool(push_bias) || reference.empty()) {
+                const std::size_t capacity = ring.capacity();
+                if (ring.size() == capacity && head != 0) ++wrapped_growths;
+                ring.push(Sticky(next));
+                reference.push_back(next++);
+                if (ring.capacity() != capacity) {
+                    ASSERT_EQ(ring.capacity(), std::max<std::size_t>(4, 2 * capacity))
+                        << "seed " << seed;
+                    head = 0;
+                }
+            } else {
+                const std::size_t capacity = ring.capacity();
+                Sticky popped = ring.pop_front();
+                ASSERT_EQ(*popped.buffer, reference.front()) << "seed " << seed;
+                reference.pop_front();
+                gone.push_back(popped.buffer);
+                head = (head + 1) % capacity;
+            }
+            ASSERT_EQ(ring.size(), reference.size()) << "seed " << seed << " step " << step;
+            ASSERT_EQ(ring.empty(), reference.empty()) << "seed " << seed;
+            if (!reference.empty()) {
+                const std::size_t i = rng.next_in(0, reference.size() - 1);
+                ASSERT_EQ(*ring[i].buffer, reference[i]) << "seed " << seed << " step " << step;
+                ASSERT_EQ(*ring.front().buffer, reference.front()) << "seed " << seed;
+            }
+            // No slot keeps the buffer of an element that left the ring.
+            for (const auto& buffer : gone) {
+                ASSERT_TRUE(buffer.expired()) << "seed " << seed << " step " << step;
+            }
+            gone.clear();
+        }
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+            ASSERT_EQ(*ring[i].buffer, reference[i]) << "seed " << seed;
+        }
+    }
+    EXPECT_GT(wrapped_growths, 0u);
+}
+
+TEST(FifoRing, PopFromEmptyIsRejected) {
+    FifoRing<int> ring;
+    EXPECT_THROW(ring.pop_front(), PreconditionError);
+    ring.push(1);
+    EXPECT_EQ(ring.pop_front(), 1);
+    EXPECT_THROW(ring.pop_front(), PreconditionError);
+}
+
 // -- UnstableStore against the map it replaced ------------------------------
+
+/// Hold `m` as the endpoint does: with its frame.
+void hold(UnstableStore& store, const DataMsg& m) { store.add(m, encode_gcs_message(m)); }
 
 /// Every held message as (ref, wire bytes), in iteration order.
 std::vector<std::pair<MsgRef, Bytes>> held(const UnstableStore& store) {
@@ -846,6 +949,7 @@ std::vector<std::pair<MsgRef, Bytes>> held(const std::map<MsgRef, DataMsg>& refe
 // arrivals alike), stability drops with floors below, inside and past a
 // sender's run, lookups that hit and miss, and view-install clears, the
 // per-sender rings must iterate, find and count exactly as that map did.
+// A held frame is the reference message's encoding and decodes back to it.
 TEST(UnstableStore, MatchesMapReference) {
     for (std::uint64_t seed = 1; seed <= 300; ++seed) {
         Rng rng(seed);
@@ -865,7 +969,8 @@ TEST(UnstableStore, MatchesMapReference) {
                 if (action < 5) {
                     DataMsg m = data(sender, next++, step + 1);
                     m.batch.assign(rng.next_in(0, 2), Bytes(3, static_cast<std::uint8_t>(step)));
-                    store.add(m);
+                    m.span = obs::SpanContext{step + 1, rng.next_in(1, 1000)};
+                    hold(store, m);
                     reference.emplace(MsgRef{m.sender, m.seq}, m);
                 } else if (action < 7) {
                     // From 0 up to a few past the run's end.
@@ -875,13 +980,17 @@ TEST(UnstableStore, MatchesMapReference) {
                                     reference.lower_bound(MsgRef{sender, floor}));
                 } else {
                     const MsgRef ref{sender, rng.next_in(0, next + 1)};
-                    const DataMsg* found = store.find(ref);
+                    const UnstableStore::Held* found = store.find(ref);
                     const auto it = reference.find(ref);
                     ASSERT_EQ(found != nullptr, it != reference.end())
                         << "seed " << seed << " step " << step;
                     if (found != nullptr) {
-                        ASSERT_EQ(encode_to_bytes(*found), encode_to_bytes(it->second))
+                        ASSERT_EQ(found->wire, encode_gcs_message(it->second))
                             << "seed " << seed << " step " << step;
+                        ASSERT_EQ(encode_to_bytes(decode_data_message(found->wire)),
+                                  encode_to_bytes(it->second))
+                            << "seed " << seed << " step " << step;
+                        ASSERT_EQ(found->span, it->second.span) << "seed " << seed;
                     }
                 }
                 ASSERT_EQ(store.size(), reference.size()) << "seed " << seed << " step " << step;
@@ -914,7 +1023,7 @@ TEST(FifoInvariants, SequencerRejectsFeedOutOfSenderOrder) {
     order.on_data(data(kA, 1, 2));
     order.on_data(data(kA, 0, 1));  // below the high-water mark: taken for a duplicate
     order.on_order(OrderRecord{0, {MsgRef{kA, 0}, MsgRef{kA, 1}}});
-    EXPECT_THROW(order.take_deliverable(), PreconditionError);
+    EXPECT_THROW(deliverable(order), PreconditionError);
 }
 
 TEST(FifoInvariants, SequencerRejectsNonContiguousOrderRecords) {
@@ -928,17 +1037,17 @@ TEST(FifoInvariants, SequencerRejectsNonContiguousOrderRecords) {
 
 TEST(FifoInvariants, UnstableStoreRejectsNonContiguousAdd) {
     UnstableStore store;
-    store.add(data(kA, 0, 1));
-    EXPECT_THROW(store.add(data(kA, 2, 3)), PreconditionError);  // gap
-    EXPECT_THROW(store.add(data(kA, 0, 1)), PreconditionError);  // duplicate
-    store.add(data(kA, 1, 2));
+    hold(store, data(kA, 0, 1));
+    EXPECT_THROW(hold(store, data(kA, 2, 3)), PreconditionError);  // gap
+    EXPECT_THROW(hold(store, data(kA, 0, 1)), PreconditionError);  // duplicate
+    hold(store, data(kA, 1, 2));
     // A floor past the run empties it, but the run still ends at seq 2.
     store.erase_below(kA, 5);
     EXPECT_TRUE(store.empty());
-    EXPECT_THROW(store.add(data(kA, 5, 6)), PreconditionError);
-    EXPECT_NO_THROW(store.add(data(kA, 2, 3)));
+    EXPECT_THROW(hold(store, data(kA, 5, 6)), PreconditionError);
+    EXPECT_NO_THROW(hold(store, data(kA, 2, 3)));
     // Another sender's run starts wherever its first message is.
-    EXPECT_NO_THROW(store.add(data(kB, 4, 4)));
+    EXPECT_NO_THROW(hold(store, data(kB, 4, 4)));
     EXPECT_EQ(store.size(), 2u);
 }
 
