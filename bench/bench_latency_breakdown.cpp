@@ -59,45 +59,34 @@ RequestReplyResult run_config(const Config& config) {
     return RequestReplyBench::run(options);
 }
 
-void BM_LatencyBreakdown(benchmark::State& state) {
-    for (auto _ : state) {
-        Artifact artifact("latency_breakdown", 1);
-        bool all_reconciled = true;
-        for (const Config& config : kConfigs) {
-            const RequestReplyResult result = run_config(config);
-            const obs::ProfileReport& profile = result.profile;
-            ArtifactRow& row =
-                artifact.row(config.name)
-                    .lower("mean_latency_ms", result.mean_latency_ms)
-                    .higher("req_per_s", result.throughput_rps)
-                    .lower("unattributed", profile.unattributed)
-                    .info("setting", setting_name(config.setting))
-                    .info("order", config.order == OrderMode::kTotalSymmetric ? "symmetric"
-                                                                              : "asymmetric")
-                    .info("servers", config.servers)
-                    .info("mode", static_cast<int>(config.mode))
-                    .info("invocations", profile.invocations)
-                    .info("dominant", profile.dominant);
-            for (const std::string_view phase : obs::phase::kAll) {
-                const auto it = profile.phases.find(std::string(phase));
-                if (it == profile.phases.end()) continue;
-                const std::string prefix(phase);
-                row.lower(prefix + "_sum_us", it->second.sum_us)
-                    .lower(prefix + "_p50_us", it->second.p50_us)
-                    .lower(prefix + "_p90_us", it->second.p90_us)
-                    .lower(prefix + "_p99_us", it->second.p99_us);
-            }
-            artifact.check(std::string(config.name) + ".reconciled", profile.reconciled(),
-                           profile.to_text());
-            all_reconciled &= profile.reconciled();
-            state.counters[std::string(config.name) + "_ms"] = result.mean_latency_ms;
-        }
-        state.counters["reconciled"] = all_reconciled ? 1.0 : 0.0;
-        artifact.write();
-    }
-}
-BENCHMARK(BM_LatencyBreakdown)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+    Artifact artifact("latency_breakdown", 1);
+    for (const Config& config : kConfigs) {
+        const RequestReplyResult result = run_config(config);
+        const obs::ProfileReport& profile = result.profile;
+        ArtifactRow& row = artifact.row(config.name)
+                               .lower("mean_latency_ms", result.mean_latency_ms)
+                               .higher("req_per_s", result.throughput_rps)
+                               .lower("unattributed", profile.unattributed)
+                               .info("setting", setting_name(config.setting))
+                               .info("order", order_name(config.order))
+                               .info("servers", config.servers)
+                               .info("mode", static_cast<int>(config.mode))
+                               .info("invocations", profile.invocations)
+                               .info("dominant", profile.dominant);
+        for (const std::string_view phase : obs::phase::kAll) {
+            const auto it = profile.phases.find(std::string(phase));
+            if (it == profile.phases.end()) continue;
+            const std::string prefix(phase);
+            row.lower(prefix + "_sum_us", it->second.sum_us)
+                .lower(prefix + "_p50_us", it->second.p50_us)
+                .lower(prefix + "_p90_us", it->second.p90_us)
+                .lower(prefix + "_p99_us", it->second.p99_us);
+        }
+        artifact.check(std::string(config.name) + ".reconciled", profile.reconciled(),
+                       profile.to_text());
+    }
+    artifact.write();
+}

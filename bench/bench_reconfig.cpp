@@ -234,44 +234,29 @@ void add_row(Artifact& artifact, const char* name, const PhaseStats& stats) {
         .info("calls", stats.calls);
 }
 
-void BM_Reconfig(benchmark::State& state) {
-    for (auto _ : state) {
-        const ReconfigResult result = run_reconfig(1);
-
-        Artifact artifact("reconfig", 1);
-        add_row(artifact, "steady_symmetric", result.symmetric);
-        add_row(artifact, "through_switch", result.through);
-        add_row(artifact, "steady_asymmetric", result.asymmetric);
-        artifact.row("switch")
-            .lower("mean_install_lag_us", result.mean_install_lag)
-            .lower("max_install_lag_us", result.max_install_lag)
-            .lower("lost", result.lost)
-            .lower("incomplete", result.incomplete)
-            .info("episodes", result.episodes.size())
-            .info("switches", result.reconfig_switches);
-        const std::string counts = "lost=" + std::to_string(result.lost) +
-                                   " incomplete=" + std::to_string(result.incomplete) +
-                                   " switches=" + std::to_string(result.reconfig_switches) +
-                                   "\n";
-        artifact.check("switch.no_lost_calls", result.lost == 0, counts);
-        artifact.check("switch.no_incomplete_calls", result.incomplete == 0, counts);
-        artifact.check("switch.every_replica_switched",
-                       result.reconfig_switches ==
-                           static_cast<std::uint64_t>(kEpisodes * kServers),
-                       counts);
-        artifact.write();
-
-        state.counters["sym_p99_ms"] = result.symmetric.p99_ms;
-        state.counters["through_p99_ms"] = result.through.p99_ms;
-        state.counters["asym_p99_ms"] = result.asymmetric.p99_ms;
-        state.counters["mean_install_lag_ms"] =
-            static_cast<double>(result.mean_install_lag) / 1000.0;
-        state.counters["lost"] = static_cast<double>(result.lost);
-        state.counters["incomplete"] = static_cast<double>(result.incomplete);
-    }
-}
-BENCHMARK(BM_Reconfig)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+    const ReconfigResult result = run_reconfig(1);
+
+    Artifact artifact("reconfig", 1);
+    add_row(artifact, "steady_symmetric", result.symmetric);
+    add_row(artifact, "through_switch", result.through);
+    add_row(artifact, "steady_asymmetric", result.asymmetric);
+    artifact.row("switch")
+        .lower("mean_install_lag_us", result.mean_install_lag)
+        .lower("max_install_lag_us", result.max_install_lag)
+        .lower("lost", result.lost)
+        .lower("incomplete", result.incomplete)
+        .info("episodes", result.episodes.size())
+        .info("switches", result.reconfig_switches);
+    const std::string counts = "lost=" + std::to_string(result.lost) +
+                               " incomplete=" + std::to_string(result.incomplete) +
+                               " switches=" + std::to_string(result.reconfig_switches) + "\n";
+    artifact.check("switch.no_lost_calls", result.lost == 0, counts);
+    artifact.check("switch.no_incomplete_calls", result.incomplete == 0, counts);
+    artifact.check("switch.every_replica_switched",
+                   result.reconfig_switches == static_cast<std::uint64_t>(kEpisodes * kServers),
+                   counts);
+    artifact.write();
+}

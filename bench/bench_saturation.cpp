@@ -162,61 +162,49 @@ ArtifactRow& add_row(Artifact& artifact, const char* name, const SaturationOptio
         .info("wire_messages", result.wire_messages);
 }
 
-void BM_Saturation_Lan(benchmark::State& state) {
-    for (auto _ : state) {
-        SaturationOptions unbatched_options;
-        unbatched_options.order_window = 0;  // pre-window behaviour
-        const SaturationResult unbatched = run_saturation(unbatched_options);
-
-        SaturationOptions batched_options;  // defaults: window 16, batch 64
-        const SaturationResult batched = run_saturation(batched_options);
-
-        // Shorter traced run: every ship/arrival/order/delivery event is
-        // captured and the trace-derived ship->delivery sums must reconcile
-        // with the gcs.delivery_latency_us histogram (the flood runs above
-        // stay untraced so their throughput is undisturbed).
-        SaturationOptions profiled_options;
-        profiled_options.profile = true;
-        profiled_options.burst = 8;
-        profiled_options.warmup = 200_ms;
-        profiled_options.measured = 400_ms;
-        const SaturationResult profiled = run_saturation(profiled_options);
-
-        const double speedup = unbatched.invocations_per_sec > 0
-                                   ? batched.invocations_per_sec /
-                                         unbatched.invocations_per_sec
-                                   : 0.0;
-        state.counters["unbatched_inv_per_s"] = unbatched.invocations_per_sec;
-        state.counters["batched_inv_per_s"] = batched.invocations_per_sec;
-        state.counters["speedup"] = speedup;
-        state.counters["reconciled"] = profiled.profile.reconciled() ? 1.0 : 0.0;
-        state.counters["allocs_per_inv"] = batched.allocs_per_inv;
-        state.counters["net_allocs_per_inv"] = batched.net_allocs_per_inv;
-        Artifact artifact("saturation", unbatched_options.seed);
-        add_row(artifact, "unbatched", unbatched_options, unbatched);
-        add_row(artifact, "batched", batched_options, batched).higher("speedup", speedup);
-        artifact.row("profiled")
-            .info("delivered", profiled.delivered)
-            .info("sequencer_turnaround_count", profiled.profile.sequencer_turnaround_count)
-            .info("sequencer_turnaround_sum_us", profiled.profile.sequencer_turnaround_sum_us);
-        artifact.check("profiled.reconciled", profiled.profile.reconciled(),
-                       profiled.profile.to_text());
-        // Steady-state allocation discipline: after warm-up the data plane
-        // runs on recycled arena buffers and pre-sized containers, so net
-        // heap growth per delivered invocation must be ~0.  A small budget
-        // absorbs map-node churn from the holdback/assignment indexes.  The
-        // unbatched mode is backlogged (its queue grows), so it makes no claim.
-        artifact.check("batched.net_allocs_within_budget",
-                       batched.net_allocs_per_inv <= kNetAllocBudgetPerInv,
-                       "net " + std::to_string(batched.net_allocs_per_inv) +
-                           " allocs/invocation (budget " +
-                           std::to_string(kNetAllocBudgetPerInv) + ")\n");
-        artifact.write();
-        emit_metrics(batched.metrics_json);
-    }
-}
-BENCHMARK(BM_Saturation_Lan)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+    SaturationOptions unbatched_options;
+    unbatched_options.order_window = 0;  // pre-window behaviour
+    const SaturationResult unbatched = run_saturation(unbatched_options);
+
+    SaturationOptions batched_options;  // defaults: window 16, batch 64
+    const SaturationResult batched = run_saturation(batched_options);
+
+    // Shorter traced run: every ship/arrival/order/delivery event is
+    // captured and the trace-derived ship->delivery sums must reconcile
+    // with the gcs.delivery_latency_us histogram (the flood runs above
+    // stay untraced so their throughput is undisturbed).
+    SaturationOptions profiled_options;
+    profiled_options.profile = true;
+    profiled_options.burst = 8;
+    profiled_options.warmup = 200_ms;
+    profiled_options.measured = 400_ms;
+    const SaturationResult profiled = run_saturation(profiled_options);
+
+    const double speedup = unbatched.invocations_per_sec > 0
+                               ? batched.invocations_per_sec / unbatched.invocations_per_sec
+                               : 0.0;
+    Artifact artifact("saturation", unbatched_options.seed);
+    add_row(artifact, "unbatched", unbatched_options, unbatched);
+    add_row(artifact, "batched", batched_options, batched).higher("speedup", speedup);
+    artifact.row("profiled")
+        .info("delivered", profiled.delivered)
+        .info("sequencer_turnaround_count", profiled.profile.sequencer_turnaround_count)
+        .info("sequencer_turnaround_sum_us", profiled.profile.sequencer_turnaround_sum_us);
+    artifact.check("profiled.reconciled", profiled.profile.reconciled(),
+                   profiled.profile.to_text());
+    // Steady-state allocation discipline: after warm-up the data plane
+    // runs on recycled arena buffers and pre-sized containers, so net
+    // heap growth per delivered invocation must be ~0.  A small budget
+    // absorbs map-node churn from the holdback/assignment indexes.  The
+    // unbatched mode is backlogged (its queue grows), so it makes no claim.
+    artifact.check("batched.net_allocs_within_budget",
+                   batched.net_allocs_per_inv <= kNetAllocBudgetPerInv,
+                   "net " + std::to_string(batched.net_allocs_per_inv) +
+                       " allocs/invocation (budget " + std::to_string(kNetAllocBudgetPerInv) +
+                       ")\n");
+    artifact.write();
+    emit_metrics(batched.metrics_json);
+}

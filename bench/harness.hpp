@@ -13,8 +13,6 @@
 // request and the aggregate server throughput.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +45,25 @@ inline const char* setting_name(Setting s) {
         case Setting::kLan: return "lan";
         case Setting::kDistantClients: return "distant-clients";
         case Setting::kGeo: return "geo-distributed";
+    }
+    return "?";
+}
+
+inline const char* order_name(OrderMode order) {
+    switch (order) {
+        case OrderMode::kTotalSymmetric: return "symmetric";
+        case OrderMode::kTotalAsymmetric: return "asymmetric";
+        case OrderMode::kCausal: return "causal";
+    }
+    return "?";
+}
+
+inline const char* mode_name(InvocationMode mode) {
+    switch (mode) {
+        case InvocationMode::kOneWay: return "one-way";
+        case InvocationMode::kWaitFirst: return "wait-first";
+        case InvocationMode::kWaitMajority: return "wait-majority";
+        case InvocationMode::kWaitAll: return "wait-all";
     }
     return "?";
 }
@@ -107,6 +124,22 @@ struct RequestReplyOptions {
     /// report lands in RequestReplyResult::profile.  NEWTOP_TRACE_DUMP_OUT
     /// additionally writes the raw TraceDump for offline `newtop_prof`.
     bool profile{false};
+
+    /// Deterministic experiment label, e.g.
+    /// rr_lan_s3_c8_open-restricted-async_wait-first_asymmetric_cs-asymmetric_seed1.
+    /// It is the trace file name (a same-seed rerun overwrites its
+    /// predecessor with identical bytes) and bench_paper's row name, so it
+    /// names every option a bench varies.  The request counts and bind
+    /// timeouts are the same in every bench, and `profile` only observes.
+    [[nodiscard]] std::string label() const {
+        std::string binding = bind.mode == BindMode::kClosed ? "closed" : "open";
+        if (bind.restricted) binding += "-restricted";
+        if (bind.async_forwarding) binding += "-async";
+        return std::string("rr_") + setting_name(setting) + "_s" + std::to_string(servers) +
+               "_c" + std::to_string(clients) + "_" + binding + "_" + mode_name(mode) + "_" +
+               order_name(server_order) + "_cs-" + order_name(bind.cs_order) + "_seed" +
+               std::to_string(seed);
+    }
 };
 
 /// One complete request/reply experiment: build the world, run the closed
@@ -176,17 +209,6 @@ private:
         if (client.completed < options_.warmup_per_client + options_.requests_per_client) {
             issue_next(client);
         }
-    }
-
-    /// Deterministic experiment label: doubles as the trace file name, so a
-    /// same-seed rerun overwrites its predecessor with identical bytes.
-    [[nodiscard]] std::string label() const {
-        return std::string("rr_") + setting_name(options_.setting) +
-               (options_.bind.mode == BindMode::kClosed ? "_closed" : "_open") + "_s" +
-               std::to_string(options_.servers) + "_c" + std::to_string(options_.clients) +
-               "_m" + std::to_string(static_cast<int>(options_.mode)) + "_o" +
-               std::to_string(static_cast<int>(options_.server_order)) + "_seed" +
-               std::to_string(options_.seed);
     }
 
     void append_expectation(obs::TraceDump& dump, std::string_view metric) {
@@ -296,7 +318,7 @@ private:
             append_expectation(dump, obs::metric::kInvReplyWaitOther);
             append_expectation(dump, obs::metric::kGcsDeliveryLatencyUs);
             result.profile = obs::LatencyProfiler{}.analyze(dump);
-            write_trace_dump(dump, label());
+            write_trace_dump(dump, options_.label());
         }
         if (trace_dir != nullptr && *trace_dir != '\0' && trace_sink != nullptr) {
             obs::ExportOptions export_options;
@@ -310,7 +332,7 @@ private:
             }
             const std::filesystem::path dir(trace_dir);
             std::filesystem::create_directories(dir);
-            const std::filesystem::path path = dir / (label() + ".json");
+            const std::filesystem::path path = dir / (options_.label() + ".json");
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
             out << obs::export_chrome_trace(trace_sink->snapshot(), export_options);
             out.close();
@@ -333,15 +355,6 @@ private:
 /// friendly prefix; the JSON itself is deterministic for a given seed.
 inline void emit_metrics(const std::string& metrics_json) {
     if (!metrics_json.empty()) std::cout << "# metrics " << metrics_json << "\n";
-}
-
-/// Attach the standard result counters to a google-benchmark state and
-/// print the metrics blob for the run.
-inline void report(::benchmark::State& state, const RequestReplyResult& result) {
-    state.counters["latency_ms"] = result.mean_latency_ms;
-    state.counters["req_per_s"] = result.throughput_rps;
-    state.counters["wire_msgs"] = static_cast<double>(result.wire_messages);
-    emit_metrics(result.metrics_json);
 }
 
 /// One configuration of a bench artifact.  `lower` and `higher` metrics are

@@ -21,10 +21,12 @@ the metric diff is advisory, so the exit code stays 0 unless --strict is
 given (sim-time numbers are deterministic, so a warning means the *code*
 changed, not the machine).  A changed `info` value prints as a note and is
 never a regression.  Any check in CURRENT that is not true fails the run
-with exit code 1, with or without --strict.
+with exit code 1, with or without --strict, and so does a row name that
+appears twice in either artifact (rows are matched by name).
 """
 
 import argparse
+import collections
 import json
 import math
 import pathlib
@@ -40,6 +42,11 @@ def percent_change(before, now):
     if before == 0:
         return 0.0 if now == 0 else math.copysign(math.inf, now)
     return (now - before) / abs(before) * 100.0
+
+
+def duplicate_names(artifact):
+    counts = collections.Counter(row["name"] for row in artifact.get("rows", []))
+    return sorted(name for name, count in counts.items() if count > 1)
 
 
 def diff_rows(current, previous, threshold):
@@ -104,6 +111,14 @@ def main():
     else:
         print(f"no baseline at {previous_path}; checking invariants only")
         previous = {}
+
+    duplicates = [(path, name) for path, artifact in ((args.current, current),
+                                                      (previous_path, previous))
+                  for name in duplicate_names(artifact)]
+    for path, name in duplicates:
+        print(f"DUPLICATE row name: {name} in {path}")
+    if duplicates:
+        return 1
 
     regressions = diff_rows(current, previous, args.threshold)
     failed = [name for name, holds in current.get("checks", {}).items() if holds is not True]

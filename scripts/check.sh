@@ -65,7 +65,7 @@ done
 EXTRA_CTEST_ARGS=("$@")
 
 if [[ "${BENCH_ONLY}" == 1 ]]; then
-    BENCHES=(saturation latency_breakdown reconfig gray_failure)
+    BENCHES=(paper saturation latency_breakdown reconfig gray_failure)
     echo "== bench (build)"
     cmake -B build -S . >/dev/null
     cmake --build build -j "${JOBS}" --target "${BENCHES[@]/#/bench_}" newtop_prof

@@ -57,6 +57,14 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(run.returncode, 1, run.stdout)
         self.assertIn("FAILED check: alpha.ok", run.stdout)
 
+    def test_duplicate_row_name_fails(self):
+        for current, previous in (("duplicate_row.json", "baseline.json"),
+                                  ("baseline.json", "duplicate_row.json")):
+            with self.subTest(current=current, previous=previous):
+                run = bench_diff(FIXTURES / current, FIXTURES / previous)
+                self.assertEqual(run.returncode, 1, run.stdout)
+                self.assertIn("DUPLICATE row name: alpha in", run.stdout)
+
     def test_committed_baselines_hold_every_check(self):
         baselines = sorted(REPO.glob("BENCH_*.json"))
         self.assertTrue(baselines)
