@@ -6,7 +6,8 @@
 # supported configuration is exercised routinely rather than manually.  All
 # trees build with NEWTOP_WERROR=ON (the default).
 #
-# Usage: scripts/check.sh [--lint] [--tidy] [--campaign [N]] [--bench] [extra ctest args...]
+# Usage: scripts/check.sh [--lint] [--tidy] [--campaign [N]] [--bench] [--perfbench]
+#                        [extra ctest args...]
 #
 #   (default)        run the tier-1 suite (ctest -L tier1) in every tree
 #   --lint           fast path: build only newtop_lint and scan the tree,
@@ -25,6 +26,11 @@
 #                    (metric drift is advisory, a failed artifact check
 #                    fails), then refresh the repo-root artifacts so the
 #                    new numbers can be committed; no tests
+#   --perfbench      fast path: build perfbench/ and run each of its
+#                    workloads once, traced, for one second on seed 3
+#                    (python3 perfbench/run.py ... --trace 1).  run.py fails
+#                    on a failed correctness gate (digests, replies, replica
+#                    counters, oracle) or an unreconciled profile; no tests
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,6 +41,7 @@ TIDY=0
 CAMPAIGN=0
 CAMPAIGN_SEEDS=200
 BENCH_ONLY=0
+PERFBENCH_ONLY=0
 while [[ "${1:-}" == --* ]]; do
     case "$1" in
         --lint)
@@ -43,6 +50,10 @@ while [[ "${1:-}" == --* ]]; do
             ;;
         --bench)
             BENCH_ONLY=1
+            shift
+            ;;
+        --perfbench)
+            PERFBENCH_ONLY=1
             shift
             ;;
         --tidy)
@@ -91,6 +102,15 @@ if [[ "${BENCH_ONLY}" == 1 ]]; then
         cp "build/BENCH_${bench}.json" "BENCH_${bench}.json"
     done
     echo "== bench artifacts refreshed (BENCH_*.json)"
+    exit 0
+fi
+
+if [[ "${PERFBENCH_ONLY}" == 1 ]]; then
+    for workload in peer_flood geo_invoke replica_churn; do
+        echo "== perfbench ${workload} (seed 3, 1 s, traced)"
+        python3 perfbench/run.py --workload "${workload}" --seed 3 --seconds 1 --trace 1 | tail -1
+    done
+    echo "== perfbench gates passed"
     exit 0
 fi
 

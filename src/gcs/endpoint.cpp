@@ -63,10 +63,12 @@ GroupCommEndpoint::GroupCommEndpoint(Orb& orb, Directory& directory)
       data_sent_(orb.network().metrics(), obs::metric::kGcsDataSent),
       order_sent_(orb.network().metrics(), obs::metric::kGcsOrderSent),
       nulls_sent_(orb.network().metrics(), obs::metric::kGcsNullsSent),
+      sends_coalesced_(orb.network().metrics(), obs::metric::kGcsSendsCoalesced),
       delivered_payloads_(orb.network().metrics(), obs::metric::kGcsDelivered),
       delivery_latency_(orb.network().metrics(), obs::metric::kGcsDeliveryLatencyUs),
       holdback_depth_(orb.network().metrics(), obs::metric::kGcsHoldbackDepth),
-      order_batch_refs_(orb.network().metrics(), obs::metric::kGcsOrderBatchRefs) {
+      order_batch_refs_(orb.network().metrics(), obs::metric::kGcsOrderBatchRefs),
+      send_batch_payloads_(orb.network().metrics(), obs::metric::kGcsSendBatchPayloads) {
     // Idempotent; gives the world-global directory somewhere to count
     // evictions (one registry per world, owned by the network).
     directory_->attach_metrics(&orb_->network().metrics());
@@ -222,10 +224,11 @@ namespace {
 /// members", with threads for parallelism) — so every protocol leg costs a
 /// full ORB round trip, which is exactly why a NewTop call measures ~2.5x a
 /// plain CORBA call in §5.1.1.  The reply is empty and ignored; the timeout
-/// merely garbage-collects calls to crashed peers.  The reply cancels the
-/// timer within milliseconds, and the scheduler's compaction drops the
-/// cancelled entry in bulk, so it does not sit in the event heap for its
-/// 60 s deadline.
+/// merely garbage-collects calls to crashed peers.  Every call shares this
+/// timeout, so the ORB queues the deadlines on one scheduler lane, in call
+/// order, and they never enter the event heap; the reply cancels its timer
+/// within milliseconds, and the scheduler's compaction strips the cancelled
+/// entries from the lane in bulk.
 constexpr SimDuration kGcsCallTimeout = 60_s;
 }  // namespace
 
@@ -365,7 +368,7 @@ void GroupCommEndpoint::submit_send(Group& g, Bytes payload, obs::SpanContext sp
         metrics().trace(obs::TraceKind::kSendQueued, orb_->scheduler().now(), id_.value(), span,
                         0, g.id.value(), g.coalesce_queue.size() + 1);
         g.coalesce_queue.push_back(PendingSend{std::move(payload), span});
-        metrics().add(obs::metric::kGcsSendsCoalesced);
+        sends_coalesced_.add();
         drain_coalesced(g);  // a credit may be free when the queue is fresh
         return;
     }
@@ -389,8 +392,7 @@ void GroupCommEndpoint::drain_coalesced(Group& g) {
             batch_spans.push_back(g.coalesce_queue.front().span);
             g.coalesce_queue.pop_front();
         }
-        metrics().observe(obs::metric::kGcsSendBatchPayloads,
-                          static_cast<SimDuration>(1 + batch.size()));
+        send_batch_payloads_.observe(static_cast<SimDuration>(1 + batch.size()));
         ++g.inflight_sends;
         send_data(g, DataKind::kApplication, std::move(head.payload), head.span,
                   std::move(batch), std::move(batch_spans));

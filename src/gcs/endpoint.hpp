@@ -411,10 +411,12 @@ private:
     obs::Counter data_sent_;
     obs::Counter order_sent_;
     obs::Counter nulls_sent_;
+    obs::Counter sends_coalesced_;
     obs::Counter delivered_payloads_;
     obs::Histogram delivery_latency_;
     obs::Histogram holdback_depth_;
     obs::Histogram order_batch_refs_;
+    obs::Histogram send_batch_payloads_;
     /// Peers whose "gcs.phi.<peer>" gauge is already registered (handles
     /// live in gauges_ and unregister with the rest).
     std::set<EndpointId> phi_gauge_peers_;

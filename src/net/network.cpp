@@ -44,8 +44,8 @@ NodeId Network::add_node(SiteId site) {
         return static_cast<std::uint64_t>(raw->cpu().backlog(at));
     });
     partition_cell_.push_back(0);
-    for (auto& row : last_arrival_) row.push_back(0);
-    last_arrival_.emplace_back(nodes_.size(), SimTime{0});
+    for (auto& row : link_lanes_) row.push_back(kNoLane);
+    link_lanes_.emplace_back(nodes_.size(), kNoLane);
     return id;
 }
 
@@ -111,10 +111,9 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     }
 
     // FIFO per (from, to): arrival may not precede the previous arrival.
-    SimTime arrival = scheduler_->now() + delay;
-    SimTime& last = last_arrival_[from.value()][to.value()];
-    arrival = std::max(arrival, last);
-    last = arrival;
+    LaneId& lane = link_lanes_[from.value()][to.value()];
+    if (lane == kNoLane) lane = scheduler_->open_lane();
+    const SimTime arrival = std::max(scheduler_->now() + delay, scheduler_->lane_back(lane));
 
     // Stamp the message with the destination's current life.  If the
     // destination crashes and restarts while the message is in flight, the
@@ -123,9 +122,9 @@ void Network::send(NodeId from, NodeId to, Bytes payload) {
     // the old connection.
     const std::uint32_t dst_incarnation = dst.incarnation();
     const SimTime sent_at = scheduler_->now();
-    scheduler_->schedule_at(arrival, [this, from, to, sent_at, dst_incarnation,
-                                      counters = &counters,
-                                      payload = std::move(payload)]() mutable {
+    scheduler_->schedule_in(lane, arrival, [this, from, to, sent_at, dst_incarnation,
+                                            counters = &counters,
+                                            payload = std::move(payload)]() mutable {
         if (partition_cell_[from.value()] != partition_cell_[to.value()]) {
             messages_lost_.add();
             counters->drops.add();

@@ -155,9 +155,12 @@ private:
     std::map<std::pair<SiteId, SiteId>, LinkDegrade> degraded_links_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<int> partition_cell_;
-    // Arrival time of the previous message per (from, to), for FIFO links:
-    // last_arrival_[from][to], node_count() square, grown by add_node.
-    std::vector<std::vector<SimTime>> last_arrival_;
+    // Scheduler lane of the arrivals per (from, to), opened by the first
+    // send: link_lanes_[from][to], node_count() square, grown by add_node.
+    // Arrivals on a link never reorder, so they queue FIFO on its lane and
+    // the lane's back is the earliest time the next arrival may take.
+    static constexpr LaneId kNoLane = ~LaneId{0};
+    std::vector<std::vector<LaneId>> link_lanes_;
     obs::MetricsRegistry metrics_;
     // Handles into metrics_ for the per-message path (declared after it).
     obs::Counter messages_sent_;

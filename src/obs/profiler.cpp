@@ -199,11 +199,13 @@ bool walk_chain(const std::vector<const TraceEvent*>& evs, std::size_t completio
 
 /// Aggregate a set of chains into PhaseStats keyed by phase name.  Every
 /// chain contributes one sample per phase (0 when the chain never touched
-/// it), so percentiles are comparable across phases.
+/// it), so percentiles are comparable across phases.  `dominant` names the
+/// phase with the largest positive sum; it stays empty when no phase took
+/// any time (no chains at all, for one).
 std::map<std::string, PhaseStats> aggregate_phases(const std::vector<const Chain*>& chains,
                                                    std::string& dominant) {
     std::map<std::string, PhaseStats> out;
-    std::int64_t best_sum = -1;
+    std::int64_t best_sum = 0;
     for (const std::string_view name : phase::kAll) {
         std::vector<std::int64_t> samples;
         samples.reserve(chains.size());
@@ -270,6 +272,10 @@ void append_phase_text(std::string& out, const std::map<std::string, PhaseStats>
                 "  p99 " + std::to_string(s.p99_us) + "  max " + std::to_string(s.max_us);
         out += line + "\n";
     }
+}
+
+std::string or_none(const std::string& dominant) {
+    return dominant.empty() ? "none" : dominant;
 }
 
 }  // namespace
@@ -459,12 +465,12 @@ std::string ProfileReport::to_text() const {
     if (unattributed != 0) {
         out += " (" + std::to_string(unattributed) + " unattributed)";
     }
-    out += "\ndominant phase: " + dominant + "\n";
+    out += "\ndominant phase: " + or_none(dominant) + "\n";
     append_phase_text(out, phases, "  ");
     for (const ProfileGroup& g : groups) {
         out += "binding " + std::to_string(g.binding) + " mode " + std::to_string(g.mode) +
                ": " + std::to_string(g.chains) + " chains, total " +
-               std::to_string(g.total_us) + "us, dominant " + g.dominant + "\n";
+               std::to_string(g.total_us) + "us, dominant " + or_none(g.dominant) + "\n";
         append_phase_text(out, g.phases, "  ");
     }
     out += "sequencer turnaround: " + std::to_string(sequencer_turnaround_count) +

@@ -50,7 +50,7 @@ struct ProfileGroup {
     std::uint64_t chains{0};
     std::int64_t total_us{0};  // sum of end-to-end latencies
     std::map<std::string, PhaseStats> phases;
-    std::string dominant;  // phase with the largest sum_us
+    std::string dominant;  // phase with the largest positive sum_us; empty if none
 };
 
 /// One cross-check of a trace-derived total against an embedded histogram.
@@ -70,7 +70,7 @@ struct ProfileReport {
     std::uint64_t invocations{0};   // chains attributed
     std::uint64_t unattributed{0};  // completions whose chain had a gap
     std::map<std::string, PhaseStats> phases;  // across all chains
-    std::string dominant;
+    std::string dominant;  // as ProfileGroup::dominant, across all chains
     std::vector<ProfileGroup> groups;  // sorted by (binding, mode)
 
     /// Diagnostic: sequencer DATA-arrival -> ORDER broadcast.  Overlaps

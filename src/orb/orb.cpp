@@ -63,7 +63,10 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
     const std::uint64_t request_id = next_request_id_++;
     Pending pending{request_id, std::move(handler), 0};
     if (timeout > 0) {
-        pending.timer = scheduler().schedule_after(timeout, [this, request_id] {
+        // Deadlines of one timeout never decrease: they share a lane.
+        const LaneId lane = deadline_lane(timeout);
+        const SimTime deadline = scheduler().now() + timeout;
+        pending.timer = scheduler().schedule_in(lane, deadline, [this, request_id] {
             if (find_call(request_id) != nullptr) call_timeouts_.add();
             complete(request_id, ReplyStatus::kTimeout, Bytes{});
         });
@@ -79,6 +82,14 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
                            network_->send(node_, to, std::move(wire));
                        });
     return OrbCallId(request_id);
+}
+
+LaneId Orb::deadline_lane(SimDuration timeout) {
+    for (const DeadlineLane& d : deadline_lanes_) {
+        if (d.timeout == timeout) return d.lane;
+    }
+    deadline_lanes_.push_back(DeadlineLane{timeout, scheduler().open_lane()});
+    return deadline_lanes_.back().lane;
 }
 
 void Orb::invoke_oneway(const Ior& target, std::uint32_t method, const Bytes& args) {

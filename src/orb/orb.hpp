@@ -118,6 +118,8 @@ private:
     void complete(std::uint64_t request_id, ReplyStatus status, const Bytes& payload);
     void try_group_member(Iogr group, std::size_t attempt, std::uint32_t method, Bytes args,
                           ReplyHandler handler, SimDuration per_member_timeout);
+    /// The scheduler lane of this ORB's call deadlines for `timeout`.
+    LaneId deadline_lane(SimDuration timeout);
 
     Network* network_;
     NodeId node_;
@@ -140,6 +142,13 @@ private:
     /// any order that reaches completion or the trace.
     std::vector<Pending> calls_;
     std::size_t live_calls_{0};
+    /// One scheduler lane per distinct call timeout: the deadlines of calls
+    /// with equal timeouts fall in the order the calls were made.
+    struct DeadlineLane {
+        SimDuration timeout;
+        LaneId lane;
+    };
+    std::vector<DeadlineLane> deadline_lanes_;
 };
 
 }  // namespace newtop

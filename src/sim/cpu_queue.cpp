@@ -38,6 +38,8 @@ void CpuQueue::set_slowdown(double factor) {
 
 void CpuQueue::reset() {
     ++epoch_;
+    scheduler_->close_lane(lane_);
+    lane_ = scheduler_->open_lane();
     busy_until_ = scheduler_->now();
     consumed_ = 0;
 }

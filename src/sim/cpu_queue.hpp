@@ -18,7 +18,12 @@ namespace newtop {
 
 class CpuQueue {
 public:
-    explicit CpuQueue(Scheduler& scheduler) : scheduler_(&scheduler) {}
+    explicit CpuQueue(Scheduler& scheduler)
+        : scheduler_(&scheduler), lane_(scheduler.open_lane()) {}
+
+    // The queue owns its scheduler lane.
+    CpuQueue(const CpuQueue&) = delete;
+    CpuQueue& operator=(const CpuQueue&) = delete;
 
     /// Attach the world's metrics registry (done by Network::add_node).
     /// Each submitted task then counts toward cpu.tasks / cpu.busy_us and
@@ -28,15 +33,17 @@ public:
     /// Run `fn` after `cost` microseconds of CPU time, queued FIFO behind
     /// any work already submitted.  Zero-cost work still round-trips
     /// through the scheduler so that handlers never run re-entrantly.
-    /// The crash guard and `fn` travel as one closure, so the work is
-    /// type-erased once and, when it fits Task's buffer, never allocates.
+    /// Completion times never decrease, so the work queues on the CPU's
+    /// scheduler lane.  The crash guard and `fn` travel as one closure, so
+    /// the work is type-erased once and, when it fits Task's buffer, never
+    /// allocates.
     template <typename F>
     void execute(SimDuration cost, F&& fn) {
         if constexpr (Task::kNullable<std::remove_cvref_t<F>>) {
             NEWTOP_EXPECTS(static_cast<bool>(fn), "CPU work must be callable");
         }
         if (!admit(cost)) return;
-        scheduler_->schedule_at(busy_until_,
+        scheduler_->schedule_in(lane_, busy_until_,
                                 [this, epoch = epoch_, fn = std::forward<F>(fn)]() mutable {
                                     if (epoch == epoch_) fn();
                                 });
@@ -62,7 +69,9 @@ public:
     [[nodiscard]] SimDuration consumed() const { return consumed_; }
 
     /// Drop all queued work (used when a node crashes).  Already-scheduled
-    /// completions are suppressed via the epoch counter.
+    /// completions still run as events, suppressed via the epoch counter,
+    /// on the lane they were queued on; new work starts a fresh lane, since
+    /// it may complete before them.
     void reset();
 
     /// Permanently stop the CPU: queued work is dropped and all future
@@ -83,6 +92,7 @@ private:
     bool admit(SimDuration cost);
 
     Scheduler* scheduler_;
+    LaneId lane_;
     obs::Counter tasks_;
     obs::Counter busy_us_;
     obs::Histogram queue_wait_us_;

@@ -5,17 +5,30 @@
 // run in scheduling order, which (together with the seeded RNG) makes whole
 // experiments deterministic.
 //
-// Cancelled events are dropped from the heap in bulk: once they outnumber
-// the live ones, one linear pass removes them all and re-heapifies.  The
-// pop order is unaffected because the heap order (time, then scheduling
-// sequence number) is a strict total order on unique keys, so which event
-// runs next depends only on the set of live events, never on the heap's
-// shape.
+// Events come in two kinds.  A heap timer (schedule_at / schedule_after) is
+// one entry of a binary heap.  A lane event (schedule_in) joins a *lane*: a
+// FIFO of events whose times never decrease, such as one CPU's completions,
+// one directed link's arrivals or one ORB's call deadlines for one timeout.
+// The heap holds a single entry per non-empty lane, keyed by the lane's
+// front, so a long lane costs the heap one entry.  Both kinds draw their
+// sequence number from one counter when scheduled, and the heap orders by
+// (time, sequence number); a lane's events are in that order already, so
+// the pop order is exactly the one a heap holding every event would give.
+// Either kind's callable waits in one slot table, which is what a TimerId
+// names, so cancel() treats both alike.
+//
+// Cancelled events are dropped in bulk: once they outnumber the live ones,
+// one linear pass removes them all (from the heap and from every lane) and
+// re-heapifies.  The pop order is unaffected because the key (time, then
+// scheduling sequence number) is a strict total order on unique keys, so
+// which event runs next depends only on the set of live events, never on
+// the heap's shape.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "sim/fifo_ring.hpp"
 #include "sim/task.hpp"
 #include "util/time.hpp"
 
@@ -24,6 +37,9 @@ namespace newtop {
 /// Handle for a scheduled event, usable to cancel it.  Opaque and never 0,
 /// so protocol code can use 0 for "no timer".
 using TimerId = std::uint64_t;
+
+/// Handle for a lane (see Scheduler::open_lane).
+using LaneId = std::uint32_t;
 
 class Scheduler {
 public:
@@ -41,6 +57,25 @@ public:
 
     /// Schedule `fn` to run `delay` from now (negative delays run "now").
     TimerId schedule_after(SimDuration delay, Task fn);
+
+    /// Open an empty lane for a stream of events whose times never
+    /// decrease.  The caller owns it until close_lane().
+    LaneId open_lane();
+
+    /// Give `lane` up.  Its queued events still run (or stay cancellable);
+    /// once it has drained, open_lane() may hand it out again.
+    void close_lane(LaneId lane);
+
+    /// Schedule `fn` on the open `lane` at absolute time `at` (clamped to
+    /// now()), behind every event already on it.  Same order, TimerId and
+    /// cancel contract as schedule_at.  Precondition: the clamped time is
+    /// not before lane_back(lane).
+    TimerId schedule_in(LaneId lane, SimTime at, Task fn);
+
+    /// Time of the latest event scheduled on the open `lane` since it was
+    /// opened (0 before the first): the earliest time schedule_in()
+    /// accepts on it.
+    [[nodiscard]] SimTime lane_back(LaneId lane) const { return lanes_[lane].back; }
 
     /// Cancel a previously scheduled event and destroy its callable at
     /// once (freeing whatever it captured).  Cancelling an event that has
@@ -62,14 +97,17 @@ public:
     void run_until(SimTime deadline);
 
     /// Number of events still to run (cancelled ones excluded).
-    [[nodiscard]] std::size_t pending() const { return heap_.size() - cancelled_; }
+    [[nodiscard]] std::size_t pending() const { return queued_ - cancelled_; }
+
+    /// Lanes ever created, open, closed and recycled ones alike (tests).
+    [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
 
 private:
-    /// Heap key of one queued event; the callable waits in its slot.
+    /// Key of one queued event, or of a lane's front.
     struct Entry {
         SimTime at;
-        std::uint64_t seq;   // FIFO tie-break for equal timestamps
-        std::uint32_t slot;  // index into slots_
+        std::uint64_t seq;  // FIFO tie-break for equal timestamps
+        std::uint32_t ref;  // index into slots_; in heap_, kLaneRef | lane for a lane
     };
     /// One queued event's callable.  Taken at schedule and released when the
     /// event is popped or compacted away; the release bumps the generation,
@@ -79,24 +117,49 @@ private:
         Task fn;
         std::uint32_t generation{0};
     };
+    /// Keys in (at, seq) order.  Has a heap entry, keyed by its front,
+    /// exactly while `events` is non-empty.
+    struct Lane {
+        FifoRing<Entry> events;
+        SimTime back{0};
+        bool open{false};
+    };
     struct Later {
         bool operator()(const Entry& a, const Entry& b) const {
             if (a.at != b.at) return a.at > b.at;
             return a.seq > b.seq;
         }
     };
-    /// Compaction never runs on a heap holding fewer cancelled entries.
+    /// Compaction never runs while fewer cancelled events are queued.
     static constexpr std::size_t kCompactFloor = 64;
+    /// Entry::ref flag for a lane's heap entry.
+    static constexpr std::uint32_t kLaneRef = 0x8000'0000U;
 
     /// Pops the next live event due by `deadline`, advances now() to it and
     /// returns its callable; empty when there is none.  Cancelled events on
     /// the way are dropped.
     Task pop_next(SimTime deadline);
 
+    /// Stores `fn` in a free slot and returns the slot.
+    std::uint32_t take_slot(Task fn);
+
+    /// The TimerId of the event now in `slot`.
+    [[nodiscard]] TimerId timer_id(std::uint32_t slot) const;
+
     /// Returns `slot` to the free list, staling every TimerId issued for it.
     void release(std::uint32_t slot);
 
-    /// Drops every cancelled entry from the heap and re-heapifies.
+    /// Adds `entry` to the heap.
+    void push_entry(Entry entry);
+
+    /// Restores the heap order below heap_[hole], whose key has grown.
+    void sift_down(std::size_t hole);
+
+    /// Hands the closed, drained `lane` back to open_lane().
+    void recycle(LaneId lane);
+
+    /// Drops every cancelled event from the heap and the lanes and
+    /// re-heapifies.
     void compact();
 
     SimTime now_{0};
@@ -104,7 +167,10 @@ private:
     std::vector<Entry> heap_;  // binary heap under Later
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;
-    std::size_t cancelled_{0};  // cancelled entries still in heap_
+    std::vector<Lane> lanes_;
+    std::vector<LaneId> free_lanes_;  // closed and drained
+    std::size_t queued_{0};     // events in the heap and the lanes, cancelled ones too
+    std::size_t cancelled_{0};  // of those, the cancelled ones
 };
 
 }  // namespace newtop

@@ -187,6 +187,68 @@ TEST_F(OrbFixture, CallsCompleteOutOfOrderAndCancelLeavesTheRestAlone) {
     EXPECT_EQ(net.metrics().counter(obs::metric::kOrbCallTimeouts), 2u);
 }
 
+// Call deadlines queue per timeout value, apart from the other events, yet
+// fire in the order a single queue of every event gives: by time, then by
+// when each event was scheduled.  Here a deadline on one timeout's queue,
+// a reply's completion and a deadline on a second timeout's queue all fall
+// on the same microsecond, scheduled in that order.
+TEST(OrbDeadlines, TwoTimeoutsAndAReplyOnOneMicrosecondFireInSchedulingOrder) {
+    struct World {
+        World()
+            : net(scheduler, calibration::make_lan_topology(), 42),
+              client(net, net.add_node(SiteId(0))),
+              server(net, net.add_node(SiteId(0))),
+              dead(net, net.add_node(SiteId(0))),
+              target(server.adapter().activate(std::make_shared<TestServant>(), "Test")),
+              dead_target(dead.adapter().activate(std::make_shared<TestServant>(), "Test")) {
+            net.crash(dead.node_id());
+        }
+        Scheduler scheduler;
+        Network net;
+        Orb client;
+        Orb server;
+        Orb dead;
+        Ior target;
+        Ior dead_target;
+    };
+    using Fired = std::pair<char, SimTime>;
+
+    // Probe: when the echo's reply completes, with the first dead call in
+    // flight as in the real run (so the world draws the same randomness).
+    SimTime reply_done = -1;
+    {
+        World w;
+        w.client.invoke(w.target, kEcho, Bytes{},
+                        [&](ReplyStatus, const Bytes&) { reply_done = w.scheduler.now(); });
+        w.client.invoke(w.dead_target, kEcho, Bytes{}, [](ReplyStatus, const Bytes&) {}, 60_s);
+        w.scheduler.run();
+    }
+    // The reply's completion is scheduled when the reply arrives, one
+    // unmarshal before it runs; the second dead call is made after that.
+    const SimDuration unmarshal = calibration::unmarshal_cost(0);
+    const SimTime second_call_at = reply_done - unmarshal / 2;
+    ASSERT_GT(second_call_at, 0);
+
+    World w;
+    std::vector<Fired> fired;
+    auto record = [&](char call, ReplyStatus expected) {
+        return [&fired, &w, call, expected](ReplyStatus status, const Bytes&) {
+            EXPECT_EQ(status, expected) << call;
+            fired.emplace_back(call, w.scheduler.now());
+        };
+    };
+    w.client.invoke(w.target, kEcho, Bytes{}, record('R', ReplyStatus::kOk));
+    w.client.invoke(w.dead_target, kEcho, Bytes{}, record('A', ReplyStatus::kTimeout),
+                    reply_done);
+    w.scheduler.schedule_at(second_call_at, [&] {
+        w.client.invoke(w.dead_target, kEcho, Bytes{}, record('B', ReplyStatus::kTimeout),
+                        reply_done - second_call_at);
+    });
+    w.scheduler.run();
+    const std::vector<Fired> expected = {{'A', reply_done}, {'R', reply_done}, {'B', reply_done}};
+    EXPECT_EQ(fired, expected);
+}
+
 TEST_F(OrbFixture, ReplyAfterTimeoutChargesNoCpu) {
     int completions = 0;
     client.invoke(target, kEcho, Bytes(64, 7), [&](ReplyStatus s, const Bytes&) {

@@ -159,6 +159,14 @@ TEST(Profiler, EmptyDumpProducesAnEmptyHealthyReport) {
     EXPECT_TRUE(report.groups.empty());
 }
 
+TEST(Profiler, EmptyTraceNamesNoDominantPhase) {
+    const obs::ProfileReport report = obs::LatencyProfiler{}.analyze(obs::TraceDump{});
+    ASSERT_TRUE(report.ok);
+    EXPECT_EQ(report.dominant, "");
+    EXPECT_NE(report.to_json().find("\"dominant\":\"\""), std::string::npos);
+    EXPECT_NE(report.to_text().find("dominant phase: none\n"), std::string::npos);
+}
+
 TEST(Profiler, SingleEventDumpIsUnattributedAndFailsItsExpectation) {
     obs::TraceDump dump;
     dump.events.push_back(ev(obs::TraceKind::kCallCompleted, 100, kClient, kClientSpan, 0,

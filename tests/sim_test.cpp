@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <utility>
@@ -222,14 +224,19 @@ TEST(Scheduler, EmptyStdFunctionRejected) {
 }
 
 // Seeded schedule/cancel churn checked against a reference model: an
-// ordered map keyed by (time, scheduling order).  Over 90% of events are
-// cancelled, many from inside running events, and events scheduled from
-// inside events often share the current timestamp, so cancelled entries
-// are compacted out of the heap many times.  Every fired event must be the
-// model's head, pending() must match the model after every operation, and
-// the stale TimerId of a compacted event must never cancel whatever took
-// over its slot.
+// ordered map keyed by (time, scheduling order).  Half the events are heap
+// timers and half join one of four lanes; times are drawn on a 5 µs grid,
+// so lanes and heap timers often share a timestamp.  Over 90% of events are
+// cancelled, many from inside running events and many at a lane's front
+// or in its middle, so cancelled entries are compacted out of the heap and
+// the lanes many times; lanes are closed and fresh ones opened on the way,
+// as a CPU does at a crash.  Time advances by step() and by run_until()
+// deadlines that often fall between two entries of one lane.  Every fired
+// event must be the model's head, pending() must match the model after
+// every operation, and the stale TimerId of a compacted event must never
+// cancel whatever took over its slot, on a lane or in the heap.
 TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
+    constexpr std::size_t kLanes = 4;
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
         Rng rng(seed);
         Scheduler s;
@@ -238,9 +245,15 @@ TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
         struct Live {
             TimerId timer;
             Key key;
+            bool on_lane;
+            LaneId lane;
         };
         std::map<int, Live> live;
         std::vector<int> live_ids;  // for uniform random picks
+        // Live lane events by lane handle, in key order.
+        std::map<LaneId, std::map<Key, int>> lane_live;
+        std::array<LaneId, kLanes> lanes{};
+        for (LaneId& lane : lanes) lane = s.open_lane();
         // Cancelled events by slot (the TimerId's low half), until their
         // deadline passes: a new TimerId on that slot before then means
         // compaction released it.
@@ -251,6 +264,11 @@ TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
         std::size_t cancels = 0;
         std::size_t schedules = 0;
         std::size_t compacted_reuses = 0;
+        std::size_t lane_front_cancels = 0;
+        std::size_t lane_mid_cancels = 0;
+        std::size_t lane_heap_ties = 0;  // events queued at a time the other kind holds
+        std::size_t split_deadlines = 0;
+        std::size_t lane_switches = 0;
 
         const auto check_pending = [&] { ASSERT_EQ(s.pending(), model.size()); };
         const auto forget = [&](int id) {
@@ -261,17 +279,23 @@ TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
                     break;
                 }
             }
+            const Live& gone = live.at(id);
+            if (gone.on_lane) lane_live[gone.lane].erase(gone.key);
             live.erase(id);
         };
         const auto cancel_random = [&] {
             if (live_ids.empty()) return;
             const int id = live_ids[rng.next_in(0, live_ids.size() - 1)];
             const Live victim = live.at(id);
+            if (victim.on_lane) {
+                const auto& queue = lane_live[victim.lane];
+                ++(queue.begin()->first == victim.key ? lane_front_cancels : lane_mid_cancels);
+            }
+            cancelled_by_slot[static_cast<std::uint32_t>(victim.timer)] = {victim.timer,
+                                                                           victim.key.first};
             s.cancel(victim.timer);
             model.erase(victim.key);
             forget(id);
-            cancelled_by_slot[static_cast<std::uint32_t>(victim.timer)] = {victim.timer,
-                                                                           victim.key.first};
             ++cancels;
         };
         std::function<void(SimDuration)> schedule;
@@ -286,17 +310,34 @@ TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
             s.cancel(own);  // already fired: a no-op
             check_pending();
             if (rng.next_bool(0.5)) schedule(0);  // same timestamp as now
-            if (rng.next_bool(0.5)) schedule(static_cast<SimDuration>(rng.next_in(0, 50)));
+            if (rng.next_bool(0.5)) schedule(5 * static_cast<SimDuration>(rng.next_in(0, 10)));
             if (rng.next_bool(0.9)) cancel_random();
             check_pending();
         };
         schedule = [&](SimDuration delay) {
             const int id = next_id++;
-            const Key key{s.now() + delay, order++};
-            const TimerId timer = s.schedule_after(delay, [&on_fire, id] { on_fire(id); });
+            const bool on_lane = rng.next_bool(0.5);
+            const LaneId lane = lanes[rng.next_in(0, kLanes - 1)];
+            SimTime at = s.now() + delay;
+            TimerId timer = 0;
+            if (on_lane) {
+                at = std::max(at, s.lane_back(lane));
+                timer = s.schedule_in(lane, at, [&on_fire, id] { on_fire(id); });
+            } else {
+                timer = s.schedule_after(delay, [&on_fire, id] { on_fire(id); });
+            }
+            const Key key{at, order++};
             ++schedules;
+            for (auto tie = model.lower_bound(Key{at, 0});
+                 tie != model.end() && tie->first.first == at; ++tie) {
+                if (live.at(tie->second).on_lane != on_lane) {
+                    ++lane_heap_ties;
+                    break;
+                }
+            }
+            if (on_lane) lane_live[lane].emplace(key, id);
             model.emplace(key, id);
-            live.emplace(id, Live{timer, key});
+            live.emplace(id, Live{timer, key, on_lane, lane});
             live_ids.push_back(id);
             const auto old = cancelled_by_slot.find(static_cast<std::uint32_t>(timer));
             if (old != cancelled_by_slot.end()) {
@@ -308,11 +349,44 @@ TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
                 cancelled_by_slot.erase(old);
             }
         };
+        // A deadline strictly between the first two live entries of a
+        // lane, when some lane has two at different times; else a short
+        // random advance.
+        const auto pick_deadline = [&](bool& split) -> SimTime {
+            for (const auto& [lane, queue] : lane_live) {
+                if (queue.size() < 2) continue;
+                const SimTime first = queue.begin()->first.first;
+                const SimTime second = std::next(queue.begin())->first.first;
+                if (second - first < 2) continue;
+                split = true;
+                return first + (second - first) / 2;
+            }
+            return s.now() + 5 * static_cast<SimDuration>(rng.next_in(0, 4));
+        };
 
         for (int i = 0; i < 20'000; ++i) {
-            schedule(static_cast<SimDuration>(rng.next_in(0, 500)));
+            schedule(5 * static_cast<SimDuration>(rng.next_in(0, 100)));
             if (rng.next_bool(0.93)) cancel_random();
             if (rng.next_bool(0.1)) s.step();
+            if (rng.next_bool(0.02)) {
+                bool split = false;
+                const SimTime before = s.now();
+                const SimTime deadline = pick_deadline(split);
+                s.run_until(deadline);
+                ASSERT_EQ(s.now(), std::max(before, deadline));
+                ASSERT_TRUE(model.empty() || model.begin()->first.first > deadline);
+                if (split) ++split_deadlines;
+            }
+            if (rng.next_bool(0.005)) {
+                // Give a lane up with its events still queued; they keep
+                // their place in the model.  Its replacement may be a
+                // recycled lane.
+                LaneId& lane = lanes[rng.next_in(0, kLanes - 1)];
+                s.close_lane(lane);
+                lane = s.open_lane();
+                ASSERT_TRUE(lane_live[lane].empty());
+                ++lane_switches;
+            }
             check_pending();
         }
         s.run();
@@ -322,7 +396,70 @@ TEST(Scheduler, RandomizedChurnMatchesReferenceModel) {
         EXPECT_GE(cancels * 10, schedules * 9) << "seed " << seed;
         EXPECT_GT(fired, 1'000u) << "seed " << seed;
         EXPECT_GT(compacted_reuses, 100u) << "seed " << seed;
+        EXPECT_GT(lane_front_cancels, 100u) << "seed " << seed;
+        EXPECT_GT(lane_mid_cancels, 100u) << "seed " << seed;
+        EXPECT_GT(lane_heap_ties, 100u) << "seed " << seed;
+        EXPECT_GT(split_deadlines, 10u) << "seed " << seed;
+        EXPECT_GT(lane_switches, 20u) << "seed " << seed;
+        EXPECT_LE(s.lane_count(), kLanes + lane_switches);
     }
+}
+
+TEST(Scheduler, LaneEventsInterleaveWithHeapTimersBySchedulingOrder) {
+    Scheduler s;
+    const LaneId lane = s.open_lane();
+    std::vector<int> order;
+    s.schedule_in(lane, 10, [&] { order.push_back(1); });
+    s.schedule_at(10, [&] { order.push_back(2); });
+    s.schedule_in(lane, 10, [&] { order.push_back(3); });
+    s.schedule_at(5, [&] { order.push_back(0); });
+    s.schedule_in(lane, 20, [&] { order.push_back(5); });
+    s.schedule_at(15, [&] { order.push_back(4); });
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(s.now(), 20);
+}
+
+TEST(Scheduler, LaneTimeGoingBackwardsIsRejected) {
+    Scheduler s;
+    const LaneId lane = s.open_lane();
+    s.schedule_in(lane, 100, [] {});
+    EXPECT_EQ(s.lane_back(lane), 100);
+    EXPECT_THROW(s.schedule_in(lane, 99, [] {}), PreconditionError);
+    EXPECT_EQ(s.pending(), 1u);
+    s.schedule_in(lane, 100, [] {});  // equal times are fine
+    s.close_lane(lane);
+    EXPECT_THROW(s.schedule_in(lane, 200, [] {}), PreconditionError);
+    EXPECT_THROW(s.close_lane(lane), PreconditionError);
+    EXPECT_EQ(s.run(), 2u);
+}
+
+TEST(Scheduler, LaneTimesClampToNow) {
+    Scheduler s;
+    const LaneId lane = s.open_lane();
+    SimTime fired_at = -1;
+    s.schedule_at(100, [&] { s.schedule_in(lane, 10, [&] { fired_at = s.now(); }); });
+    s.run();
+    EXPECT_EQ(fired_at, 100);
+    EXPECT_EQ(s.lane_back(lane), 100);
+}
+
+TEST(Scheduler, DrainedClosedLanesAreRecycled) {
+    Scheduler s;
+    const LaneId first = s.open_lane();
+    s.schedule_in(first, 50, [] {});
+    s.close_lane(first);
+    const LaneId second = s.open_lane();
+    EXPECT_NE(second, first);  // `first` still holds an event
+    s.run();
+    s.close_lane(second);
+    // Both drained: reopening hands them out again, with fresh backs.
+    const LaneId a = s.open_lane();
+    const LaneId b = s.open_lane();
+    EXPECT_EQ(s.lane_count(), 2u);
+    EXPECT_NE(a, b);
+    EXPECT_EQ(s.lane_back(a), 0);
+    EXPECT_EQ(s.lane_back(b), 0);
 }
 
 // -- Task -------------------------------------------------------------------
@@ -494,6 +631,45 @@ TEST(CpuQueue, WorkAfterResetRuns) {
     cpu.execute(10, [&] { ran = true; });
     s.run();
     EXPECT_TRUE(ran);
+}
+
+TEST(CpuQueue, WorkQueuedBeforeKillNeverRuns) {
+    Scheduler s;
+    CpuQueue cpu(s);
+    std::vector<SimTime> ran;
+    cpu.execute(100, [] { FAIL() << "work queued before kill() must not run"; });
+    cpu.execute(100, [] { FAIL() << "work queued before kill() must not run"; });
+    s.schedule_at(50, [&] {
+        cpu.kill();
+        cpu.execute(10, [] { FAIL() << "a dead CPU runs nothing"; });
+        cpu.revive();
+        // Completes at 60, before the dead work's 100 and 200: a fresh lane.
+        cpu.execute(10, [&] { ran.push_back(s.now()); });
+        cpu.execute(300, [&] { ran.push_back(s.now()); });
+    });
+    s.run();
+    EXPECT_EQ(ran, (std::vector<SimTime>{60, 360}));
+    EXPECT_EQ(s.pending(), 0u);
+}
+
+// Each crash abandons the CPU's lane with work still queued on it; once
+// that work has drained, the lane is handed out again, so cycles that
+// outpace the drain leave a bounded number of lanes.
+TEST(CpuQueue, CrashRestartCyclesKeepTheLaneCountBounded) {
+    Scheduler s;
+    CpuQueue cpu(s);
+    int ran = 0;
+    for (int cycle = 0; cycle < 10'000; ++cycle) {
+        cpu.execute(100, [&] { ++ran; });
+        cpu.execute(100, [&] { ++ran; });
+        s.run_until(s.now() + 150);  // the first completes, the second waits
+        cpu.kill();
+        cpu.revive();
+    }
+    s.run();
+    EXPECT_EQ(ran, 10'000);
+    EXPECT_EQ(s.pending(), 0u);
+    EXPECT_LE(s.lane_count(), 4u);
 }
 
 TEST(CpuQueue, MoveOnlyWorkRuns) {
