@@ -182,19 +182,14 @@ std::size_t GroupCommEndpoint::pending_load() const {
 
 // -- wiring ---------------------------------------------------------------------
 
-bool GroupCommEndpoint::process_crashed() const {
-    // Incarnation-aware: after a node restart the old endpoint's timers are
-    // still in the scheduler, but they belong to a process that no longer
-    // exists and must stay dead even though the *node* is alive again.
-    return orb_->process_defunct();
-}
-
 obs::MetricsRegistry& GroupCommEndpoint::metrics() const {
     return orb_->network().metrics();
 }
 
 void GroupCommEndpoint::on_wire(BytesView payload) {
-    if (process_crashed()) return;
+    // Crash-stop: a dead process (crashed, or replaced by a restart)
+    // handles nothing, so it can never mutate shared state again.
+    if (orb_->process_defunct()) return;
     GcsMessage msg;
     try {
         msg = decode_gcs_message(payload);
@@ -207,7 +202,6 @@ void GroupCommEndpoint::on_wire(BytesView payload) {
             using T = std::decay_t<decltype(body)>;
             if constexpr (std::is_same_v<T, DataMsg>) handle_data(std::move(body), payload);
             else if constexpr (std::is_same_v<T, NackMsg>) handle_nack(body);
-            else if constexpr (std::is_same_v<T, OrderMsg>) { /* order records ride DataMsg */ }
             else if constexpr (std::is_same_v<T, JoinReq>) handle_join(body);
             else if constexpr (std::is_same_v<T, LeaveReq>) handle_leave(body);
             else if constexpr (std::is_same_v<T, SuspectMsg>) handle_suspect(body);
@@ -279,8 +273,9 @@ GroupId GroupCommEndpoint::join_group(const std::string& name) {
     NEWTOP_EXPECTS(info != nullptr, "no such group");
     if (is_member(info->id)) return info->id;
     if (!pending_joins_.contains(name)) {
-        pending_joins_[name] = 0;
-        on_join_retry(name);  // first attempt immediately
+        pending_joins_.try_emplace(name);
+        // First attempt immediately; a defunct process starts nothing.
+        if (!orb_->process_defunct()) on_join_retry(name);
     }
     return info->id;
 }
@@ -291,7 +286,6 @@ void GroupCommEndpoint::leave_group(GroupId group) {
     if (g->view.members.size() == 1) {
         // Last member: the group simply disbands around us.
         const GroupId id = g->id;
-        stop_liveness(*g);
         groups_.erase(id);
         if (removed_handler_) removed_handler_(id);
         return;
@@ -583,10 +577,9 @@ void GroupCommEndpoint::handle_data(DataMsg msg, BytesView wire) {
         it = stream.out_of_order.erase(it);
         ++stream.next_expected;
     }
-    if (stream.out_of_order.empty() && stream.nack_timer != 0) {
-        orb_->scheduler().cancel(stream.nack_timer);
-        stream.nack_timer = 0;
-    } else if (!stream.out_of_order.empty()) {
+    if (stream.out_of_order.empty()) {
+        stream.nack_timer.cancel();
+    } else {
         schedule_nack(g, sender);
     }
 
@@ -634,12 +627,11 @@ void GroupCommEndpoint::pump(Group& g) {
 }
 
 void GroupCommEndpoint::schedule_order_flush(Group& g) {
-    if (g.engine.fresh_count() == 0 || g.order_flush_timer != 0) return;
-    const GroupId id = g.id;
+    if (g.engine.fresh_count() == 0 || g.order_flush_timer.armed()) return;
     // Zero delay: the scheduler's FIFO tie-break at equal timestamps runs
     // this after every already-queued delivery at the current instant, so
     // the flush sees the whole event step's assignments.
-    g.order_flush_timer = orb_->scheduler().schedule_after(0, [this, id] { on_order_flush(id); });
+    g.order_flush_timer.arm(*orb_, 0, [this, &g] { on_order_flush(g); });
 }
 
 void GroupCommEndpoint::flush_order(Group& g) {
@@ -659,18 +651,14 @@ void GroupCommEndpoint::flush_order(Group& g) {
     send_data(g, DataKind::kOrder, encode_to_bytes(*order));
 }
 
-void GroupCommEndpoint::on_order_flush(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
-    if (g == nullptr) return;
-    g->order_flush_timer = 0;
+void GroupCommEndpoint::on_order_flush(Group& g) {
     // During a view change order records are never sent; the unsent
     // assignments are deliberately invisible to the flush (assignment_log)
     // and the cut's (ts, sender) fallback orders those refs instead.
-    if (g->state != Group::State::kNormal || !g->installed) return;
-    flush_order(*g);
-    pump(*g);
-    kick_liveness(*g);
+    if (g.state != Group::State::kNormal || !g.installed) return;
+    flush_order(g);
+    pump(g);
+    kick_liveness(g);
 }
 
 void GroupCommEndpoint::try_release(Group& g) {
@@ -812,33 +800,28 @@ void GroupCommEndpoint::apply_config_delivery(Group& g, const DataMsg& msg) {
 
     // Arm the flush-delimited switch.  Deferred one event step: this runs
     // deep inside the delivery path (possibly inside a cut drain), and
-    // starting a round here would re-enter the view-change machinery.
-    const GroupId id = g.id;
-    orb_->scheduler().schedule_after(0, [this, id] {
-        if (process_crashed()) return;
-        Group* gp = find_group(id);
-        if (gp != nullptr) maybe_start_view_change(*gp);
-    });
+    // starting a round here would re-enter the view-change machinery.  One
+    // check per instant serves every proposal delivered in it.
+    if (!g.config_timer.armed()) {
+        g.config_timer.arm(*orb_, 0, [this, &g] { maybe_start_view_change(g); });
+    }
 }
 
 // -- NACK-based retransmission ------------------------------------------------------
 
 void GroupCommEndpoint::schedule_nack(Group& g, EndpointId sender) {
     auto& stream = g.inbound[sender];
-    if (stream.nack_timer != 0) return;
-    const GroupId group_id = g.id;
-    stream.nack_timer = orb_->scheduler().schedule_after(
-        kNackDelay, [this, group_id, sender] { send_nack(group_id, sender); });
+    // No NACK is armed during a view change: it could only fire into the
+    // change and bail, since the install clears every stream.
+    if (g.state != Group::State::kNormal || stream.nack_timer.armed()) return;
+    stream.nack_timer.arm(*orb_, kNackDelay, [this, &g, sender] { send_nack(g, sender); });
 }
 
-void GroupCommEndpoint::send_nack(GroupId group_id, EndpointId sender) {
-    if (process_crashed()) return;
-    Group* g = find_group(group_id);
-    if (g == nullptr || g->state != Group::State::kNormal) return;
-    auto& stream = g->inbound[sender];
-    stream.nack_timer = 0;
+void GroupCommEndpoint::send_nack(Group& g, EndpointId sender) {
+    if (g.state != Group::State::kNormal) return;
+    auto& stream = g.inbound[sender];
 
-    NackMsg nack{g->id, g->view.epoch, id_, {}};
+    NackMsg nack{g.id, g.view.epoch, id_, {}};
     const Seqno gap_end = stream.out_of_order.empty()
                               ? stream.next_expected + 1
                               : stream.out_of_order.begin()->first;
@@ -848,8 +831,7 @@ void GroupCommEndpoint::send_nack(GroupId group_id, EndpointId sender) {
     send_wire(sender, nack);
 
     // Retry until the gap closes (or a view change supersedes everything).
-    stream.nack_timer = orb_->scheduler().schedule_after(
-        kNackRetry, [this, group_id, sender] { send_nack(group_id, sender); });
+    stream.nack_timer.arm(*orb_, kNackRetry, [this, &g, sender] { send_nack(g, sender); });
 }
 
 void GroupCommEndpoint::handle_nack(const NackMsg& msg) {

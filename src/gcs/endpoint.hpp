@@ -32,7 +32,7 @@
 #include "gcs/ordering.hpp"
 #include "gcs/types.hpp"
 #include "gcs/view.hpp"
-#include "orb/orb.hpp"
+#include "orb/process_timer.hpp"
 
 namespace newtop {
 
@@ -161,7 +161,7 @@ private:
         /// This sender's delivered application-like messages this epoch
         /// (the view-change cut and cross-group knowledge barriers read it).
         DeliveredPrefix delivered;
-        TimerId nack_timer{0};
+        ProcessTimer nack_timer;
         /// φ-accrual inter-arrival history: the most recent positive gaps
         /// between this sender's messages (bounded ring, microseconds).
         /// Cleared with the rest of the stream at each view install, so φ
@@ -241,13 +241,17 @@ private:
         /// Pending end-of-event-step ORDER flush (sequencer only): all data
         /// refs assigned while this is armed ride one multi-assignment ORDER
         /// broadcast instead of one broadcast each.
-        TimerId order_flush_timer{0};
+        ProcessTimer order_flush_timer;
+        /// Zero-delay deferrals, armed at most once per instant: a config
+        /// delivery's view-change check, an install's adaptive-order check.
+        ProcessTimer config_timer;
+        ProcessTimer adapt_timer;
 
         // liveness timers
-        TimerId silence_timer{0};
-        TimerId progress_timer{0};
-        TimerId suspicion_timer{0};
-        TimerId stability_timer{0};
+        ProcessTimer silence_timer;
+        ProcessTimer progress_timer;
+        ProcessTimer suspicion_timer;
+        ProcessTimer stability_timer;
         /// Event-driven groups shut the mechanisms down while idle; when
         /// they wake up, suspicion must not look at silence accumulated
         /// while they were off.
@@ -273,7 +277,7 @@ private:
         std::set<EndpointId> vc_flushed;
         std::map<MsgRef, DataMsg> vc_cut;
         std::map<std::uint64_t, MsgRef> vc_orders;
-        TimerId vc_timer{0};
+        ProcessTimer vc_timer;
 
         // counters
         std::uint64_t nulls_sent{0};
@@ -283,12 +287,6 @@ private:
     class GcsServant;
 
     // -- wiring (endpoint.cpp) -------------------------------------------------
-    /// Crash-stop: a dead process executes nothing.  Timer callbacks and
-    /// message handlers bail out through this so a crashed node can never
-    /// mutate shared state (e.g. the directory) again.  Incarnation-aware:
-    /// stays true for this endpoint after its node restarts, because the
-    /// reborn process is a fresh endpoint and this one is gone for good.
-    [[nodiscard]] bool process_crashed() const;
     /// The world's metrics registry (owned by the Network).
     [[nodiscard]] obs::MetricsRegistry& metrics() const;
     void on_wire(BytesView payload);
@@ -318,7 +316,7 @@ private:
     void pump(Group& g);
     void schedule_order_flush(Group& g);
     void flush_order(Group& g);
-    void on_order_flush(GroupId id);
+    void on_order_flush(Group& g);
     void try_release(Group& g);
     void try_release_all();
     [[nodiscard]] bool barrier_satisfied(const DataMsg& msg) const;
@@ -334,17 +332,17 @@ private:
     /// trigger the flush-delimited view change that will honour it.
     void apply_config_delivery(Group& g, const DataMsg& msg);
     void schedule_nack(Group& g, EndpointId sender);
-    void send_nack(GroupId group_id, EndpointId sender);
+    void send_nack(Group& g, EndpointId sender);
 
     // -- liveness (endpoint_liveness.cpp) ----------------------------------------
     [[nodiscard]] bool mechanisms_active(const Group& g) const;
     void kick_liveness(Group& g);
     void stop_liveness(Group& g);
     void send_null(Group& g);
-    void on_silence_timer(GroupId id);
-    void on_progress_timer(GroupId id);
-    void on_suspicion_scan(GroupId id);
-    void on_stability_tick(GroupId id);
+    void on_silence_timer(Group& g);
+    void on_progress_timer(Group& g);
+    void on_suspicion_scan(Group& g);
+    void on_stability_tick(Group& g);
     void apply_stability_report(Group& g, EndpointId reporter,
                                 const std::vector<std::pair<EndpointId, Seqno>>& counts);
     void recompute_stability(Group& g);
@@ -386,8 +384,8 @@ private:
     /// symmetric protocol below it).  No-op for causal groups, non-leaders,
     /// or when a proposal is already pending.
     void maybe_adapt_order(Group& g);
-    void on_adapt_order(GroupId id);
-    void on_vc_timeout(GroupId id);
+    void on_adapt_order(Group& g);
+    void on_vc_timeout(Group& g);
     void on_join_retry(const std::string& name);
 
     Orb* orb_;
@@ -425,7 +423,7 @@ private:
     /// Cross-group causal knowledge, spanning all of this endpoint's groups.
     KnowledgeTable knowledge_;
     /// Joins awaiting completion: group name -> retry timer.
-    std::map<std::string, TimerId> pending_joins_;
+    std::map<std::string, ProcessTimer> pending_joins_;
 
     /// pump()'s buffer for the engine's deliverables; empty between pumps,
     /// its capacity reused by the next.

@@ -36,12 +36,10 @@ bool GroupCommEndpoint::mechanisms_active(const Group& g) const {
 }
 
 void GroupCommEndpoint::stop_liveness(Group& g) {
-    Scheduler& sched = orb_->scheduler();
-    sched.cancel(g.silence_timer);
-    sched.cancel(g.progress_timer);
-    sched.cancel(g.suspicion_timer);
-    sched.cancel(g.stability_timer);
-    g.silence_timer = g.progress_timer = g.suspicion_timer = g.stability_timer = 0;
+    g.silence_timer.cancel();
+    g.progress_timer.cancel();
+    g.suspicion_timer.cancel();
+    g.stability_timer.cancel();
 }
 
 void GroupCommEndpoint::kick_liveness(Group& g) {
@@ -67,13 +65,11 @@ void GroupCommEndpoint::kick_liveness(Group& g) {
     // Heartbeats are pointless when alone in the group.
     if (g.view.members.size() < 2) return;
 
-    Scheduler& sched = orb_->scheduler();
-    const GroupId id = g.id;
     const SimTime base = g.ever_sent ? g.last_send_time : g.view_installed_at;
 
-    if (g.silence_timer == 0) {
-        g.silence_timer = sched.schedule_at(std::max(sched.now(), base + g.config.time_silence),
-                                            [this, id] { on_silence_timer(id); });
+    if (!g.silence_timer.armed()) {
+        g.silence_timer.arm_at(*orb_, base + g.config.time_silence,
+                               [this, &g] { on_silence_timer(g); });
     }
     // Progress nulls are armed only when they can actually unblock the
     // order: something arrived since our last send AND our own timestamp
@@ -81,18 +77,18 @@ void GroupCommEndpoint::kick_liveness(Group& g) {
     // everyone already has what they need from us).  This caps protocol
     // chatter at roughly one null per member per ordering round.
     const auto head = g.engine.symmetric_head();
-    if (g.progress_timer == 0 && head.has_value() && g.received_since_send &&
+    if (!g.progress_timer.armed() && head.has_value() && g.received_since_send &&
         g.last_sent_ts < *head) {
-        g.progress_timer = sched.schedule_at(std::max(sched.now(), base + g.config.ack_delay),
-                                             [this, id] { on_progress_timer(id); });
+        g.progress_timer.arm_at(*orb_, base + g.config.ack_delay,
+                                [this, &g] { on_progress_timer(g); });
     }
-    if (g.suspicion_timer == 0) {
-        g.suspicion_timer = sched.schedule_after(g.config.suspicion_timeout / 2,
-                                                 [this, id] { on_suspicion_scan(id); });
+    if (!g.suspicion_timer.armed()) {
+        g.suspicion_timer.arm(*orb_, g.config.suspicion_timeout / 2,
+                              [this, &g] { on_suspicion_scan(g); });
     }
-    if (g.stability_timer == 0) {
-        g.stability_timer = sched.schedule_after(g.config.stability_period,
-                                                 [this, id] { on_stability_tick(id); });
+    if (!g.stability_timer.armed()) {
+        g.stability_timer.arm(*orb_, g.config.stability_period,
+                              [this, &g] { on_stability_tick(g); });
     }
 }
 
@@ -102,37 +98,27 @@ void GroupCommEndpoint::send_null(Group& g) {
     send_data(g, DataKind::kNull, {});
 }
 
-void GroupCommEndpoint::on_silence_timer(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
-    if (g == nullptr) return;
-    g->silence_timer = 0;
-    if (!mechanisms_active(*g)) return;
-    Scheduler& sched = orb_->scheduler();
-    if (sched.now() >= g->last_send_time + g->config.time_silence || !g->ever_sent) {
-        send_null(*g);
+void GroupCommEndpoint::on_silence_timer(Group& g) {
+    if (!mechanisms_active(g)) return;
+    if (orb_->scheduler().now() >= g.last_send_time + g.config.time_silence || !g.ever_sent) {
+        send_null(g);
     }
-    kick_liveness(*g);
+    kick_liveness(g);
 }
 
-void GroupCommEndpoint::on_progress_timer(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
-    if (g == nullptr) return;
-    g->progress_timer = 0;
-    const auto head = g->engine.symmetric_head();
-    if (!mechanisms_active(*g) || !head.has_value()) return;
-    Scheduler& sched = orb_->scheduler();
+void GroupCommEndpoint::on_progress_timer(Group& g) {
+    const auto head = g.engine.symmetric_head();
+    if (!mechanisms_active(g) || !head.has_value()) return;
     // Our timestamp is what other members' held-back messages wait for; a
     // null advances it without application traffic.  Self-clocking: only
     // null when something arrived since our last send and our timestamp
     // still lags the ordering head — otherwise a repeat null could not
     // unblock anyone.  (The time-silence heartbeat remains the fallback.)
-    if (g->received_since_send && g->last_sent_ts < *head &&
-        sched.now() >= g->last_send_time + g->config.ack_delay) {
-        send_null(*g);
+    if (g.received_since_send && g.last_sent_ts < *head &&
+        orb_->scheduler().now() >= g.last_send_time + g.config.ack_delay) {
+        send_null(g);
     }
-    kick_liveness(*g);
+    kick_liveness(g);
 }
 
 // -- φ-accrual failure detection (Hayashibara et al., SRDS 2004) ----------------
@@ -201,50 +187,41 @@ std::uint64_t GroupCommEndpoint::sample_phi_milli(EndpointId peer, SimTime at) c
     return static_cast<std::uint64_t>(max_phi * 1000.0);
 }
 
-void GroupCommEndpoint::on_suspicion_scan(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
-    if (g == nullptr) return;
-    g->suspicion_timer = 0;
-    if (!mechanisms_active(*g)) return;
+void GroupCommEndpoint::on_suspicion_scan(Group& g) {
+    if (!mechanisms_active(g)) return;
+    const GroupId id = g.id;
     const SimTime now = orb_->scheduler().now();
-    if (g->state == Group::State::kNormal) {
-        for (const EndpointId member : g->view.members) {
-            if (member == id_ || g->suspects.contains(member)) continue;
-            const auto it = g->inbound.find(member);
-            const InboundStream* stream = it == g->inbound.end() ? nullptr : &it->second;
+    if (g.state == Group::State::kNormal) {
+        for (const EndpointId member : g.view.members) {
+            if (member == id_ || g.suspects.contains(member)) continue;
+            const auto it = g.inbound.find(member);
+            const InboundStream* stream = it == g.inbound.end() ? nullptr : &it->second;
             const SimTime last =
                 std::max({stream == nullptr ? 0 : stream->last_heard,
-                          g->view_installed_at, g->active_since});
-            if (suspicion_due(g->config, stream, now - last)) {
-                NEWTOP_DEBUG("suspicion scan: ep " << id_ << " group " << g->id << " member "
+                          g.view_installed_at, g.active_since});
+            if (suspicion_due(g.config, stream, now - last)) {
+                NEWTOP_DEBUG("suspicion scan: ep " << id_ << " group " << g.id << " member "
                                                    << member << " now=" << now << " last=" << last
-                                                   << " active_since=" << g->active_since
-                                                   << " unstable=" << g->unstable.size()
-                                                   << " holdback=" << g->release_queue.size());
+                                                   << " active_since=" << g.active_since
+                                                   << " unstable=" << g.unstable.size()
+                                                   << " holdback=" << g.release_queue.size());
                 metrics().observe(obs::metric::kGcsDetectionLatencyUs, now - last);
-                note_suspect(*g, member, /*broadcast=*/true);
+                note_suspect(g, member, /*broadcast=*/true);
             }
         }
-        maybe_start_view_change(*g);
-        // The round may have completed synchronously and removed us from
-        // the group (erasing it); never touch the old pointer again.
-        g = find_group(id);
-        if (g == nullptr) return;
+        maybe_start_view_change(g);
     }
-    kick_liveness(*g);
+    // The round may have completed synchronously and removed us from the
+    // group (erasing it); re-resolve before touching it again.
+    if (Group* still = find_group(id)) kick_liveness(*still);
 }
 
-void GroupCommEndpoint::on_stability_tick(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
-    if (g == nullptr) return;
-    g->stability_timer = 0;
-    if (!mechanisms_active(*g)) return;
+void GroupCommEndpoint::on_stability_tick(Group& g) {
+    if (!mechanisms_active(g)) return;
     // Gossip our received counts even while application traffic keeps the
     // silence timer from ever firing.
-    send_null(*g);
-    kick_liveness(*g);
+    send_null(g);
+    kick_liveness(g);
 }
 
 std::vector<std::pair<EndpointId, Seqno>> GroupCommEndpoint::received_counts(

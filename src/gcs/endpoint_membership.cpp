@@ -78,7 +78,6 @@ void GroupCommEndpoint::install_first_view(Group& g) {
 // -- join / leave ----------------------------------------------------------------
 
 void GroupCommEndpoint::on_join_retry(const std::string& name) {
-    if (process_crashed()) return;
     const auto pending = pending_joins_.find(name);
     if (pending == pending_joins_.end()) return;
     const Directory::GroupInfo* info = directory_->find_group(name);
@@ -116,9 +115,8 @@ void GroupCommEndpoint::on_join_retry(const std::string& name) {
     for (const EndpointId contact : info->contact_hint) {
         if (contact != id_) send_wire(contact, req);
     }
-    pending->second = orb_->scheduler().schedule_after(
-        2 * info->config.view_change_timeout,
-        [this, name = std::string(name)] { on_join_retry(name); });
+    pending->second.arm(*orb_, 2 * info->config.view_change_timeout,
+                        [this, name = std::string(name)] { on_join_retry(name); });
 }
 
 void GroupCommEndpoint::handle_join(const JoinReq& msg) {
@@ -259,10 +257,7 @@ void GroupCommEndpoint::begin_round(Group& g) {
     g.unstable.for_each([&own](DataMsg&& msg) { own.push_back(std::move(msg)); });
     add_flush(g, id_, std::move(own), g.engine.flush_orders());
 
-    orb_->scheduler().cancel(g.vc_timer);
-    const GroupId id = g.id;
-    g.vc_timer = orb_->scheduler().schedule_after(g.config.view_change_timeout,
-                                                  [this, id] { on_vc_timeout(id); });
+    g.vc_timer.arm(*orb_, g.config.view_change_timeout, [this, &g] { on_vc_timeout(g); });
     finish_if_flushes_complete(g);
 }
 
@@ -275,14 +270,12 @@ void GroupCommEndpoint::enter_view_change(Group& g, ViewEpoch new_epoch,
     g.vc_coordinator = coordinator;
     metrics().trace(obs::TraceKind::kViewChangeBegun, orb_->scheduler().now(), id_.value(),
                     g.id.value(), new_epoch);
-    orb_->scheduler().cancel(g.vc_timer);
-    const GroupId id = g.id;
     // Followers wait noticeably longer than the coordinator's own retry
     // period: a round stalled on a *third* member makes the coordinator
     // re-propose (resetting this timer) — suspecting the healthy
     // coordinator at the same instant would splinter the group.
-    g.vc_timer = orb_->scheduler().schedule_after(5 * g.config.view_change_timeout / 2,
-                                                  [this, id] { on_vc_timeout(id); });
+    g.vc_timer.arm(*orb_, 5 * g.config.view_change_timeout / 2,
+                   [this, &g] { on_vc_timeout(g); });
 }
 
 void GroupCommEndpoint::handle_propose(const ProposeMsg& msg) {
@@ -408,22 +401,17 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
                                                             : std::vector<EndpointId>{};
     const bool was_member = g.installed && g.view.contains(id_);
 
-    stop_liveness(g);
-    orb_->scheduler().cancel(g.vc_timer);
-    g.vc_timer = 0;
-    orb_->scheduler().cancel(g.order_flush_timer);
-    g.order_flush_timer = 0;
-    for (auto& [member, stream] : g.inbound) {
-        orb_->scheduler().cancel(stream.nack_timer);
-        stream.nack_timer = 0;
-    }
-
     if (!msg.view.contains(id_)) {
-        // We left, were ejected, or this is a stray install: drop the group.
+        // We left, were ejected, or this is a stray install: drop the group
+        // (and with it every timer it owns).
         groups_.erase(group_id);
         if (was_member && removed_handler_) removed_handler_(group_id);
         return;
     }
+    // The NACK timers go with the streams, cleared below.
+    stop_liveness(g);
+    g.vc_timer.cancel();
+    g.order_flush_timer.cancel();
 
     g.view = msg.view;
     g.installed = true;
@@ -511,11 +499,7 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     directory_->update_contact_hint(group_id, g.view.members);
 
     // A join we were waiting on may have just completed.
-    const auto join_it = pending_joins_.find(g.name);
-    if (join_it != pending_joins_.end()) {
-        orb_->scheduler().cancel(join_it->second);
-        pending_joins_.erase(join_it);
-    }
+    pending_joins_.erase(g.name);
 
     if (view_handler_) {
         ViewChangeEvent event;
@@ -615,49 +599,43 @@ void GroupCommEndpoint::maybe_adapt_order(Group& g) {
     if (!adaptive_target(g.config, g.view.members.size())) return;
     // Defer one event step: we are inside the install path, and reconfigure
     // sends through the data machinery the install is still settling.
-    const GroupId id = g.id;
-    orb_->scheduler().schedule_after(0, [this, id] { on_adapt_order(id); });
+    if (!g.adapt_timer.armed()) g.adapt_timer.arm(*orb_, 0, [this, &g] { on_adapt_order(g); });
 }
 
-void GroupCommEndpoint::on_adapt_order(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
+void GroupCommEndpoint::on_adapt_order(Group& g) {
     // Re-validate everything: membership, leadership or the config may all
     // have moved since the install that scheduled us.
-    if (g == nullptr || !g->installed || g->state != Group::State::kNormal) return;
-    if (g->view.leader() != id_ || g->pending_config.has_value()) return;
-    const auto target = adaptive_target(g->config, g->view.members.size());
+    if (!g.installed || g.state != Group::State::kNormal) return;
+    if (g.view.leader() != id_ || g.pending_config.has_value()) return;
+    const auto target = adaptive_target(g.config, g.view.members.size());
     if (!target) return;
-    GroupConfig next = g->config;
+    GroupConfig next = g.config;
     next.order = *target;
-    reconfigure(id, next);
+    reconfigure(g.id, next);
 }
 
-void GroupCommEndpoint::on_vc_timeout(GroupId id) {
-    if (process_crashed()) return;
-    Group* g = find_group(id);
-    if (g == nullptr || g->state != Group::State::kViewChange) return;
-    g->vc_timer = 0;
+void GroupCommEndpoint::on_vc_timeout(Group& g) {
+    if (g.state != Group::State::kViewChange) return;
 
-    if (g->leading) {
+    if (g.leading) {
         // Members that never flushed are presumed gone; go again without them.
-        for (const EndpointId member : g->vc_expected_flush) {
-            if (!g->vc_flushed.contains(member)) note_suspect(*g, member, true);
+        for (const EndpointId member : g.vc_expected_flush) {
+            if (!g.vc_flushed.contains(member)) note_suspect(g, member, true);
         }
-        begin_round(*g);
+        begin_round(g);
         return;
     }
 
     // The coordinator went quiet; the next-ranked survivor takes over.
-    note_suspect(*g, g->vc_coordinator, true);
-    if (!g->installed || !g->view.contains(id_)) {
+    note_suspect(g, g.vc_coordinator, true);
+    if (!g.installed || !g.view.contains(id_)) {
         // Joiner waiting on a dead coordinator: rely on the join retry.
         return;
     }
     EndpointId next;
     bool found = false;
-    for (const EndpointId member : g->view.members) {
-        if (!g->suspects.contains(member)) {
+    for (const EndpointId member : g.view.members) {
+        if (!g.suspects.contains(member)) {
             next = member;
             found = true;
             break;
@@ -665,11 +643,10 @@ void GroupCommEndpoint::on_vc_timeout(GroupId id) {
     }
     NEWTOP_ENSURES(found, "self is never suspected");
     if (next == id_) {
-        begin_round(*g);
+        begin_round(g);
     } else {
-        const GroupId gid = g->id;
-        g->vc_timer = orb_->scheduler().schedule_after(5 * g->config.view_change_timeout / 2,
-                                                       [this, gid] { on_vc_timeout(gid); });
+        g.vc_timer.arm(*orb_, 5 * g.config.view_change_timeout / 2,
+                       [this, &g] { on_vc_timeout(g); });
     }
 }
 

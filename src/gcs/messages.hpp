@@ -150,17 +150,6 @@ struct NackMsg {
 };
 NEWTOP_WIRE(NackMsg, group, epoch, requester, missing);
 
-/// Asymmetric-order record from the sequencer: refs[i] is the message with
-/// global order number `first_order + i`.  Unused on the wire (records ride
-/// DataKind::kOrder as an OrderRecord); kept so later variant tags hold.
-struct OrderMsg {
-    GroupId group;
-    ViewEpoch epoch{0};
-    std::uint64_t first_order{0};
-    std::vector<MsgRef> refs;
-};
-NEWTOP_WIRE(OrderMsg, group, epoch, first_order, refs);
-
 /// Ask a current member to bring `joiner` into the group.
 struct JoinReq {
     GroupId group;
@@ -235,8 +224,10 @@ struct InstallMsg {
 NEWTOP_WIRE(InstallMsg, group, view, coordinator, cut, orders, config, config_epoch,
             applied_nonce);
 
-using GcsMessage = std::variant<DataMsg, NackMsg, OrderMsg, JoinReq, LeaveReq, SuspectMsg,
-                                ProposeMsg, FlushMsg, InstallMsg>;
+/// Sequencer order records are not a message of their own: they ride a
+/// DataKind::kOrder DataMsg as an OrderRecord payload.
+using GcsMessage = std::variant<DataMsg, NackMsg, JoinReq, LeaveReq, SuspectMsg, ProposeMsg,
+                                FlushMsg, InstallMsg>;
 
 /// The GCS wire frame: a one-byte tag (variant index + 1) and the message.
 Bytes encode_gcs_message(const GcsMessage& msg);

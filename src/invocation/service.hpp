@@ -35,6 +35,7 @@
 #include "invocation/envelope.hpp"
 #include "invocation/group_servant.hpp"
 #include "invocation/types.hpp"
+#include "orb/process_timer.hpp"
 #include "util/rng.hpp"
 
 namespace newtop {
@@ -154,7 +155,7 @@ private:
         /// retries and rebinds stay inside one trace.
         obs::SpanContext span;
         GroupReplyHandler handler;
-        TimerId timeout{0};
+        ProcessTimer timeout;  // armed while in flight with a call_timeout
         /// Sim time of the first send (-1 until sent): feeds the per-mode
         /// reply-wait histograms and distinguishes retries from first sends.
         SimTime issued_at{-1};
@@ -184,8 +185,9 @@ private:
         GroupId cs_group;  // client/server group (open/closed) or monitor group gz
         std::uint64_t attempt{0};  // cs-group recreation counter
         std::uint64_t rebinds{0};
-        TimerId invite_timer{0};
+        ProcessTimer invite_timer;
         std::uint64_t backoff_round{0};  // consecutive failed re-resolutions
+        ProcessTimer backoff_timer;
 
         // open / group-to-group
         EndpointId manager;  // current request manager
@@ -245,7 +247,7 @@ private:
     void collect_closed_reply(Binding& b, const ReplyEnv& reply);
     void rebind(Binding& b);
     void enter_backoff(Binding& b);
-    void on_backoff_retry(BindingId id, std::uint64_t round);
+    void on_backoff_retry(Binding& b);
     [[nodiscard]] std::vector<EndpointId> manager_candidates(const Binding& b) const;
     void reevaluate_closed_calls(Binding& b);
     [[nodiscard]] std::size_t live_server_count(const Binding& b) const;

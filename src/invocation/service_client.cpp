@@ -117,13 +117,8 @@ void InvocationService::start_closed_bind(Binding& b) {
     }
     for (const EndpointId server : b.invited_servers) invite_server(b, server);
 
-    orb_->scheduler().cancel(b.invite_timer);
-    const BindingId id = b.id;
-    const std::uint64_t attempt = b.attempt;
-    b.invite_timer =
-        orb_->scheduler().schedule_after(b.options.invite_timeout + 1_s, [this, id, attempt] {
-            on_invite_timeout(id, attempt);
-        });
+    b.invite_timer.arm(*orb_, b.options.invite_timeout + 1_s,
+                       [this, id = b.id, attempt = b.attempt] { on_invite_timeout(id, attempt); });
 }
 
 void InvocationService::invite_server(Binding& b, EndpointId server) {
@@ -232,15 +227,11 @@ void InvocationService::invite_manager(Binding& b) {
                  },
                  b.options.invite_timeout);
 
-    orb_->scheduler().cancel(b.invite_timer);
-    b.invite_timer =
-        orb_->scheduler().schedule_after(b.options.invite_timeout + 1_s, [this, id, attempt] {
-            on_invite_timeout(id, attempt);
-        });
+    b.invite_timer.arm(*orb_, b.options.invite_timeout + 1_s,
+                       [this, id, attempt] { on_invite_timeout(id, attempt); });
 }
 
 void InvocationService::on_invite_timeout(BindingId id, std::uint64_t attempt) {
-    if (orb_->process_defunct()) return;
     Binding* b = find_binding(id);
     if (b == nullptr || b->state != Binding::State::kJoining || b->attempt != attempt) return;
 
@@ -268,8 +259,7 @@ void InvocationService::on_invite_timeout(BindingId id, std::uint64_t attempt) {
 
 void InvocationService::binding_became_ready(Binding& b) {
     b.state = Binding::State::kReady;
-    orb_->scheduler().cancel(b.invite_timer);
-    b.invite_timer = 0;
+    b.invite_timer.cancel();
     while (!b.queued.empty() && b.state == Binding::State::kReady) {
         PendingCall call = std::move(b.queued.front());
         b.queued.pop_front();
@@ -292,8 +282,7 @@ void InvocationService::rebind(Binding& b) {
     std::sort(seqs.begin(), seqs.end(), std::greater<>());
     for (const std::uint64_t seq : seqs) {
         auto node = b.inflight.extract(seq);
-        orb_->scheduler().cancel(node.mapped().timeout);
-        node.mapped().timeout = 0;
+        node.mapped().timeout.cancel();
         b.queued.push_front(std::move(node.mapped()));
     }
 
@@ -331,8 +320,7 @@ void InvocationService::enter_backoff(Binding& b) {
     NEWTOP_WARN("binding " << b.id << ": no live server for " << b.service
                            << "; backing off (round " << b.backoff_round << ")");
     b.state = Binding::State::kBackoff;
-    orb_->scheduler().cancel(b.invite_timer);
-    b.invite_timer = 0;
+    b.invite_timer.cancel();
     // Calls can never complete while no server exists; their handlers must
     // not hang, so fail them now.  New calls fail fast until we re-bind.
     fail_all_calls(b);
@@ -351,49 +339,41 @@ void InvocationService::enter_backoff(Binding& b) {
     const auto jitter = static_cast<SimDuration>(
         backoff_rng_.next_in(0, static_cast<std::uint64_t>(base / 4)));
     ++b.backoff_round;
-    const BindingId id = b.id;
-    const std::uint64_t round = b.backoff_round;
-    orb_->scheduler().schedule_after(base + jitter,
-                                     [this, id, round] { on_backoff_retry(id, round); });
+    b.backoff_timer.arm(*orb_, base + jitter, [this, &b] { on_backoff_retry(b); });
 }
 
-void InvocationService::on_backoff_retry(BindingId id, std::uint64_t round) {
-    if (orb_->process_defunct()) return;
-    Binding* b = find_binding(id);
-    if (b == nullptr || b->state != Binding::State::kBackoff || b->backoff_round != round) {
-        return;  // unbound, healed, or superseded by a later round
-    }
+void InvocationService::on_backoff_retry(Binding& b) {
+    if (b.state != Binding::State::kBackoff) return;  // healed meanwhile
     // Written-off managers age out: one of them may be exactly the replica
     // that recovered.
-    b->failed_managers.clear();
-    const auto candidates = manager_candidates(*b);
+    b.failed_managers.clear();
+    const auto candidates = manager_candidates(b);
     if (candidates.empty()) {
-        enter_backoff(*b);  // schedules the next, longer retry
+        enter_backoff(b);  // schedules the next, longer retry
         return;
     }
     metrics().add(obs::metric::kInvBackoffRebinds);
-    b->backoff_round = 0;
-    if (b->group_origin) {
+    b.backoff_round = 0;
+    if (b.group_origin) {
         // The monitor group is still intact; just invite a new manager.
-        b->state = Binding::State::kJoining;
-        b->manager = candidates.front();
-        ++b->attempt;
-        invite_manager(*b);
-    } else if (b->options.mode == BindMode::kClosed) {
-        start_closed_bind(*b);
+        b.state = Binding::State::kJoining;
+        b.manager = candidates.front();
+        ++b.attempt;
+        invite_manager(b);
+    } else if (b.options.mode == BindMode::kClosed) {
+        start_closed_bind(b);
     } else {
-        start_open_bind(*b);
+        start_open_bind(b);
     }
 }
 
 void InvocationService::unbind(BindingId binding) {
     Binding* b = find_binding(binding);
     if (b == nullptr) return;
-    orb_->scheduler().cancel(b->invite_timer);
-    for (auto& [seq, call] : b->inflight) orb_->scheduler().cancel(call.timeout);
     const GroupId cs_group = b->cs_group;
-    // Erase the binding first: leaving a group can fire on_removed, which
-    // must not find (and try to revive) a binding being torn down.
+    // Erase the binding (and with it every timer it owns) first: leaving a
+    // group can fire on_removed, which must not find (and try to revive) a
+    // binding being torn down.
     bindings_by_group_.erase(cs_group);
     bindings_.erase(binding);
     if (endpoint_->is_member(cs_group)) endpoint_->leave_group(cs_group);
@@ -499,28 +479,20 @@ void InvocationService::send_call(Binding& b, PendingCall call) {
 
 void InvocationService::arm_call_timeout(Binding& b, PendingCall& call) {
     if (b.options.call_timeout <= 0) return;
-    const BindingId id = b.id;
-    const std::uint64_t seq = call.seq;
-    call.timeout =
-        orb_->scheduler().schedule_after(b.options.call_timeout, [this, id, seq] {
-            if (orb_->process_defunct()) return;
-            Binding* bp = find_binding(id);
-            if (bp == nullptr) return;
-            const auto it = bp->inflight.find(seq);
-            if (it == bp->inflight.end()) return;
-            auto node = bp->inflight.extract(it);
-            node.mapped().timeout = 0;
-            metrics().add(obs::metric::kInvCallsTimedOut);
-            metrics().trace(obs::TraceKind::kCallTimedOut, orb_->scheduler().now(),
-                            endpoint_->id().value(), node.mapped().span, 0, id,
-                            obs::pack_completion_detail(
-                                static_cast<std::uint64_t>(node.mapped().mode), seq));
-            complete_call(*bp, std::move(node.mapped()), false);
-        });
+    // The timer lives in the in-flight entry of `b` (node-stable in
+    // bindings_), so it fires only while both are there.
+    call.timeout.arm(*orb_, b.options.call_timeout, [this, &b, seq = call.seq] {
+        auto node = b.inflight.extract(seq);
+        metrics().add(obs::metric::kInvCallsTimedOut);
+        metrics().trace(obs::TraceKind::kCallTimedOut, orb_->scheduler().now(),
+                        endpoint_->id().value(), node.mapped().span, 0, b.id,
+                        obs::pack_completion_detail(
+                            static_cast<std::uint64_t>(node.mapped().mode), seq));
+        complete_call(b, std::move(node.mapped()), false);
+    });
 }
 
 void InvocationService::complete_call(Binding& b, PendingCall call, bool complete) {
-    orb_->scheduler().cancel(call.timeout);
     const SimTime now = orb_->scheduler().now();
     (complete ? calls_completed_ : calls_failed_).add();
     metrics().trace(complete ? obs::TraceKind::kCallCompleted : obs::TraceKind::kCallFailed,

@@ -11,23 +11,22 @@ RecoveryManager::RecoveryManager(Network& network, Directory& directory, SiteId 
     NEWTOP_EXPECTS(factory_ != nullptr, "recovery manager needs a generation factory");
     node_ = net_->add_node(site);
     // The hook runs inside Node::restart(), after the node revived with a
-    // bumped incarnation — every timer of the previous life is already
-    // defunct by the time we rebuild.
+    // bumped incarnation: the previous life is already defunct by the time
+    // we rebuild.
     net_->node(node_).set_restart_hook([this] { on_restart(); });
     spawn_generation(/*after_crash=*/false);
 }
 
 bool RecoveryManager::recovered() const {
     if (net_->node(node_).crashed()) return false;
-    const Gen& gen = *generations_.back();
-    return gen.app.ready == nullptr || gen.app.ready();
+    return live_->app.ready == nullptr || live_->app.ready();
 }
 
 void RecoveryManager::on_restart() {
     // The previous life's endpoint is gone for good: tombstone its
     // directory registration so clients and joiners stop courting it.
     // (Survivors that already suspected it evict it independently.)
-    directory_->evict_endpoint(generations_.back()->nso->id());
+    directory_->evict_endpoint(live_->nso->id());
     spawn_generation(/*after_crash=*/true);
 }
 
@@ -39,24 +38,23 @@ void RecoveryManager::spawn_generation(bool after_crash) {
     gen->orb = std::make_unique<Orb>(*net_, node_);
     gen->nso = std::make_unique<NewTopService>(*gen->orb, *directory_);
 
-    const std::size_t index = generations_.size();
-    Gen* raw = gen.get();
-    generations_.push_back(std::move(gen));
     // The factory may invoke note_recovered synchronously (an app with no
     // sync protocol is recovered the moment it serves), so the generation
-    // must already be registered.
-    raw->app = factory_(*raw->nso, [this, index] { note_recovered(index); });
+    // must already be live.  The old one is destroyed on return, after the
+    // factory, which may still release handles into it.
+    const std::unique_ptr<Gen> old = std::exchange(live_, std::move(gen));
+    if (after_crash) ++generation_;
+    live_->app = factory_(*live_->nso,
+                          [this, generation = generation_] { note_recovered(generation); });
 }
 
-void RecoveryManager::note_recovered(std::size_t index) {
-    Gen& gen = *generations_[index];
+void RecoveryManager::note_recovered(std::uint64_t generation) {
     // Stale generations (superseded by a later restart) and repeat
     // notifications are no-ops; so is the founding generation, which never
     // crashed.
-    if (gen.recovery_noted || index + 1 != generations_.size()) return;
-    gen.recovery_noted = true;
-    if (gen.crashed_at < 0) return;
-    net_->metrics().observe(obs::metric::kRecoveryMttr, net_->scheduler().now() - gen.crashed_at);
+    if (generation != generation_ || live_->crashed_at < 0) return;
+    net_->metrics().observe(obs::metric::kRecoveryMttr,
+                            net_->scheduler().now() - std::exchange(live_->crashed_at, -1));
 }
 
 }  // namespace newtop

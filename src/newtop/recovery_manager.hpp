@@ -14,10 +14,11 @@
 //              replication, drives state transfer
 //           -> serve.
 //
-// Each life of the process is one *generation*.  Old generations are kept
-// alive (but defunct — their timers all no-op via Orb::process_defunct) for
-// the run's lifetime, because scheduler timers armed before the crash may
-// still reference them.
+// Each life of the process is one *generation*; only the live one is kept.
+// A restart builds the new generation, then destroys the old app keepalive,
+// NSO and ORB.  Nothing queued can reach them afterwards: process timers
+// and ORB call deadlines are cancelled with their owners, and the crash
+// dropped the CPU work.
 //
 // MTTR accounting: the factory receives a `note_recovered` callback; the
 // application fires it at the first *correct* post-recovery service action
@@ -33,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "gcs/directory.hpp"
 #include "invocation/group_servant.hpp"
@@ -73,14 +73,14 @@ public:
     [[nodiscard]] NodeId node_id() const { return node_; }
 
     /// The current life's NSO (defunct while the node is crashed).
-    NewTopService& nso() { return *generations_.back()->nso; }
-    [[nodiscard]] const NewTopService& nso() const { return *generations_.back()->nso; }
+    NewTopService& nso() { return *live_->nso; }
+    [[nodiscard]] const NewTopService& nso() const { return *live_->nso; }
 
     /// The current life's endpoint id (changes across restarts).
-    [[nodiscard]] EndpointId endpoint() const { return generations_.back()->nso->id(); }
+    [[nodiscard]] EndpointId endpoint() const { return live_->nso->id(); }
 
     /// Which life is current: 0 for the founding generation.
-    [[nodiscard]] std::uint64_t generation() const { return generations_.size() - 1; }
+    [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
     /// True when the node is up and the current life reports ready.  The
     /// chaos oracle uses this as the resync-liveness predicate.
@@ -91,23 +91,24 @@ public:
     void restart_after(SimDuration delay) { net_->restart(node_, delay); }
 
 private:
+    /// One life.  Destroyed app first, then NSO, then ORB.
     struct Gen {
         std::unique_ptr<Orb> orb;
         std::unique_ptr<NewTopService> nso;
         Generation app;
-        SimTime crashed_at{-1};  // crash that this life recovered from
-        bool recovery_noted{false};
+        SimTime crashed_at{-1};  // crash this life recovered from; -1 once noted
     };
 
     void spawn_generation(bool after_crash);
     void on_restart();
-    void note_recovered(std::size_t index);
+    void note_recovered(std::uint64_t generation);
 
     Network* net_;
     Directory* directory_;
     GenerationFactory factory_;
     NodeId node_;
-    std::vector<std::unique_ptr<Gen>> generations_;
+    std::unique_ptr<Gen> live_;
+    std::uint64_t generation_{0};
 };
 
 /// Wraps a GroupServant and fires `on_first_serve` once, at the first

@@ -55,6 +55,11 @@ Orb::Orb(Network& network, NodeId node)
         [this](NodeId from, Bytes payload) { on_message(from, std::move(payload)); });
 }
 
+Orb::~Orb() {
+    for (const Pending& call : calls_) scheduler().cancel(call.timer);
+    for (const DeadlineLane& d : deadline_lanes_) scheduler().close_lane(d.lane);
+}
+
 OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args,
                       ReplyHandler handler, SimDuration timeout) {
     NEWTOP_EXPECTS(handler != nullptr, "two-way invoke needs a reply handler");

@@ -39,6 +39,9 @@ public:
     /// message receiver.  One ORB per node.
     Orb(Network& network, NodeId node);
 
+    /// Cancels the unfinished calls' deadlines and closes their lanes.
+    ~Orb();
+
     Orb(const Orb&) = delete;
     Orb& operator=(const Orb&) = delete;
 
@@ -53,10 +56,9 @@ public:
 
     /// True when the process this ORB belongs to no longer exists: the node
     /// is crashed, or it restarted and a newer incarnation owns the host.
-    /// Every layer's timer callbacks check this instead of Node::crashed()
-    /// so that timers armed by a previous life stay dead after a restart
-    /// (a restarted node must not resurrect its predecessor's protocol
-    /// state).
+    /// Checked instead of Node::crashed() so that a previous life stays dead
+    /// after a restart (a restarted node must not resurrect its
+    /// predecessor's protocol state).
     [[nodiscard]] bool process_defunct() const {
         const Node& n = network_->node(node_);
         return n.crashed() || n.incarnation() != incarnation_;

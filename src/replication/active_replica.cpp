@@ -36,8 +36,7 @@ void decode_marker(const Bytes& args, EndpointId& donor, std::vector<EndpointId>
 /// The servant handed to serve(): forwards to the application servant while
 /// synced, buffers and refuses while a joiner awaits its snapshot, and
 /// intercepts sync markers travelling in the ordered request stream.
-class ActiveReplica::Shim : public GroupServant,
-                            public std::enable_shared_from_this<ActiveReplica::Shim> {
+class ActiveReplica::Shim : public GroupServant {
 public:
     Shim(NewTopService& nso, std::string service, std::shared_ptr<StatefulServant> app,
          bool founding)
@@ -78,8 +77,7 @@ public:
         }
         buffered_.clear();
         synced_ = true;
-        nso_->orb().scheduler().cancel(retry_timer_);
-        retry_timer_ = 0;
+        retry_timer_.cancel();
     }
 
     /// A joiner asks us (directly) to run a state round for it: multicast a
@@ -124,16 +122,12 @@ public:
     }
 
     void arm_retry() {
-        if (synced_ || retry_timer_ != 0) return;
-        retry_timer_ = nso_->orb().scheduler().schedule_after(kStateRetry, [self =
-                                                                                shared_from_this()] {
-            // The retry loop dies with its process: after a node restart a
-            // fresh replica (new NSO, new shim) owns the recovery.
-            if (self->nso_->orb().process_defunct()) return;
-            self->retry_timer_ = 0;
-            if (self->synced_) return;
-            self->request_state();
-            self->arm_retry();
+        if (synced_ || retry_timer_.armed()) return;
+        // The retry loop dies with its process: after a node restart a
+        // fresh replica (new NSO, new shim) owns the recovery.
+        retry_timer_.arm(nso_->orb(), kStateRetry, [this] {
+            request_state();
+            arm_retry();
         });
     }
 
@@ -212,7 +206,7 @@ private:
     std::uint64_t executed_{0};
     std::uint64_t marker_seq_{0};
     std::deque<Buffered> buffered_;
-    TimerId retry_timer_{0};
+    ProcessTimer retry_timer_;
 };
 
 /// The replica's ORB-visible state-transfer object.

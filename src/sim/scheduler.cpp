@@ -110,11 +110,22 @@ TimerId Scheduler::schedule_in(LaneId lane, SimTime at, Task fn) {
     return timer_id(slot);
 }
 
-void Scheduler::cancel(TimerId id) {
+Scheduler::~Scheduler() {
+    // A queued callable may own a timer whose destructor cancels back into
+    // this scheduler: destroy them while the tables are still whole.
+    for (Slot& slot : slots_) slot.fn.reset();
+}
+
+bool Scheduler::is_pending(TimerId id) const {
     const TimerId index = id & 0xffff'ffffU;
-    if (index == 0 || index > slots_.size()) return;
-    Slot& slot = slots_[index - 1];
-    if (slot.generation != (id >> 32) || !slot.fn) return;  // fired or cancelled
+    if (index == 0 || index > slots_.size()) return false;
+    const Slot& slot = slots_[index - 1];
+    return slot.generation == (id >> 32) && static_cast<bool>(slot.fn);
+}
+
+void Scheduler::cancel(TimerId id) {
+    if (!is_pending(id)) return;  // fired or cancelled
+    Slot& slot = slots_[(id & 0xffff'ffffU) - 1];
     // Destroyed on return, once the bookkeeping is consistent: the captured
     // state's destructor may itself schedule or cancel.
     const Task doomed = std::move(slot.fn);

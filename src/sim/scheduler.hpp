@@ -44,6 +44,7 @@ using LaneId = std::uint32_t;
 class Scheduler {
 public:
     Scheduler() = default;
+    ~Scheduler();
 
     Scheduler(const Scheduler&) = delete;
     Scheduler& operator=(const Scheduler&) = delete;
@@ -52,7 +53,8 @@ public:
     [[nodiscard]] SimTime now() const { return now_; }
 
     /// Schedule `fn` to run at absolute time `at` (clamped to now()).
-    /// `fn` must not be empty (a null pointer or an empty std::function).
+    /// `fn` must not be an empty Task (nor a null function pointer or
+    /// callable that converts to one).
     TimerId schedule_at(SimTime at, Task fn);
 
     /// Schedule `fn` to run `delay` from now (negative delays run "now").
@@ -82,6 +84,10 @@ public:
     /// already fired (or was already cancelled) is a no-op that leaves no
     /// state behind, which lets protocol code cancel timers unconditionally.
     void cancel(TimerId id);
+
+    /// True while the event `id` names has neither run nor been cancelled
+    /// (false inside its own callable, which runs after its slot is freed).
+    [[nodiscard]] bool is_pending(TimerId id) const;
 
     /// Run the single earliest pending event.  Returns false if none remain.
     bool step();

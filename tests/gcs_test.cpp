@@ -183,6 +183,30 @@ TEST_F(LanGcs, LastMemberLeavingDisbands) {
     EXPECT_EQ(world.removed[a], std::vector<GroupId>{g});
 }
 
+// A Group owns its timers, so leaving a group as its last member cancels
+// them, and a Group re-created under the same id never runs a timer armed
+// for the old one.  Here the old Group's pending end-of-step ORDER flush is
+// the timer at stake: a sole sequencer delivers only once it has flushed.
+TEST_F(LanGcs, RecreatedGroupRunsNoTimerOfTheGroupItReplaces) {
+    const auto a = world.add_endpoint(SiteId(0));
+    const GroupId g = world.ep(a).create_group("g", config_for(OrderMode::kTotalAsymmetric));
+    world.run_for(10_ms);
+    ASSERT_EQ(world.scheduler.pending(), 0u);
+    world.ep(a).multicast(g, payload_of("old"));
+    ASSERT_EQ(world.scheduler.pending(), 1u);  // the sequencer's ORDER flush
+    world.ep(a).leave_group(g);
+    EXPECT_FALSE(world.ep(a).knows_group(g));
+    EXPECT_EQ(world.scheduler.pending(), 0u);
+
+    // Joining a group nobody else holds re-founds it: a new Group, same id.
+    EXPECT_EQ(world.ep(a).join_group("g"), g);
+    ASSERT_TRUE(world.ep(a).is_member(g));
+    world.ep(a).multicast(g, payload_of("new"));
+    EXPECT_EQ(world.scheduler.pending(), 1u);  // the new Group's own flush
+    world.run_for(100_ms);
+    EXPECT_EQ(world.log_of(a, g), std::vector<std::string>{"new"});
+}
+
 TEST_F(LanGcs, JoinUnknownGroupThrows) {
     const auto a = world.add_endpoint(SiteId(0));
     EXPECT_THROW(world.ep(a).join_group("nope"), PreconditionError);
@@ -785,7 +809,6 @@ TEST(GcsMessages, AllVariantsRoundTrip) {
     const std::vector<GcsMessage> msgs{
         data,
         NackMsg{GroupId(1), 2, EndpointId(3), {4, 5}},
-        OrderMsg{GroupId(1), 2, 7, {MsgRef{EndpointId(1), 0}}},
         JoinReq{GroupId(1), EndpointId(5)},
         LeaveReq{GroupId(1), EndpointId(6)},
         SuspectMsg{GroupId(1), 2, EndpointId(1), {EndpointId(9)}},
@@ -847,28 +870,37 @@ TEST(GcsMessages, DataMsgBatchRoundTrips) {
 }
 
 // Property: multi-assignment ORDER records round-trip for arbitrary batch
-// sizes, and every strict prefix of the encoding is rejected (no partial
-// ORDER record can silently decode to fewer assignments).
+// sizes inside their DataKind::kOrder message, and every strict prefix of
+// the encoding is rejected (no partial ORDER record can silently decode to
+// fewer assignments).
 TEST(GcsMessages, MultiAssignmentOrderRoundTripAndTruncationFuzz) {
     Rng rng(2026);
     for (int iter = 0; iter < 50; ++iter) {
-        OrderMsg m;
-        m.group = GroupId(rng.next_in(1, 9));
-        m.epoch = rng.next_in(0, 5);
+        OrderRecord m;
         m.first_order = rng.next_in(0, 1000);
         const std::size_t refs = rng.next_in(1, 65);
         for (std::size_t i = 0; i < refs; ++i) {
             m.refs.push_back(MsgRef{EndpointId(rng.next_in(1, 8)),
                                     static_cast<Seqno>(rng.next_in(0, 500))});
         }
-        const Bytes wire = encode_gcs_message(m);
-        const GcsMessage out = decode_gcs_message(wire);
-        const auto* decoded = std::get_if<OrderMsg>(&out);
-        ASSERT_NE(decoded, nullptr);
-        EXPECT_EQ(decoded->first_order, m.first_order);
-        ASSERT_EQ(decoded->refs.size(), m.refs.size());
-        EXPECT_TRUE(std::equal(m.refs.begin(), m.refs.end(), decoded->refs.begin()));
-        // Truncation fuzz: sample strict prefixes (all for short wires).
+        DataMsg carrier;
+        carrier.group = GroupId(rng.next_in(1, 9));
+        carrier.epoch = rng.next_in(0, 5);
+        carrier.kind = DataKind::kOrder;
+        carrier.payload = encode_to_bytes(m);
+        const Bytes wire = encode_gcs_message(carrier);
+        const OrderRecord decoded =
+            decode_from_bytes<OrderRecord>(decode_data_message(wire).payload);
+        EXPECT_EQ(decoded.first_order, m.first_order);
+        ASSERT_EQ(decoded.refs.size(), m.refs.size());
+        EXPECT_TRUE(std::equal(m.refs.begin(), m.refs.end(), decoded.refs.begin()));
+        // Truncation fuzz: sample strict prefixes (all for short wires), of
+        // the record and of the frame that carries it.
+        for (std::size_t cut = 0; cut < carrier.payload.size();
+             cut += 1 + rng.next_in(0, carrier.payload.size() / 16)) {
+            EXPECT_THROW(decode_from_bytes<OrderRecord>(BytesView{carrier.payload.data(), cut}),
+                         DecodeError);
+        }
         for (std::size_t cut = 0; cut < wire.size();
              cut += 1 + rng.next_in(0, wire.size() / 16)) {
             EXPECT_THROW(decode_gcs_message(BytesView{wire.data(), cut}), DecodeError);

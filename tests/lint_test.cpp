@@ -101,6 +101,13 @@ TEST(LintFixtures, MetricNameScopedToSrcAndExemptsNameTable) {
     EXPECT_TRUE(scan_source("bench/fixture.cpp", content).empty());
 }
 
+TEST(LintFixtures, RawTimerTriggersOnce) {
+    const auto findings = scan_fixture("raw_timer.cpp", "src/gcs/fixture.cpp");
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, kRuleRawTimer);
+    EXPECT_EQ(findings[0].line, 12);
+}
+
 // --- clean and suppression fixtures --------------------------------------
 
 TEST(LintFixtures, CleanFixturePasses) {
@@ -123,6 +130,19 @@ TEST(LintFixtures, SuppressionWithoutReasonIsRejectedAndDoesNotSuppress) {
 TEST(LintScoping, UnorderedContainerAllowedOutsideProtocolDirs) {
     const std::string content = read_fixture("unordered_iter.cpp");
     EXPECT_TRUE(scan_source("src/util/fixture.cpp", content).empty());
+    EXPECT_TRUE(scan_source("tests/fixture.cpp", content).empty());
+}
+
+TEST(LintScoping, RawTimerScopedToProcessCode) {
+    const std::string content = read_fixture("raw_timer.cpp");
+    for (const char* dir : {"src/invocation/", "src/replication/", "src/newtop/"}) {
+        EXPECT_EQ(scan_source(std::string(dir) + "fixture.cpp", content).size(), 1u) << dir;
+    }
+    // The engine, the ORB (home of ProcessTimer) and the drivers schedule
+    // directly.
+    EXPECT_TRUE(scan_source("src/sim/fixture.cpp", content).empty());
+    EXPECT_TRUE(scan_source("src/orb/fixture.cpp", content).empty());
+    EXPECT_TRUE(scan_source("src/fuzz/fixture.cpp", content).empty());
     EXPECT_TRUE(scan_source("tests/fixture.cpp", content).empty());
 }
 

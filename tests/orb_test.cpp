@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "net/calibration.hpp"
 #include "obs/names.hpp"
 #include "orb/orb.hpp"
+#include "orb/process_timer.hpp"
 #include "util/check.hpp"
 
 namespace newtop {
@@ -294,6 +296,102 @@ TEST_F(OrbFixture, ManyCallsToACrashedPeerTimeOutWithABoundedTable) {
     EXPECT_LE(scanned, 2 * kCalls);
     EXPECT_EQ(client.pending_calls(), 0u);
     EXPECT_LT(client.call_table_size(), Orb::kCompactFloor);
+}
+
+// Destroying an ORB takes its call deadlines with it: no event of the old
+// ORB stays queued, and its deadline lane goes back to the scheduler, so
+// ORBs replaced over and over (a restarting process) open no new lanes.
+TEST_F(OrbFixture, DestroyedOrbCancelsItsDeadlinesAndRecyclesItsLanes) {
+    net.crash(server_node);
+    const NodeId node = net.add_node(SiteId(0));
+    std::size_t lanes_after_first = 0;
+    for (int life = 0; life < 3; ++life) {
+        {
+            Orb doomed(net, node);
+            doomed.invoke(target, kEcho, Bytes{}, [](ReplyStatus, const Bytes&) {
+                ADD_FAILURE() << "a destroyed ORB completed a call";
+            }, 1_s);
+            scheduler.run_until(scheduler.now() + 100_ms);  // sent; no reply comes
+            EXPECT_EQ(scheduler.pending(), 1u);              // the deadline
+        }
+        EXPECT_EQ(scheduler.pending(), 0u);
+        scheduler.run();
+        if (life == 0) lanes_after_first = scheduler.lane_count();
+    }
+    EXPECT_EQ(scheduler.lane_count(), lanes_after_first);
+}
+
+// -- ProcessTimer ------------------------------------------------------------
+
+TEST_F(OrbFixture, ProcessTimerDestroyedWithItsOwnerNeverRuns) {
+    int runs = 0;
+    {
+        ProcessTimer timer;
+        timer.arm(client, 5_ms, [&] { ++runs; });
+        EXPECT_TRUE(timer.armed());
+        EXPECT_EQ(scheduler.pending(), 1u);
+    }
+    EXPECT_EQ(scheduler.pending(), 0u);
+    scheduler.run();
+    EXPECT_EQ(runs, 0);
+}
+
+TEST_F(OrbFixture, ProcessTimerRearmReplacesAndMoveTransfers) {
+    std::vector<SimTime> runs;
+    ProcessTimer timer;
+    timer.arm(client, 5_ms, [&] { runs.push_back(scheduler.now()); });
+    timer.arm(client, 7_ms, [&] { runs.push_back(scheduler.now()); });
+    ProcessTimer moved = std::move(timer);
+    EXPECT_FALSE(timer.armed());  // NOLINT(bugprone-use-after-move): the moved-from state is the point
+    EXPECT_TRUE(moved.armed());
+    EXPECT_EQ(scheduler.pending(), 1u);
+    scheduler.run();
+    EXPECT_EQ(runs, std::vector<SimTime>{7_ms});
+}
+
+TEST_F(OrbFixture, ProcessTimerIsDisarmedInsideItsCallbackAndAfter) {
+    ProcessTimer timer;
+    bool armed_inside = true;
+    timer.arm(client, 1_ms, [&] { armed_inside = timer.armed(); });
+    scheduler.run();
+    EXPECT_FALSE(armed_inside);
+    EXPECT_FALSE(timer.armed());
+    // Re-arming from its own callback keeps a periodic timer going.
+    int ticks = 0;
+    std::function<void()> tick = [&] {
+        if (++ticks < 3) timer.arm(client, 1_ms, tick);
+    };
+    timer.arm(client, 1_ms, tick);
+    scheduler.run();
+    EXPECT_EQ(ticks, 3);
+    EXPECT_FALSE(timer.armed());
+}
+
+TEST_F(OrbFixture, ProcessTimerOfACrashedProcessNeverRuns) {
+    int runs = 0;
+    ProcessTimer timer;
+    timer.arm(client, 5_ms, [&] { ++runs; });
+    net.crash(client_node);
+    scheduler.run();
+    EXPECT_EQ(runs, 0);
+}
+
+TEST_F(OrbFixture, ProcessTimerOfARestartedProcessNeverRuns) {
+    int old_life = 0;
+    int new_life = 0;
+    ProcessTimer before;
+    before.arm(client, 10_ms, [&] { ++old_life; });
+    net.crash(client_node);
+    net.restart(client_node, 1_ms);
+    scheduler.run_until(2_ms);
+    ASSERT_FALSE(net.node(client_node).crashed());
+    // The host is up again, but as a new process: only its own timers run.
+    Orb reborn(net, client_node);
+    ProcessTimer after;
+    after.arm(reborn, 5_ms, [&] { ++new_life; });
+    scheduler.run();
+    EXPECT_EQ(old_life, 0);
+    EXPECT_EQ(new_life, 1);
 }
 
 TEST_F(OrbFixture, OnewayExecutesWithoutReply) {

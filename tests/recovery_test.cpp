@@ -284,6 +284,48 @@ TEST(RecoveryManager, RestartedReplicaResyncsAndServesAgain) {
     EXPECT_EQ(mttr->count(), 1u);
 }
 
+// The manager keeps only the live generation: a restart destroys the old
+// process image, and with it every timer, call deadline and scheduler lane
+// it held.  After a warm-up restart (it opens the links the restarted node
+// had not used yet, and the ORB deadline lane the new life opens while the
+// old one still holds its own), five more crash/restart cycles leave the
+// lane count where the first of them left it, and the service keeps
+// serving.  Before generations were released it grew by one per restart.
+TEST(RecoveryManager, RepeatedRestartsLeaveNoLanesBehind) {
+    RecWorld world;
+    auto lives0 = std::make_shared<std::vector<std::shared_ptr<RegisterServant>>>();
+    auto lives1 = std::make_shared<std::vector<std::shared_ptr<RegisterServant>>>();
+    RecoveryManager mgr0(world.net, world.directory, SiteId(0),
+                         recorded_active_factory("reg", lively_config(), lives0));
+    RecoveryManager mgr1(world.net, world.directory, SiteId(0),
+                         recorded_active_factory("reg", lively_config(), lives1));
+    world.run_for(1_s);
+    const auto c = world.add_nso();
+    GroupProxy proxy = world.nso(c).bind("reg", {.mode = BindMode::kOpen});
+
+    std::string expected;
+    const auto restart_and_call = [&](char item) {
+        mgr0.crash();
+        mgr0.restart_after(200_ms);
+        world.run_for(5_s);
+        ASSERT_TRUE(mgr0.recovered());
+        expected += item;
+        const auto r = world.call(proxy, kAppend, encode_to_bytes(std::string(1, item)),
+                                  InvocationMode::kWaitAll);
+        ASSERT_TRUE(r.complete);
+    };
+    restart_and_call('w');
+    std::size_t lanes_after_first = 0;
+    for (int cycle = 0; cycle < 5; ++cycle) {
+        SCOPED_TRACE(cycle);
+        restart_and_call(static_cast<char>('a' + cycle));
+        if (cycle == 0) lanes_after_first = world.scheduler.lane_count();
+    }
+    EXPECT_EQ(mgr0.generation(), 6u);
+    EXPECT_EQ(lives0->back()->contents(), expected);
+    EXPECT_LE(world.scheduler.lane_count(), lanes_after_first);
+}
+
 TEST(RecoveryManager, ClientBindingHealsThroughBackoffAfterWholeGroupDeath) {
     RecWorld world;
     auto lives = std::make_shared<std::vector<std::shared_ptr<RegisterServant>>>();

@@ -95,6 +95,45 @@ TEST(Scheduler, CancelZeroIdIsNoop) {
     EXPECT_NO_THROW(s.cancel(0));
 }
 
+TEST(Scheduler, IsPendingUntilTheEventRunsOrIsCancelled) {
+    Scheduler s;
+    EXPECT_FALSE(s.is_pending(0));
+    TimerId self = 0;
+    bool pending_inside = true;
+    self = s.schedule_at(10, [&] { pending_inside = s.is_pending(self); });
+    const TimerId other = s.schedule_at(20, [] {});
+    EXPECT_TRUE(s.is_pending(self));
+    s.cancel(other);
+    EXPECT_FALSE(s.is_pending(other));
+    s.run();
+    EXPECT_FALSE(pending_inside);
+    EXPECT_FALSE(s.is_pending(self));
+    // A recycled slot does not revive the old id.
+    const TimerId next = s.schedule_at(30, [] {});
+    EXPECT_TRUE(s.is_pending(next));
+    EXPECT_FALSE(s.is_pending(self));
+}
+
+// A queued callable may own a timer that cancels back into the scheduler
+// from its destructor; tearing the scheduler down must allow that.
+TEST(Scheduler, DestroyingQueuedCallablesMayCancelOtherEvents) {
+    struct CancelOnDestroy {
+        Scheduler* s{nullptr};
+        TimerId victim{0};
+        ~CancelOnDestroy() {
+            if (s != nullptr) s->cancel(victim);
+        }
+    };
+    auto s = std::make_unique<Scheduler>();
+    auto guard = std::make_shared<CancelOnDestroy>();
+    guard->s = s.get();
+    s->schedule_at(10, [guard] {});  // destroyed first, while the victim is live
+    guard->victim = s->schedule_at(20, [] {});
+    guard.reset();
+    s.reset();  // the sanitizer tree checks that no freed table is touched
+    SUCCEED();
+}
+
 TEST(Scheduler, StepReturnsFalseWhenEmpty) {
     Scheduler s;
     EXPECT_FALSE(s.step());

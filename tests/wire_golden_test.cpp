@@ -272,12 +272,6 @@ TEST(WireGolden, NackMsg) {
                   "02000000" "0400000000000000" "0500000000000000");
 }
 
-TEST(WireGolden, OrderMsg) {
-    expect_golden(OrderMsg{GroupId(1), 2, 7, {MsgRef{EndpointId(1), 0}, MsgRef{EndpointId(2), 3}}},
-                  "03" "0100000000000000" "0200000000000000" "0700000000000000" "02000000"
-                  "0100000000000000" "0000000000000000" "0200000000000000" "0300000000000000");
-}
-
 TEST(WireGolden, OrderRecordDataMsg) {
     const OrderRecord golden{7, {MsgRef{EndpointId(1), 0}, MsgRef{EndpointId(2), 3}}};
     expect_golden_value(golden, kOrderRecord);
@@ -294,26 +288,26 @@ TEST(WireGolden, OrderRecordDataMsg) {
 }
 
 TEST(WireGolden, JoinAndLeave) {
-    expect_golden(JoinReq{GroupId(1), EndpointId(5)}, "04" "0100000000000000" "0500000000000000");
-    expect_golden(LeaveReq{GroupId(1), EndpointId(6)}, "05" "0100000000000000" "0600000000000000");
+    expect_golden(JoinReq{GroupId(1), EndpointId(5)}, "03" "0100000000000000" "0500000000000000");
+    expect_golden(LeaveReq{GroupId(1), EndpointId(6)}, "04" "0100000000000000" "0600000000000000");
 }
 
 TEST(WireGolden, SuspectMsg) {
     expect_golden(SuspectMsg{GroupId(1), 2, EndpointId(1), {EndpointId(9)}},
-                  "06" "0100000000000000" "0200000000000000" "0100000000000000"
+                  "05" "0100000000000000" "0200000000000000" "0100000000000000"
                   "01000000" "0900000000000000");
 }
 
 TEST(WireGolden, ProposeMsg) {
     expect_golden(ProposeMsg{GroupId(1), 2, 3, EndpointId(1), {EndpointId(1), EndpointId(2)}},
-                  "07" "0100000000000000" "0200000000000000" "0300000000000000"
+                  "06" "0100000000000000" "0200000000000000" "0300000000000000"
                   "0100000000000000" "02000000" "0100000000000000" "0200000000000000");
 }
 
 TEST(WireGolden, FlushMsg) {
     expect_golden(FlushMsg{GroupId(1), 3, EndpointId(1), EndpointId(2), {small_data()},
                            {{4, MsgRef{EndpointId(2), 0}}}},
-                  cat({"08" "0100000000000000" "0300000000000000" "0100000000000000"
+                  cat({"07" "0100000000000000" "0300000000000000" "0100000000000000"
                        "0200000000000000" "01000000",
                        kSmallData,
                        "01000000" "0400000000000000" "0200000000000000" "0000000000000000"}));
@@ -322,7 +316,7 @@ TEST(WireGolden, FlushMsg) {
 TEST(WireGolden, InstallMsg) {
     expect_golden(InstallMsg{GroupId(1), golden_view(), EndpointId(1), {small_data()},
                              {{4, MsgRef{EndpointId(2), 0}}}, golden_config(), 2, 7},
-                  cat({"09" "0100000000000000", kViewHex, "0100000000000000" "01000000",
+                  cat({"08" "0100000000000000", kViewHex, "0100000000000000" "01000000",
                        kSmallData,
                        "01000000" "0400000000000000" "0200000000000000" "0000000000000000",
                        kGroupConfig, "0200000000000000" "0700000000000000"}));
@@ -348,9 +342,9 @@ TEST(WireGolden, ViewAndIogr) {
 // -- rejection of flipped bytes -----------------------------------------------
 
 TEST(WireGoldenRejects, GcsTagOutsideTheVariant) {
-    const Bytes join = unhex("04" "0100000000000000" "0500000000000000");
+    const Bytes join = unhex("03" "0100000000000000" "0500000000000000");
     EXPECT_THROW(decode_gcs_message(with_byte(join, 0, 0)), DecodeError);
-    EXPECT_THROW(decode_gcs_message(with_byte(join, 0, 10)), DecodeError);
+    EXPECT_THROW(decode_gcs_message(with_byte(join, 0, 9)), DecodeError);
     EXPECT_THROW(decode_gcs_message(with_byte(join, 0, 0xff)), DecodeError);
 }
 

@@ -32,10 +32,12 @@ inline constexpr std::string_view kRuleLayerDag = "layer-dag";
 inline constexpr std::string_view kRuleMetricName = "metric-name";
 inline constexpr std::string_view kRuleBadSuppression = "bad-suppression";
 inline constexpr std::string_view kRuleHotAlloc = "hot-path-alloc";
+inline constexpr std::string_view kRuleRawTimer = "raw-timer";
 
-inline constexpr std::array<std::string_view, 10> kAllRules = {
-    kRuleWallClock, kRuleRawRandom, kRuleGetenv,     kRuleUnordered,      kRulePointerKey,
-    kRuleFloatSim,  kRuleLayerDag,  kRuleMetricName, kRuleBadSuppression, kRuleHotAlloc,
+inline constexpr std::array<std::string_view, 11> kAllRules = {
+    kRuleWallClock, kRuleRawRandom,  kRuleGetenv,         kRuleUnordered,
+    kRulePointerKey, kRuleFloatSim,  kRuleLayerDag,       kRuleMetricName,
+    kRuleBadSuppression, kRuleHotAlloc, kRuleRawTimer,
 };
 
 // ---------------------------------------------------------------------------
@@ -139,6 +141,23 @@ inline constexpr std::array<std::string_view, 2> kAllocMakeIds = {"make_unique",
 /// Amortised-growth calls banned on hot paths unless the enclosing function
 /// visibly pre-sizes with reserve() (or carries a reasoned suppression).
 inline constexpr std::array<std::string_view, 2> kAllocGrowthIds = {"push_back", "emplace_back"};
+
+// ---------------------------------------------------------------------------
+// Timer ownership.
+// ---------------------------------------------------------------------------
+
+/// Process code: the layers whose state dies with a crashed process.  Their
+/// timers are ProcessTimer members of the state they serve (orb/
+/// process_timer.hpp): cancelled with that state and never run once the
+/// process is defunct.  raw-timer flags any other way of arming one here.
+inline constexpr std::array<std::string_view, 4> kProcessCodeDirs = {
+    "src/gcs/", "src/invocation/", "src/replication/", "src/newtop/",
+};
+
+/// Scheduler entry points that arm an unowned timer.
+inline constexpr std::array<std::string_view, 3> kRawTimerIds = {
+    "schedule_after", "schedule_at", "schedule_in",
+};
 
 /// float-sim applies under src/: sim-time math is integral-microsecond plus
 /// `double` for derived ratios (util/time.hpp); introducing `float` anywhere

@@ -143,6 +143,19 @@ void check_banned_identifiers(std::string_view rel_path, const std::vector<Token
     }
 }
 
+/// raw-timer: process code arms its timers through ProcessTimer only.
+void check_raw_timers(std::string_view rel_path, const std::vector<Token>& t,
+                      std::vector<Finding>& out) {
+    if (!has_prefix_in(rel_path, kProcessCodeDirs)) return;
+    for (const Token& tok : t) {
+        if (tok.kind == TokKind::kIdentifier && in_table(kRawTimerIds, tok.text)) {
+            add(out, tok.line, kRuleRawTimer,
+                "'" + tok.text + "' arms a timer nothing owns; process code keeps each timer "
+                "as a ProcessTimer (orb/process_timer.hpp) in the state it serves");
+        }
+    }
+}
+
 /// unordered-container + pointer-key, in protocol/trace-visible directories.
 void check_containers(std::string_view rel_path, const std::vector<Token>& t,
                       std::vector<Finding>& out) {
@@ -442,6 +455,7 @@ std::vector<Finding> scan_source(std::string_view rel_path, std::string_view con
     check_metric_names(rel_path, lx.tokens, raw);
     check_layering(rel_path, find_includes(lx), raw);
     check_hot_alloc(rel_path, lx.tokens, raw);
+    check_raw_timers(rel_path, lx.tokens, raw);
 
     std::vector<Finding> out;
     for (Finding& f : raw) {
