@@ -15,7 +15,7 @@
 //                      before any crash — a gray failure misread as a real
 //                      one.  The φ detector should stay at zero where the
 //                      fixed detector trips (F >= 4 pushes single CPU
-//                      bursts past the 200 ms suspicion_timeout).  Fixed-
+//                      bursts past the 200 ms kSuspicionTimeout).  Fixed-
 //                      detector trips *cascade*: the slowed host's delayed
 //                      ingest also makes it suspect its healthy peers, and
 //                      gossiped suspicions then eject good members.

@@ -557,7 +557,8 @@ int main() {
             artifact.row(options.label())
                 .lower("latency_ms", result.mean_latency_ms)
                 .higher("req_per_s", result.throughput_rps)
-                .lower("wire_msgs", result.wire_messages);
+                .lower("wire_msgs", result.wire_messages)
+                .info("clients_finished", result.clients_finished);
             results.emplace(options.label(), std::move(result));
         }
     }

@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <functional>
 
 namespace {
@@ -127,6 +128,7 @@ ReconfigResult run_reconfig(std::uint64_t seed) {
     ReconfigResult result;
     result.episodes.reserve(kEpisodes);
     std::vector<CallRecord> calls(kCalls);
+    std::deque<std::function<void()>> probes;  // owned by the run, never moved
     for (int k = 0; k < kCalls; ++k) {
         calls[static_cast<std::size_t>(k)].issued = scheduler.now();
         proxy.invoke(1, encode_to_bytes(static_cast<std::uint64_t>(k)),
@@ -153,12 +155,12 @@ ReconfigResult run_reconfig(std::uint64_t seed) {
             GroupConfig next = cfg;
             next.order = episode.to;
             nsos[0]->reconfigure(group, next);
-            auto probe = std::make_shared<std::function<void()>>();
-            *probe = [&, probe, episode_index, expected_epoch] {
+            std::function<void()>& probe = probes.emplace_back();
+            probe = [&, self = &probe, episode_index, expected_epoch] {
                 for (int i = 0; i < kServers; ++i) {
                     if (nsos[static_cast<std::size_t>(i)]->config_epoch(group) <
                         expected_epoch) {
-                        scheduler.schedule_at(scheduler.now() + 500_us, *probe);
+                        scheduler.schedule_at(scheduler.now() + 500_us, [self] { (*self)(); });
                         return;
                     }
                 }
@@ -166,7 +168,7 @@ ReconfigResult run_reconfig(std::uint64_t seed) {
                     result.episodes[episode_index].installed_at = scheduler.now();
                 }
             };
-            scheduler.schedule_at(scheduler.now() + 500_us, *probe);
+            scheduler.schedule_at(scheduler.now() + 500_us, [self = &probe] { (*self)(); });
         }
         scheduler.run_until(scheduler.now() + kCallSpacing);
     }

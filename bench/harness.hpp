@@ -99,6 +99,9 @@ struct RequestReplyResult {
     double mean_latency_ms{0.0};
     double throughput_rps{0.0};
     std::uint64_t wire_messages{0};
+    /// Clients that completed their whole warm-up + measured batch before
+    /// the run's time bound; fewer than `clients` means some stalled.
+    int clients_finished{0};
     /// Full deterministic dump of the world's metrics registry (counters +
     /// latency histograms) at the end of the run.
     std::string metrics_json;
@@ -281,6 +284,7 @@ private:
         SimTime last_completion = 0;
         std::size_t measured = 0;
         for (const auto& client : clients_) {
+            if (client->completed >= total) ++result.clients_finished;
             if (client->latencies.empty()) continue;
             const double sum = std::accumulate(client->latencies.begin(),
                                                client->latencies.end(), 0.0);

@@ -22,18 +22,6 @@ namespace {
 constexpr SimDuration kNackDelay = 2_ms;
 constexpr SimDuration kNackRetry = 10_ms;
 
-/// Creation- and proposal-time configuration sanity.  The one that bites in
-/// practice: a view-change round must be allowed strictly more time than
-/// the suspicion timeout, or the coordinator gets suspected by followers
-/// while its round is still legitimately collecting flushes.
-void validate_config(const GroupConfig& config) {
-    NEWTOP_EXPECTS(config.suspicion_timeout > 0, "suspicion_timeout must be positive");
-    NEWTOP_EXPECTS(config.view_change_timeout > config.suspicion_timeout,
-                   "view_change_timeout must exceed suspicion_timeout");
-    NEWTOP_EXPECTS(config.phi_floor >= 0, "phi_floor must be non-negative");
-    NEWTOP_EXPECTS(config.phi_ceiling >= 0, "phi_ceiling must be non-negative");
-}
-
 }  // namespace
 
 /// The endpoint's ORB-visible object; peers invoke its single "deliver"
@@ -258,7 +246,6 @@ void GroupCommEndpoint::multicast_wire(const Group& g, const Bytes& wire) {
 // -- group management entry points -------------------------------------------
 
 GroupId GroupCommEndpoint::create_group(const std::string& name, const GroupConfig& config) {
-    validate_config(config);
     const GroupId id = directory_->register_group(name, config, id_);
     Group& g = groups_[id];
     g.id = id;
@@ -319,7 +306,6 @@ void GroupCommEndpoint::multicast(GroupId group, Bytes payload, obs::SpanContext
 }
 
 void GroupCommEndpoint::reconfigure(GroupId group, const GroupConfig& next) {
-    validate_config(next);
     Group* g = find_group(group);
     NEWTOP_EXPECTS(g != nullptr, "unknown group");
     NEWTOP_EXPECTS(g->installed || g->state == Group::State::kViewChange,
@@ -380,8 +366,7 @@ void GroupCommEndpoint::drain_coalesced(Group& g) {
         g.coalesce_queue.pop_front();
         std::vector<Bytes> batch;
         std::vector<obs::SpanContext> batch_spans;
-        const std::size_t max_batch = std::max<std::size_t>(g.config.order_max_batch, 1);
-        while (!g.coalesce_queue.empty() && batch.size() + 1 < max_batch) {
+        while (!g.coalesce_queue.empty() && batch.size() + 1 < kOrderMaxBatch) {
             batch.push_back(std::move(g.coalesce_queue.front().payload));
             batch_spans.push_back(g.coalesce_queue.front().span);
             g.coalesce_queue.pop_front();
@@ -510,8 +495,8 @@ void GroupCommEndpoint::handle_data(DataMsg msg, BytesView wire) {
     // halves, σ explodes), which pushes the φ deadline past the fixed
     // floor and delays crash detection for perfectly prompt peers.  The
     // accrual literature samples heartbeat inter-arrivals for the same
-    // reason; time_silence is this group's heartbeat period.
-    const SimDuration min_gap = g.config.time_silence / 4;
+    // reason; kTimeSilence is the heartbeat period.
+    const SimDuration min_gap = kTimeSilence / 4;
     if (stream.last_heard != 0 && heard_at > stream.last_heard + min_gap) {
         if (stream.intervals.size() < kPhiWindow) {
             stream.intervals.push_back(heard_at - stream.last_heard);

@@ -172,7 +172,7 @@ private:
 
     /// φ-accrual history bounds: how many inter-arrival gaps the detector
     /// remembers per peer, and how many it needs before trusting the model
-    /// (below the minimum it falls back to the fixed suspicion_timeout).
+    /// (below the minimum it falls back to the fixed kSuspicionTimeout).
     static constexpr std::size_t kPhiWindow = 32;
     static constexpr std::size_t kPhiMinSamples = 3;
 
@@ -224,7 +224,7 @@ private:
         /// self-delivery returns one.
         std::size_t inflight_sends{0};
         /// Multicast payloads awaiting a window credit; drained (coalesced
-        /// up to config.order_max_batch per DataMsg) as credits return.
+        /// up to kOrderMaxBatch per DataMsg) as credits return.
         std::deque<PendingSend> coalesce_queue;
 
         // receive side
@@ -352,7 +352,7 @@ private:
     [[nodiscard]] static double phi_of(const InboundStream& stream, SimDuration silence);
     /// The detector's verdict for one peer: fixed-timeout when accrual is
     /// disabled or the history too thin, otherwise the φ rule bounded by
-    /// the floor (= suspicion_timeout by default) and ceiling.
+    /// kSuspicionTimeout (floor) and kPhiCeiling.
     [[nodiscard]] static bool suspicion_due(const GroupConfig& config,
                                             const InboundStream* stream, SimDuration silence);
     /// Lazily register the sampled "gcs.phi.<peer>" gauge for a peer.

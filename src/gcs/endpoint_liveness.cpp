@@ -68,7 +68,7 @@ void GroupCommEndpoint::kick_liveness(Group& g) {
     const SimTime base = g.ever_sent ? g.last_send_time : g.view_installed_at;
 
     if (!g.silence_timer.armed()) {
-        g.silence_timer.arm_at(*orb_, base + g.config.time_silence,
+        g.silence_timer.arm_at(*orb_, base + kTimeSilence,
                                [this, &g] { on_silence_timer(g); });
     }
     // Progress nulls are armed only when they can actually unblock the
@@ -79,15 +79,15 @@ void GroupCommEndpoint::kick_liveness(Group& g) {
     const auto head = g.engine.symmetric_head();
     if (!g.progress_timer.armed() && head.has_value() && g.received_since_send &&
         g.last_sent_ts < *head) {
-        g.progress_timer.arm_at(*orb_, base + g.config.ack_delay,
+        g.progress_timer.arm_at(*orb_, base + kAckDelay,
                                 [this, &g] { on_progress_timer(g); });
     }
     if (!g.suspicion_timer.armed()) {
-        g.suspicion_timer.arm(*orb_, g.config.suspicion_timeout / 2,
+        g.suspicion_timer.arm(*orb_, kSuspicionTimeout / 2,
                               [this, &g] { on_suspicion_scan(g); });
     }
     if (!g.stability_timer.armed()) {
-        g.stability_timer.arm(*orb_, g.config.stability_period,
+        g.stability_timer.arm(*orb_, kStabilityPeriod,
                               [this, &g] { on_stability_tick(g); });
     }
 }
@@ -100,7 +100,7 @@ void GroupCommEndpoint::send_null(Group& g) {
 
 void GroupCommEndpoint::on_silence_timer(Group& g) {
     if (!mechanisms_active(g)) return;
-    if (orb_->scheduler().now() >= g.last_send_time + g.config.time_silence || !g.ever_sent) {
+    if (orb_->scheduler().now() >= g.last_send_time + kTimeSilence || !g.ever_sent) {
         send_null(g);
     }
     kick_liveness(g);
@@ -115,7 +115,7 @@ void GroupCommEndpoint::on_progress_timer(Group& g) {
     // still lags the ordering head — otherwise a repeat null could not
     // unblock anyone.  (The time-silence heartbeat remains the fallback.)
     if (g.received_since_send && g.last_sent_ts < *head &&
-        orb_->scheduler().now() >= g.last_send_time + g.config.ack_delay) {
+        orb_->scheduler().now() >= g.last_send_time + kAckDelay) {
         send_null(g);
     }
     kick_liveness(g);
@@ -127,9 +127,9 @@ void GroupCommEndpoint::on_progress_timer(Group& g) {
 // each peer's inter-arrival history and asks how improbable the current
 // silence is under it.  The suspicion level φ = -log10 P(silence this long
 // | history); crossing the configured threshold raises the suspicion.  Two
-// bounds keep it sane: the fixed suspicion_timeout stays the *floor* (tight
+// bounds keep it sane: the fixed kSuspicionTimeout stays the *floor* (tight
 // histories detect a crash exactly as fast as the paper's fixed detector),
-// and a ceiling caps how long a chaotic history can defer detection.
+// and kPhiCeiling caps how long a chaotic history can defer detection.
 
 double GroupCommEndpoint::phi_of(const InboundStream& stream, SimDuration silence) {
     if (stream.intervals.size() < kPhiMinSamples) return 0.0;
@@ -155,18 +155,14 @@ double GroupCommEndpoint::phi_of(const InboundStream& stream, SimDuration silenc
 
 bool GroupCommEndpoint::suspicion_due(const GroupConfig& config, const InboundStream* stream,
                                       SimDuration silence) {
-    const SimDuration floor =
-        config.phi_floor > 0 ? config.phi_floor : config.suspicion_timeout;
-    if (silence <= floor) return false;
+    if (silence <= kSuspicionTimeout) return false;
     // Accrual disabled, or not enough history to model the peer: the floor
     // is the whole deadline — the paper's fixed-timeout detector.
     if (config.phi_threshold_milli == 0 || stream == nullptr ||
         stream->intervals.size() < kPhiMinSamples) {
         return true;
     }
-    const SimDuration ceiling =
-        config.phi_ceiling > 0 ? config.phi_ceiling : 10 * config.suspicion_timeout;
-    if (silence > ceiling) return true;
+    if (silence > kPhiCeiling) return true;
     return phi_of(*stream, silence) * 1000.0 >=
            static_cast<double>(config.phi_threshold_milli);
 }

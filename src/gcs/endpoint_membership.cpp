@@ -115,7 +115,7 @@ void GroupCommEndpoint::on_join_retry(const std::string& name) {
     for (const EndpointId contact : info->contact_hint) {
         if (contact != id_) send_wire(contact, req);
     }
-    pending->second.arm(*orb_, 2 * info->config.view_change_timeout,
+    pending->second.arm(*orb_, 2 * kViewChangeTimeout,
                         [this, name = std::string(name)] { on_join_retry(name); });
 }
 
@@ -257,7 +257,7 @@ void GroupCommEndpoint::begin_round(Group& g) {
     g.unstable.for_each([&own](DataMsg&& msg) { own.push_back(std::move(msg)); });
     add_flush(g, id_, std::move(own), g.engine.flush_orders());
 
-    g.vc_timer.arm(*orb_, g.config.view_change_timeout, [this, &g] { on_vc_timeout(g); });
+    g.vc_timer.arm(*orb_, kViewChangeTimeout, [this, &g] { on_vc_timeout(g); });
     finish_if_flushes_complete(g);
 }
 
@@ -274,7 +274,7 @@ void GroupCommEndpoint::enter_view_change(Group& g, ViewEpoch new_epoch,
     // period: a round stalled on a *third* member makes the coordinator
     // re-propose (resetting this timer) — suspecting the healthy
     // coordinator at the same instant would splinter the group.
-    g.vc_timer.arm(*orb_, 5 * g.config.view_change_timeout / 2,
+    g.vc_timer.arm(*orb_, 5 * kViewChangeTimeout / 2,
                    [this, &g] { on_vc_timeout(g); });
 }
 
@@ -645,7 +645,7 @@ void GroupCommEndpoint::on_vc_timeout(Group& g) {
     if (next == id_) {
         begin_round(g);
     } else {
-        g.vc_timer.arm(*orb_, 5 * g.config.view_change_timeout / 2,
+        g.vc_timer.arm(*orb_, 5 * kViewChangeTimeout / 2,
                        [this, &g] { on_vc_timeout(g); });
     }
 }

@@ -20,9 +20,8 @@ namespace newtop {
 // (serial/wire.hpp); encode, the counting pass and decode all walk it.
 
 NEWTOP_WIRE(obs::SpanContext, trace, span);
-NEWTOP_WIRE(GroupConfig, order, liveness, time_silence, ack_delay, suspicion_timeout,
-            view_change_timeout, stability_period, order_window, order_max_batch,
-            adaptive_asym_threshold, phi_threshold_milli, phi_floor, phi_ceiling);
+NEWTOP_WIRE(GroupConfig, order, liveness, order_window, adaptive_asym_threshold,
+            phi_threshold_milli);
 
 /// A (group, sender, seqno) coordinate naming one data message.
 struct MsgRef {

@@ -61,33 +61,46 @@ constexpr LivenessMode wire_max(LivenessMode) { return LivenessMode::kEventDrive
 /// order and applied at a flush-delimited view install) increments it.
 using ConfigEpoch = std::uint64_t;
 
+// Protocol timers and limits: the same for every group, unlike GroupConfig.
+
+/// A member that has sent nothing for this long emits an "I am alive" null
+/// (while the mechanism is active).  Its job is liveness, so it only needs
+/// to beat the suspicion timeout comfortably; ordering progress is driven
+/// by the (much faster) kAckDelay nulls below.
+inline constexpr SimDuration kTimeSilence{100'000};  // 100 ms
+/// Symmetric-order progress nulls: while a message is held back waiting
+/// for other members' timestamps, idle members null after this much
+/// silence so the order advances promptly (the "protocol specific
+/// messages ... to enable message ordering" of §1).
+inline constexpr SimDuration kAckDelay{500};  // 0.5 ms
+/// A member heard nothing from for this long is suspected to have failed
+/// (while the mechanism is active).  Also the φ-accrual detector's floor:
+/// a peer is never suspected earlier, whatever its history.
+inline constexpr SimDuration kSuspicionTimeout{200'000};  // 200 ms
+/// The φ-accrual detector's ceiling: at this much silence a peer is
+/// suspected even if φ never crossed the threshold.
+inline constexpr SimDuration kPhiCeiling{10 * kSuspicionTimeout};  // 2 s
+/// A view-change round that has not completed within this long is
+/// restarted by the next-ranked coordinator.
+inline constexpr SimDuration kViewChangeTimeout{400'000};  // 400 ms
+/// How often the stability vector is gossiped while active, to prune
+/// retransmission buffers.
+inline constexpr SimDuration kStabilityPeriod{100'000};  // 100 ms
+/// Maximum application payloads coalesced into a single DataMsg once the
+/// credit window (GroupConfig::order_window) is full.
+inline constexpr std::size_t kOrderMaxBatch{64};
+
+static_assert(kViewChangeTimeout > kSuspicionTimeout,
+              "followers would suspect a coordinator still collecting flushes");
+
 /// Per-group configuration.  Set at creation time and changed at runtime
 /// only through the view-synchronous reconfiguration protocol
 /// (GroupCommEndpoint::reconfigure): every member switches at the same
 /// flush-delimited view cut, so no two members ever run one message stream
-/// under different policies.
+/// under different policies.  Every field is valid for any value.
 struct GroupConfig {
     OrderMode order{OrderMode::kTotalSymmetric};
     LivenessMode liveness{LivenessMode::kEventDriven};
-    /// A member that has sent nothing for this long emits an "I am alive"
-    /// null (while the mechanism is active).  Its job is liveness, so it
-    /// only needs to beat the suspicion timeout comfortably; ordering
-    /// progress is driven by the (much faster) ack_delay nulls below.
-    SimDuration time_silence{100'000};  // 100 ms
-    /// Symmetric-order progress nulls: while a message is held back waiting
-    /// for other members' timestamps, idle members null after this much
-    /// silence so the order advances promptly (the "protocol specific
-    /// messages ... to enable message ordering" of §1).
-    SimDuration ack_delay{500};  // 0.5 ms
-    /// A member heard nothing from for this long is suspected to have
-    /// failed (while the mechanism is active).
-    SimDuration suspicion_timeout{200'000};  // 200 ms
-    /// A view-change round that has not completed within this long is
-    /// restarted by the next-ranked coordinator.
-    SimDuration view_change_timeout{400'000};  // 400 ms
-    /// How often the stability vector is gossiped while active, to prune
-    /// retransmission buffers.
-    SimDuration stability_period{100'000};  // 100 ms
     /// Data-plane flow control: how many of this member's own application
     /// messages may be in flight (sent, not yet self-delivered) before
     /// further multicasts coalesce instead of going straight to the wire.
@@ -96,9 +109,6 @@ struct GroupConfig {
     /// under load instead of stalling.  0 disables the window (every
     /// multicast ships immediately, the pre-flow-control behaviour).
     std::size_t order_window{16};
-    /// Maximum application payloads coalesced into a single DataMsg once
-    /// the window is full.
-    std::size_t order_max_batch{64};
     /// Adaptive-policy hook: when non-zero, the view leader proposes a
     /// reconfiguration to the asymmetric sequencer once the installed view
     /// reaches this many members, and back to the symmetric protocol below
@@ -109,19 +119,12 @@ struct GroupConfig {
     /// suspicion level φ of a peer's current silence, computed against the
     /// peer's own inter-arrival history, must reach this threshold
     /// (milli-φ; 8000 = φ 8.0) before a suspicion is raised.  The fixed
-    /// suspicion_timeout stays the *floor* — a peer is never suspected
+    /// kSuspicionTimeout stays the *floor* — a peer is never suspected
     /// earlier than it, so crash detection is never slower than the fixed
     /// detector — and φ only extends the deadline for peers whose history
     /// shows them slow-but-alive.  0 disables accrual: suspicion falls back
     /// to the fixed timeout alone (the paper's original detector).
     std::uint64_t phi_threshold_milli{8000};
-    /// Minimum silence before any suspicion, regardless of φ.  0 means
-    /// "use suspicion_timeout" (the compatible default).
-    SimDuration phi_floor{0};
-    /// Maximum silence tolerated however chaotic the history: at this much
-    /// silence the peer is suspected even if φ never crossed the threshold.
-    /// 0 means "use 10 x suspicion_timeout".
-    SimDuration phi_ceiling{0};
 
     friend bool operator==(const GroupConfig&, const GroupConfig&) = default;
 };

@@ -238,7 +238,7 @@ private:
     void start_closed_bind(Binding& b);
     void invite_manager(Binding& b);
     void invite_server(Binding& b, EndpointId server);
-    void on_invite_timeout(BindingId id, std::uint64_t attempt);
+    void on_invite_expired(BindingId id, std::uint64_t attempt);
     void check_closed_ready(Binding& b, const View& view);
     void binding_became_ready(Binding& b);
     void send_call(Binding& b, PendingCall call);

@@ -117,8 +117,8 @@ void InvocationService::start_closed_bind(Binding& b) {
     }
     for (const EndpointId server : b.invited_servers) invite_server(b, server);
 
-    b.invite_timer.arm(*orb_, b.options.invite_timeout + 1_s,
-                       [this, id = b.id, attempt = b.attempt] { on_invite_timeout(id, attempt); });
+    b.invite_timer.arm(*orb_, kInviteTimeout + 1_s,
+                       [this, id = b.id, attempt = b.attempt] { on_invite_expired(id, attempt); });
 }
 
 void InvocationService::invite_server(Binding& b, EndpointId server) {
@@ -127,7 +127,7 @@ void InvocationService::invite_server(Binding& b, EndpointId server) {
     encode(e, b.server_group);
     encode(e, endpoint_->id());
     orb_->invoke(directory_->nso_ior(server), kNsoJoinCsMethod, std::move(e).take(),
-                 [](ReplyStatus, const Bytes&) {}, b.options.invite_timeout);
+                 [](ReplyStatus, const Bytes&) {}, kInviteTimeout);
 }
 
 void InvocationService::check_closed_ready(Binding& b, const View& view) {
@@ -223,15 +223,15 @@ void InvocationService::invite_manager(Binding& b) {
     orb_->invoke(directory_->nso_ior(b.manager), kNsoJoinCsMethod, std::move(e).take(),
                  [this, id, attempt](ReplyStatus status, const Bytes&) {
                      if (status == ReplyStatus::kOk) return;  // now wait for the view
-                     on_invite_timeout(id, attempt);
+                     on_invite_expired(id, attempt);
                  },
-                 b.options.invite_timeout);
+                 kInviteTimeout);
 
-    b.invite_timer.arm(*orb_, b.options.invite_timeout + 1_s,
-                       [this, id, attempt] { on_invite_timeout(id, attempt); });
+    b.invite_timer.arm(*orb_, kInviteTimeout + 1_s,
+                       [this, id, attempt] { on_invite_expired(id, attempt); });
 }
 
-void InvocationService::on_invite_timeout(BindingId id, std::uint64_t attempt) {
+void InvocationService::on_invite_expired(BindingId id, std::uint64_t attempt) {
     Binding* b = find_binding(id);
     if (b == nullptr || b->state != Binding::State::kJoining || b->attempt != attempt) return;
 

@@ -70,6 +70,11 @@ struct GroupReply {
 
 using GroupReplyHandler = std::function<void(const GroupReply&)>;
 
+/// How long an invited request manager / server has to bring the client
+/// into the client/server group before the binding gives up on it and
+/// tries the next candidate.
+inline constexpr SimDuration kInviteTimeout{3'000'000};  // 3 s
+
 /// Client-side binding knobs (§4.2's customisations).
 struct BindOptions {
     BindMode mode{BindMode::kOpen};
@@ -87,11 +92,6 @@ struct BindOptions {
     /// Give up on a call after this long (0 = wait forever; rebinding on
     /// request-manager failure still applies).
     SimDuration call_timeout{0};
-    /// How long an invited request manager / server has to bring the
-    /// client into the client/server group before the binding gives up on
-    /// it and tries the next candidate.  WAN scenarios and recovery tests
-    /// tune this; the default matches the historical hardcoded value.
-    SimDuration invite_timeout{3'000'000};  // 3 s
 };
 
 }  // namespace newtop

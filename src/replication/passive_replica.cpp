@@ -29,12 +29,8 @@ struct StreamPos {
 class PassiveReplica::Shim : public GroupServant {
 public:
     Shim(NewTopService& nso, std::string service, std::shared_ptr<StatefulServant> app,
-         PassiveOptions options, bool founding)
-        : nso_(&nso),
-          service_(std::move(service)),
-          app_(std::move(app)),
-          options_(options),
-          primary_(founding) {}
+         bool founding)
+        : nso_(&nso), service_(std::move(service)), app_(std::move(app)), primary_(founding) {}
 
     Bytes handle(std::uint32_t method, const Bytes& args) override {
         const StreamPos pos{epoch_, next_index_++};
@@ -43,13 +39,15 @@ public:
             Bytes result = app_->handle(method, args);  // may throw to the client
             // Checkpoints are tagged with the *count* of requests covered
             // ({epoch, index + 1}), so they strictly supersede each other.
-            if (executed_ % options_.checkpoint_every == 0) {
+            if (executed_ % kCheckpointEvery == 0) {
                 send_checkpoint(StreamPos{pos.epoch, pos.index + 1});
             }
             return result;
         }
         // Backup: log only; with asynchronous forwarding the reply is never
-        // used (the primary answered the client already).
+        // used (the primary answered the client already).  A checkpoint can
+        // overtake a request it covers; failover must not replay that one.
+        if (has_applied_ && pos < applied_) return {};
         log_.push_back(LogEntry{pos, method, args});
         return {};
     }
@@ -138,7 +136,6 @@ private:
     NewTopService* nso_;
     std::string service_;
     std::shared_ptr<StatefulServant> app_;
-    PassiveOptions options_;
     bool primary_;
     ViewEpoch epoch_{0};
     std::uint64_t next_index_{0};
@@ -169,13 +166,12 @@ private:
 
 PassiveReplica::PassiveReplica(NewTopService& nso, std::string service,
                                const GroupConfig& config,
-                               std::shared_ptr<StatefulServant> app, PassiveOptions options)
+                               std::shared_ptr<StatefulServant> app)
     : nso_(&nso), service_(std::move(service)) {
     NEWTOP_EXPECTS(app != nullptr, "passive replica needs an application servant");
-    NEWTOP_EXPECTS(options.checkpoint_every > 0, "checkpoint interval must be positive");
 
     const bool founding = nso_->directory().find_group(service_) == nullptr;
-    shim_ = std::make_shared<Shim>(*nso_, service_, std::move(app), options, founding);
+    shim_ = std::make_shared<Shim>(*nso_, service_, std::move(app), founding);
 
     const Ior checkpoint_ior = nso_->orb().adapter().activate(
         std::make_shared<CheckpointServant>(shim_), "PassiveCheckpoint");

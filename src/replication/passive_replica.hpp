@@ -23,10 +23,9 @@ namespace newtop {
 /// ORB method id of the checkpoint receiver object.
 inline constexpr std::uint32_t kCheckpointInstallMethod = 311;
 
-struct PassiveOptions {
-    /// Ship a checkpoint to the backups after every N executed requests.
-    std::uint32_t checkpoint_every{4};
-};
+/// The primary ships a checkpoint to the backups after every this many
+/// executed requests.
+inline constexpr std::uint64_t kCheckpointEvery = 4;
 
 class PassiveReplica {
 public:
@@ -34,7 +33,7 @@ public:
     /// asymmetric ordering protocol (sequencer = primary); clients should
     /// bind with {restricted = true, async_forwarding = true}.
     PassiveReplica(NewTopService& nso, std::string service, const GroupConfig& config,
-                   std::shared_ptr<StatefulServant> app, PassiveOptions options = {});
+                   std::shared_ptr<StatefulServant> app);
 
     PassiveReplica(const PassiveReplica&) = delete;
     PassiveReplica& operator=(const PassiveReplica&) = delete;

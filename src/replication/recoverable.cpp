@@ -64,14 +64,13 @@ RecoveryManager::GenerationFactory make_active_generation(std::string service,
 
 RecoveryManager::GenerationFactory make_passive_generation(std::string service,
                                                            GroupConfig config,
-                                                           StatefulServantFactory make_app,
-                                                           PassiveOptions options) {
+                                                           StatefulServantFactory make_app) {
     NEWTOP_EXPECTS(make_app != nullptr, "passive generation needs a servant factory");
-    return [service = std::move(service), config, make_app = std::move(make_app), options](
+    return [service = std::move(service), config, make_app = std::move(make_app)](
                NewTopService& nso, std::function<void()> note_recovered) {
         auto probed =
             std::make_shared<ProbedStatefulServant>(make_app(), std::move(note_recovered));
-        auto replica = std::make_shared<PassiveReplica>(nso, service, config, probed, options);
+        auto replica = std::make_shared<PassiveReplica>(nso, service, config, probed);
         RecoveryManager::Generation gen;
         gen.keepalive = replica;
         gen.ready = [&nso, service] { return nso.invocation().serving(service); };

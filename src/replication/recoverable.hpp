@@ -40,7 +40,6 @@ RecoveryManager::GenerationFactory make_active_generation(std::string service,
 /// (a rejoining backup is consistent from its first checkpoint onwards).
 RecoveryManager::GenerationFactory make_passive_generation(std::string service,
                                                            GroupConfig config,
-                                                           StatefulServantFactory make_app,
-                                                           PassiveOptions options = {});
+                                                           StatefulServantFactory make_app);
 
 }  // namespace newtop

@@ -13,7 +13,6 @@
 #include "newtop/newtop_service.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
-#include "util/check.hpp"
 
 namespace newtop {
 namespace {
@@ -263,7 +262,7 @@ SimDuration crash_detection_latency(std::uint64_t phi_threshold_milli) {
 }
 
 TEST(GrayDetector, CrashDetectionNoSlowerThanFixedTimeout) {
-    // The fixed suspicion_timeout is the accrual detector's *floor*: a
+    // The fixed kSuspicionTimeout is the accrual detector's *floor*: a
     // genuinely crashed member must not be detected any later than the
     // paper's original detector would.
     const SimDuration with_phi = crash_detection_latency(8000);
@@ -273,16 +272,48 @@ TEST(GrayDetector, CrashDetectionNoSlowerThanFixedTimeout) {
     EXPECT_LE(with_phi, fixed);
 }
 
-TEST(GrayDetector, ConfigValidationRejectsTimeoutInversion) {
+/// In a quiet event-driven group c multicasts every 3 s, so its history of
+/// short protocol gaps and 3 s pauses puts its φ deadline far past
+/// kPhiCeiling.  Crash c, wake the group, and return the silences at which
+/// the survivors suspected it (gcs.detection_latency_us).
+obs::LatencyHistogram chaotic_history_detection(std::uint64_t phi_threshold_milli) {
     DetectorWorld world;
     const auto a = world.add();
-    GroupConfig bad;
-    bad.view_change_timeout = bad.suspicion_timeout;  // must be strictly greater
-    EXPECT_THROW(world.ep(a).create_group("bad", bad), PreconditionError);
+    const auto b = world.add();
+    const auto c = world.add();
+    GroupConfig cfg;
+    cfg.phi_threshold_milli = phi_threshold_milli;
+    const GroupId g = world.ep(a).create_group("g", cfg);
+    world.ep(b).join_group("g");
+    world.ep(c).join_group("g");
+    world.run_for(1_s);
 
-    const GroupId g = world.ep(a).create_group("good", lively_config(8000));
-    world.run_for(100_ms);
-    EXPECT_THROW(world.ep(a).reconfigure(g, bad), PreconditionError);
+    for (int k = 0; k < 8; ++k) {
+        world.ep(c).multicast(g, Bytes{1});
+        world.run_for(3_s);
+    }
+    world.net.crash(world.nodes[c]);
+    world.ep(a).multicast(g, Bytes{2});
+    world.run_for(kPhiCeiling + 1_s);
+
+    const obs::LatencyHistogram* h =
+        world.net.metrics().histogram(obs::metric::kGcsDetectionLatencyUs);
+    return h == nullptr ? obs::LatencyHistogram{} : *h;
+}
+
+TEST(GrayDetector, PhiCeilingBoundsDetectionOfAChaoticPeer) {
+    // Under φ, c's 3 s pauses would defer its suspicion for seconds more;
+    // the ceiling caps the silence at kPhiCeiling plus one suspicion scan.
+    const obs::LatencyHistogram with_phi = chaotic_history_detection(8000);
+    ASSERT_GE(with_phi.count(), 1u);
+    EXPECT_GT(with_phi.min(), kPhiCeiling);
+    EXPECT_LE(with_phi.max(), kPhiCeiling + kSuspicionTimeout / 2);
+
+    // The same history under the fixed detector: the floor alone decides.
+    const obs::LatencyHistogram fixed = chaotic_history_detection(0);
+    ASSERT_GE(fixed.count(), 1u);
+    EXPECT_GT(fixed.min(), kSuspicionTimeout);
+    EXPECT_LE(fixed.max(), kSuspicionTimeout + kSuspicionTimeout / 2);
 }
 
 // -- deadline shedding ---------------------------------------------------------

@@ -354,17 +354,9 @@ GroupConfig random_config(Rng& rng) {
                 : roll == 1 ? OrderMode::kTotalAsymmetric
                             : OrderMode::kCausal;
     cfg.liveness = rng.next_bool(0.5) ? LivenessMode::kLively : LivenessMode::kEventDriven;
-    cfg.time_silence = static_cast<SimDuration>(rng.next_in(1, 1'000'000));
-    cfg.ack_delay = static_cast<SimDuration>(rng.next_in(1, 10'000));
-    cfg.suspicion_timeout = static_cast<SimDuration>(rng.next_in(1, 2'000'000));
-    cfg.view_change_timeout = static_cast<SimDuration>(rng.next_in(1, 4'000'000));
-    cfg.stability_period = static_cast<SimDuration>(rng.next_in(1, 1'000'000));
     cfg.order_window = static_cast<std::size_t>(rng.next_in(0, 128));
-    cfg.order_max_batch = static_cast<std::size_t>(rng.next_in(1, 256));
     cfg.adaptive_asym_threshold = static_cast<std::size_t>(rng.next_in(0, 16));
     cfg.phi_threshold_milli = rng.next_in(0, 20'000);
-    cfg.phi_floor = static_cast<SimDuration>(rng.next_in(0, 1'000'000));
-    cfg.phi_ceiling = static_cast<SimDuration>(rng.next_in(0, 10'000'000));
     return cfg;
 }
 

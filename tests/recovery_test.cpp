@@ -196,16 +196,15 @@ TEST(Directory, ViewChangeEvictsSuspectedMembersRegistrations) {
     EXPECT_GE(world.net.metrics().counter("directory.evictions"), 1u);
 }
 
-// -- invite timeout is tunable (was a hardcoded 3 s constant) --------------------------
+// -- the invite timeout unsticks a bind to a dead manager -------------------------------
 
 TEST(BindOptions, InviteTimeoutControlsDeadManagerFailover) {
     // The server group is event-driven and quiet, so nobody suspects the
     // dead leader and the directory keeps listing it: the client's invite
-    // timeout is the only thing that unsticks the bind.  A short timeout
-    // must fail over to the live replica much sooner than the 3 s default.
-    // Completion beats the respective invite timeout budget: with 400 ms the
-    // failover happens inside 2 s; with the 3 s default it cannot.
-    auto completes_within = [](SimDuration invite_timeout, SimDuration budget) {
+    // timeout is the only thing that unsticks the bind.  With the 3 s
+    // kInviteTimeout the failover to the live replica cannot finish inside
+    // 2 s, but does inside 10 s.
+    auto completes_within = [](SimDuration budget) {
         RecWorld world;
         const auto s0 = world.add_nso();
         const auto s1 = world.add_nso();
@@ -218,19 +217,15 @@ TEST(BindOptions, InviteTimeoutControlsDeadManagerFailover) {
         world.run_for(10_ms);
 
         const auto c = world.add_nso();
-        BindOptions options;
-        options.mode = BindMode::kOpen;
-        options.invite_timeout = invite_timeout;
-        GroupProxy proxy = world.nso(c).bind("svc", options);
+        GroupProxy proxy = world.nso(c).bind("svc", {.mode = BindMode::kOpen});
         bool done = false;
         proxy.invoke(kGet, {}, InvocationMode::kWaitFirst,
                      [&](const GroupReply& r) { done = r.complete; });
         world.run_for(budget);
         return done;
     };
-    EXPECT_TRUE(completes_within(400_ms, 2_s));
-    EXPECT_FALSE(completes_within(BindOptions{}.invite_timeout, 2_s));
-    EXPECT_TRUE(completes_within(BindOptions{}.invite_timeout, 10_s));
+    EXPECT_FALSE(completes_within(2_s));
+    EXPECT_TRUE(completes_within(10_s));
 }
 
 // -- RecoveryManager end-to-end --------------------------------------------------------

@@ -175,9 +175,8 @@ struct PassiveFixture : ::testing::Test {
         for (int i = 0; i < 3; ++i) {
             const auto idx = world.add_nso();
             apps.push_back(std::make_shared<RegisterServant>());
-            replicas.push_back(std::make_unique<PassiveReplica>(
-                world.nso(idx), "preg", cfg, apps.back(),
-                PassiveOptions{.checkpoint_every = 2}));
+            replicas.push_back(
+                std::make_unique<PassiveReplica>(world.nso(idx), "preg", cfg, apps.back()));
             world.run_for(300_ms);
             servers.push_back(idx);
         }
@@ -214,7 +213,7 @@ TEST_F(PassiveFixture, CheckpointsPropagateStateToBackups) {
         ASSERT_TRUE(reply.complete);
     }
     world.run_for(2_s);
-    // checkpoint_every = 2: after 4 requests both backups hold "abcd" via
+    // kCheckpointEvery = 4: after 4 requests both backups hold "abcd" via
     // snapshots, without executing anything.
     EXPECT_EQ(apps[1]->contents(), "abcd");
     EXPECT_EQ(apps[2]->contents(), "abcd");
@@ -224,33 +223,38 @@ TEST_F(PassiveFixture, CheckpointsPropagateStateToBackups) {
 }
 
 TEST_F(PassiveFixture, FailoverReplaysTheLoggedSuffix) {
-    // Three writes: checkpoint after 2, the third lives only in the logs.
-    for (const char* piece : {"a", "b", "c"}) {
+    // Five writes: checkpoint after 4, the fifth lives only in the logs.
+    for (const char* piece : {"a", "b", "c", "d", "e"}) {
         const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string(piece)),
                                             InvocationMode::kWaitFirst);
         ASSERT_TRUE(reply.complete);
     }
     world.run_for(1_s);
-    ASSERT_EQ(apps[0]->contents(), "abc");
+    ASSERT_EQ(apps[0]->contents(), "abcde");
+    ASSERT_EQ(replicas[1]->log_size(), 1u);
 
     world.net.crash(world.orbs[servers[0]]->node_id());
     world.run_for(5_s);
     ASSERT_TRUE(replicas[1]->is_primary());
-    // The new primary replayed "c" on top of its "ab" checkpoint.
-    EXPECT_EQ(apps[1]->contents(), "abc");
+    // The new primary replayed "e" on top of its "abcd" checkpoint.
+    EXPECT_EQ(apps[1]->contents(), "abcde");
 
     // And it keeps serving: the proxy rebinds to it.
-    const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string("d")),
+    const GroupReply reply = world.call(proxy, kAppend, encode_to_bytes(std::string("f")),
                                         InvocationMode::kWaitFirst, 10_s);
     ASSERT_TRUE(reply.complete);
-    EXPECT_EQ(apps[1]->contents(), "abcd");
+    EXPECT_EQ(apps[1]->contents(), "abcdef");
     world.run_for(2_s);
-    EXPECT_EQ(apps[2]->contents(), "abcd");
+    // The other backup holds the takeover checkpoint and logs "f".
+    EXPECT_EQ(apps[2]->contents(), "abcde");
+    EXPECT_EQ(replicas[2]->log_size(), 1u);
 }
 
 TEST_F(PassiveFixture, BackupsRemainConsistentAfterManyWrites) {
+    // Twelve writes, a multiple of kCheckpointEvery: the last checkpoint
+    // covers them all.
     std::string expected;
-    for (int k = 0; k < 10; ++k) {
+    for (int k = 0; k < 12; ++k) {
         const std::string piece(1, static_cast<char>('a' + k));
         expected += piece;
         const GroupReply reply =
@@ -261,7 +265,7 @@ TEST_F(PassiveFixture, BackupsRemainConsistentAfterManyWrites) {
     EXPECT_EQ(apps[0]->contents(), expected);
     EXPECT_EQ(apps[1]->contents(), expected);
     EXPECT_EQ(apps[2]->contents(), expected);
-    EXPECT_EQ(apps[0]->executions, 10);
+    EXPECT_EQ(apps[0]->executions, 12);
     EXPECT_EQ(apps[1]->executions, 0);
 }
 
