@@ -13,11 +13,14 @@
 //
 // Emits BENCH_saturation.json (override the path with NEWTOP_BENCH_OUT) in
 // the shared artifact schema (harness.hpp `Artifact`): rows "unbatched",
-// "batched" (throughput, speedup, allocations per invocation) and
-// "profiled" (the traced repeat), with checks that the traced run
-// reconciles and that batched steady state stays within its net-allocation
-// budget.  Also prints the standard deterministic `# metrics` line.
+// "batched" (throughput, speedup, allocations and engine events per
+// invocation, engine events per host second) and "profiled" (the traced
+// repeat), with checks that the traced run reconciles and that batched
+// steady state stays within its net-allocation budget.  Also prints the
+// standard deterministic `# metrics` line.
 #include "harness.hpp"
+
+#include <chrono>
 
 #include "gcs/endpoint.hpp"
 #include "obs/names.hpp"
@@ -57,6 +60,11 @@ struct SaturationResult {
     /// its buffers, so net must stay ~0.
     double allocs_per_inv{0.0};
     double net_allocs_per_inv{0.0};
+    /// Scheduler events run inside the measured window, per delivered
+    /// invocation (simulation work, deterministic) and per host second
+    /// (engine speed; host time, so advisory only).
+    double events_per_inv{0.0};
+    double events_per_sec{0.0};
     std::string metrics_json;
     obs::ProfileReport profile;  // options.profile only
 };
@@ -117,7 +125,11 @@ SaturationResult run_saturation(const SaturationOptions& options) {
     const std::uint64_t delivered_before = observed;
     const std::uint64_t wire_before = network.metrics().counter(obs::metric::kNetMessagesSent);
     const alloc::Snapshot heap_before = alloc::snapshot();
-    scheduler.run_until(scheduler.now() + options.measured);
+    // newtop-lint: allow(wall-clock): host-time row events_per_sec, never compared across runs
+    using HostClock = std::chrono::steady_clock;
+    const HostClock::time_point host_before = HostClock::now();
+    const std::size_t events = scheduler.run_until(scheduler.now() + options.measured);
+    const std::chrono::duration<double> host_elapsed = HostClock::now() - host_before;
     const alloc::Snapshot heap_after = alloc::snapshot();
 
     SaturationResult result;
@@ -129,6 +141,10 @@ SaturationResult run_saturation(const SaturationOptions& options) {
             static_cast<double>(alloc::allocs_between(heap_before, heap_after)) / delivered;
         result.net_allocs_per_inv =
             static_cast<double>(alloc::net_between(heap_before, heap_after)) / delivered;
+        result.events_per_inv = static_cast<double>(events) / delivered;
+    }
+    if (host_elapsed.count() > 0) {
+        result.events_per_sec = static_cast<double>(events) / host_elapsed.count();
     }
     result.invocations_per_sec =
         static_cast<double>(result.delivered) / to_seconds(options.measured);
@@ -148,14 +164,16 @@ SaturationResult run_saturation(const SaturationOptions& options) {
     return result;
 }
 
-/// One flood run as an artifact row: throughput and heap traffic per
-/// delivered invocation, with the batching window as description.
+/// One flood run as an artifact row: throughput, heap traffic and engine
+/// events per delivered invocation, with the batching window as description.
 ArtifactRow& add_row(Artifact& artifact, const char* name, const SaturationOptions& options,
                      const SaturationResult& result) {
     return artifact.row(name)
         .higher("invocations_per_sec", result.invocations_per_sec)
         .lower("allocs_per_inv", result.allocs_per_inv)
         .lower("net_allocs_per_inv", result.net_allocs_per_inv)
+        .lower("events_per_inv", result.events_per_inv)
+        .higher("events_per_sec", result.events_per_sec)
         .info("order_window", options.order_window)
         .info("delivered", result.delivered)
         .info("wire_messages", result.wire_messages);

@@ -200,19 +200,15 @@ void GroupCommEndpoint::on_wire(BytesView payload) {
         std::move(msg));
 }
 
-namespace {
-/// GCS traffic travels as *synchronous* ORB invocations (§2.2: "multicasting
-/// has been implemented by making synchronous invocations in turn to all the
-/// members", with threads for parallelism) — so every protocol leg costs a
-/// full ORB round trip, which is exactly why a NewTop call measures ~2.5x a
-/// plain CORBA call in §5.1.1.  The reply is empty and ignored; the timeout
-/// merely garbage-collects calls to crashed peers.  Every call shares this
-/// timeout, so the ORB queues the deadlines on one scheduler lane, in call
-/// order, and they never enter the event heap; the reply cancels its timer
-/// within milliseconds, and the scheduler's compaction strips the cancelled
-/// entries from the lane in bulk.
-constexpr SimDuration kGcsCallTimeout = 60_s;
-}  // namespace
+// GCS traffic travels as *synchronous* ORB invocations (§2.2: "multicasting
+// has been implemented by making synchronous invocations in turn to all the
+// members", with threads for parallelism) — so every protocol leg costs a
+// full ORB round trip, which is exactly why a NewTop call measures ~2.5x a
+// plain CORBA call in §5.1.1.  The reply is empty and the endpoint never
+// looks at it, so each leg is an unawaited two-way call: the server still
+// replies and this node's CPU is still charged for the reply, but the ORB
+// keeps no call-table entry, deadline or completion event for it.  A leg to
+// a crashed peer simply gets no reply.
 
 void GroupCommEndpoint::send_wire(EndpointId to, const GcsMessage& msg) {
     send_wire(to, encode_gcs_message(msg));
@@ -224,8 +220,7 @@ void GroupCommEndpoint::send_wire(EndpointId to, const Bytes& wire) {
         on_wire(wire);
         return;
     }
-    orb_->invoke(directory_->endpoint_ior(to), kGcsDeliverMethod, wire,
-                 [](ReplyStatus, const Bytes&) {}, kGcsCallTimeout);
+    orb_->invoke_unawaited(directory_->endpoint_ior(to), kGcsDeliverMethod, wire);
 }
 
 void GroupCommEndpoint::multicast_wire(const Group& g, const GcsMessage& msg) {
@@ -238,8 +233,7 @@ void GroupCommEndpoint::multicast_wire(const Group& g, const Bytes& wire) {
     // serializes the marshalling) — §2.2.
     for (const EndpointId member : g.view.members) {
         if (member == id_) continue;
-        orb_->invoke(directory_->endpoint_ior(member), kGcsDeliverMethod, wire,
-                     [](ReplyStatus, const Bytes&) {}, kGcsCallTimeout);
+        orb_->invoke_unawaited(directory_->endpoint_ior(member), kGcsDeliverMethod, wire);
     }
 }
 

@@ -13,8 +13,9 @@
 //    different groups are delivered in causal order (the fig. 7 property),
 //  * the time-silence mechanism in lively and event-driven flavours.
 //
-// All protocol traffic travels as oneway ORB invocations between endpoint
-// servants, mirroring the paper's architecture.
+// All protocol traffic travels as two-way ORB invocations between endpoint
+// servants, mirroring the paper's synchronous multicast legs (§2.2): each
+// leg's empty reply is charged to the sender's CPU but not awaited.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Wire messages of the group communication protocol.
 //
-// Every message is serialized and shipped as a oneway ORB invocation to the
-// peer endpoint's GCS servant, reproducing the paper's architecture where
+// Every message is serialized and shipped as a two-way ORB invocation (its
+// empty reply charged but not awaited) to the peer endpoint's GCS servant, reproducing the paper's architecture where
 // NewTop-internal traffic itself travels as CORBA invocations (fig. 2).
 #pragma once
 

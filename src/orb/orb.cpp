@@ -27,16 +27,21 @@ void write_request(Encoder& e, std::uint64_t request_id, bool oneway, ObjectKey 
 
 }  // namespace
 
-Bytes Orb::encode_request(std::uint64_t request_id, bool oneway, ObjectKey key,
-                          std::uint32_t method, const Bytes& args) {
+void Orb::send_request(const Ior& target, std::uint64_t request_id, bool oneway,
+                       std::uint32_t method, const Bytes& args) {
     // Counting pass, then encode into a recycled buffer of exactly that
     // size: the framing path performs zero allocations at steady state.
     Encoder counter = Encoder::counter();
-    write_request(counter, request_id, oneway, key, method, args);
+    write_request(counter, request_id, oneway, target.key, method, args);
     Encoder e(arena_.acquire(counter.size()));
     e.reserve(counter.size());
-    write_request(e, request_id, oneway, key, method, args);
-    return std::move(e).take();
+    write_request(e, request_id, oneway, target.key, method, args);
+    Bytes wire = std::move(e).take();
+    Node& self = network_->node(node_);
+    self.cpu().execute(calibration::marshal_cost(wire.size()),
+                       [this, to = target.node, wire = std::move(wire)]() mutable {
+                           network_->send(node_, to, std::move(wire));
+                       });
 }
 
 Orb::Orb(Network& network, NodeId node)
@@ -57,7 +62,6 @@ Orb::Orb(Network& network, NodeId node)
 
 Orb::~Orb() {
     for (const Pending& call : calls_) scheduler().cancel(call.timer);
-    for (const DeadlineLane& d : deadline_lanes_) scheduler().close_lane(d.lane);
 }
 
 OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args,
@@ -68,10 +72,7 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
     const std::uint64_t request_id = next_request_id_++;
     Pending pending{request_id, std::move(handler), 0};
     if (timeout > 0) {
-        // Deadlines of one timeout never decrease: they share a lane.
-        const LaneId lane = deadline_lane(timeout);
-        const SimTime deadline = scheduler().now() + timeout;
-        pending.timer = scheduler().schedule_in(lane, deadline, [this, request_id] {
+        pending.timer = scheduler().schedule_after(timeout, [this, request_id] {
             if (find_call(request_id) != nullptr) call_timeouts_.add();
             complete(request_id, ReplyStatus::kTimeout, Bytes{});
         });
@@ -79,33 +80,21 @@ OrbCallId Orb::invoke(const Ior& target, std::uint32_t method, const Bytes& args
     // Ids ascend, so appending keeps the table sorted.
     calls_.push_back(std::move(pending));
     ++live_calls_;
-
-    Bytes wire = encode_request(request_id, /*oneway=*/false, target.key, method, args);
-    Node& self = network_->node(node_);
-    self.cpu().execute(calibration::marshal_cost(wire.size()),
-                       [this, to = target.node, wire = std::move(wire)]() mutable {
-                           network_->send(node_, to, std::move(wire));
-                       });
+    send_request(target, request_id, /*oneway=*/false, method, args);
     return OrbCallId(request_id);
-}
-
-LaneId Orb::deadline_lane(SimDuration timeout) {
-    for (const DeadlineLane& d : deadline_lanes_) {
-        if (d.timeout == timeout) return d.lane;
-    }
-    deadline_lanes_.push_back(DeadlineLane{timeout, scheduler().open_lane()});
-    return deadline_lanes_.back().lane;
 }
 
 void Orb::invoke_oneway(const Ior& target, std::uint32_t method, const Bytes& args) {
     if (process_defunct()) return;
     oneways_.add();
-    Bytes wire = encode_request(/*request_id=*/0, /*oneway=*/true, target.key, method, args);
-    Node& self = network_->node(node_);
-    self.cpu().execute(calibration::marshal_cost(wire.size()),
-                       [this, to = target.node, wire = std::move(wire)]() mutable {
-                           network_->send(node_, to, std::move(wire));
-                       });
+    send_request(target, /*request_id=*/0, /*oneway=*/true, method, args);
+}
+
+void Orb::invoke_unawaited(const Ior& target, std::uint32_t method, const Bytes& args) {
+    if (process_defunct()) return;
+    invocations_.add();
+    // Issued ids start at 1, so the reply's id 0 matches no call.
+    send_request(target, /*request_id=*/0, /*oneway=*/false, method, args);
 }
 
 void Orb::cancel(OrbCallId id) {
@@ -232,11 +221,17 @@ void Orb::handle_reply(Decoder& d) {
     if (raw_status > static_cast<std::uint8_t>(ReplyStatus::kTimeout)) {
         throw DecodeError("invalid reply status");
     }
+    Node& self = network_->node(node_);
+    if (request_id == 0) {
+        // An unawaited call's reply: charged like any other, then dropped.
+        replies_received_.add();
+        self.cpu().charge(calibration::unmarshal_cost(d.get_blob_view().size()));
+        return;
+    }
     Bytes payload = d.get_blob();
     if (find_call(request_id) == nullptr) return;  // late or duplicate reply
     replies_received_.add();
 
-    Node& self = network_->node(node_);
     self.cpu().execute(calibration::unmarshal_cost(payload.size()),
                        [this, request_id, status = static_cast<ReplyStatus>(raw_status),
                         payload = std::move(payload)] {

@@ -39,7 +39,7 @@ public:
     /// message receiver.  One ORB per node.
     Orb(Network& network, NodeId node);
 
-    /// Cancels the unfinished calls' deadlines and closes their lanes.
+    /// Cancels the unfinished calls' deadlines.
     ~Orb();
 
     Orb(const Orb&) = delete;
@@ -74,6 +74,16 @@ public:
     /// Oneway (fire-and-forget) invocation: no reply, no delivery guarantee
     /// beyond what the transport gives.
     void invoke_oneway(const Ior& target, std::uint32_t method, const Bytes& args);
+
+    /// Two-way invocation whose reply is charged but not awaited.  On the
+    /// wire and at the server it is an ordinary two-way call (the server
+    /// executes it and sends a reply), framed with request id 0, which names
+    /// no call.  When that reply arrives the caller counts it and its CPU is
+    /// charged the reply's unmarshalling, as for any reply, but nothing is
+    /// tracked: no call-table entry, no deadline and no completion event.
+    /// Models a synchronous invocation whose result the caller ignores
+    /// (§2.2's multicast legs).
+    void invoke_unawaited(const Ior& target, std::uint32_t method, const Bytes& args);
 
     /// Abandon a pending call; its handler will not run.
     void cancel(OrbCallId id);
@@ -115,13 +125,12 @@ private:
     void handle_request(NodeId from, Decoder& d, Bytes wire);
     void handle_reply(Decoder& d);
     void send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, Bytes payload);
-    Bytes encode_request(std::uint64_t request_id, bool oneway, ObjectKey key,
-                         std::uint32_t method, const Bytes& args);
+    /// Frame a request and send it once this node's CPU has marshalled it.
+    void send_request(const Ior& target, std::uint64_t request_id, bool oneway,
+                      std::uint32_t method, const Bytes& args);
     void complete(std::uint64_t request_id, ReplyStatus status, const Bytes& payload);
     void try_group_member(Iogr group, std::size_t attempt, std::uint32_t method, Bytes args,
                           ReplyHandler handler, SimDuration per_member_timeout);
-    /// The scheduler lane of this ORB's call deadlines for `timeout`.
-    LaneId deadline_lane(SimDuration timeout);
 
     Network* network_;
     NodeId node_;
@@ -144,13 +153,6 @@ private:
     /// any order that reaches completion or the trace.
     std::vector<Pending> calls_;
     std::size_t live_calls_{0};
-    /// One scheduler lane per distinct call timeout: the deadlines of calls
-    /// with equal timeouts fall in the order the calls were made.
-    struct DeadlineLane {
-        SimDuration timeout;
-        LaneId lane;
-    };
-    std::vector<DeadlineLane> deadline_lanes_;
 };
 
 }  // namespace newtop

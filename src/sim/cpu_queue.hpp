@@ -49,6 +49,12 @@ public:
                                 });
     }
 
+    /// Account `cost` microseconds of CPU time exactly as execute() would,
+    /// but with nothing to run when it completes: the work still occupies
+    /// the queue (later tasks wait behind it) and counts toward cpu.tasks /
+    /// cpu.busy_us, yet schedules no event.  A dead CPU charges nothing.
+    void charge(SimDuration cost) { admit(cost); }
+
     /// Scale the cost of every subsequently submitted task by `factor`
     /// (gray-failure injection: a slow-but-alive host).  1.0 restores
     /// nominal speed; already-queued work keeps its original cost.

@@ -212,9 +212,14 @@ std::size_t Scheduler::run(std::size_t limit) {
     return n;
 }
 
-void Scheduler::run_until(SimTime deadline) {
-    while (Task fn = pop_next(deadline)) fn();
+std::size_t Scheduler::run_until(SimTime deadline) {
+    std::size_t n = 0;
+    while (Task fn = pop_next(deadline)) {
+        fn();
+        ++n;
+    }
     now_ = std::max(now_, deadline);
+    return n;
 }
 
 }  // namespace newtop

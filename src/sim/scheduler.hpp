@@ -7,8 +7,8 @@
 //
 // Events come in two kinds.  A heap timer (schedule_at / schedule_after) is
 // one entry of a binary heap.  A lane event (schedule_in) joins a *lane*: a
-// FIFO of events whose times never decrease, such as one CPU's completions,
-// one directed link's arrivals or one ORB's call deadlines for one timeout.
+// FIFO of events whose times never decrease, such as one CPU's completions
+// or one directed link's arrivals.
 // The heap holds a single entry per non-empty lane, keyed by the lane's
 // front, so a long lane costs the heap one entry.  Both kinds draw their
 // sequence number from one counter when scheduled, and the heap orders by
@@ -99,8 +99,9 @@ public:
     std::size_t run(std::size_t limit = SIZE_MAX);
 
     /// Run all events with timestamp <= deadline; simulated time ends up at
-    /// `deadline` even if the queue drains early.
-    void run_until(SimTime deadline);
+    /// `deadline` even if the queue drains early.  Returns the number of
+    /// events executed.
+    std::size_t run_until(SimTime deadline);
 
     /// Number of events still to run (cancelled ones excluded).
     [[nodiscard]] std::size_t pending() const { return queued_ - cancelled_; }

@@ -593,6 +593,28 @@ TEST_F(LanGcs, EventDrivenGroupGoesQuietAfterDelivery) {
     EXPECT_EQ(world.log_of(b, g), std::vector<std::string>{"x"});
 }
 
+// What the protocol's ORB legs cost the CPUs, pinned on a fixed seeded
+// world: three LAN members, ten multicasts, run until no event is left.
+// Each leg is a two-way ORB call whose empty reply the sender still
+// unmarshals (§2.2), so a change that stops charging the reply leg, or
+// charges it twice, moves both counters.
+TEST_F(LanGcs, ProtocolLegsCpuCostIsPinned) {
+    for (int i = 0; i < 3; ++i) world.add_endpoint(SiteId(0));
+    const GroupId g = world.ep(0).create_group("g", config_for(OrderMode::kTotalAsymmetric));
+    for (std::size_t i = 1; i < 3; ++i) {
+        world.ep(i).join_group("g");
+        world.run_for(100_ms);
+    }
+    for (std::uint64_t m = 0; m < 10; ++m) {
+        world.ep(m % 3).multicast(g, payload_of(numbered("m", m)));
+    }
+    constexpr std::size_t kEventLimit = 1'000'000;
+    ASSERT_LT(world.scheduler.run(kEventLimit), kEventLimit) << "the group never went quiet";
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(world.log_of(i, g).size(), 10u);
+    EXPECT_EQ(world.net.metrics().counter(obs::metric::kCpuBusyUs), 24'676u);
+    EXPECT_EQ(world.net.metrics().counter(obs::metric::kCpuTasks), 302u);
+}
+
 // -- send flow control / batching ----------------------------------------------------
 
 TEST_F(LanGcs, BurstCoalescesUnderSendWindow) {

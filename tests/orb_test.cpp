@@ -189,11 +189,11 @@ TEST_F(OrbFixture, CallsCompleteOutOfOrderAndCancelLeavesTheRestAlone) {
     EXPECT_EQ(net.metrics().counter(obs::metric::kOrbCallTimeouts), 2u);
 }
 
-// Call deadlines queue per timeout value, apart from the other events, yet
-// fire in the order a single queue of every event gives: by time, then by
-// when each event was scheduled.  Here a deadline on one timeout's queue,
-// a reply's completion and a deadline on a second timeout's queue all fall
-// on the same microsecond, scheduled in that order.
+// Call deadlines of different timeouts and a reply's completion on the
+// CPU's lane fire in the order a single queue of every event gives: by
+// time, then by when each event was scheduled.  Here a deadline of one
+// timeout, a reply's completion and a deadline of a second timeout all
+// fall on the same microsecond, scheduled in that order.
 TEST(OrbDeadlines, TwoTimeoutsAndAReplyOnOneMicrosecondFireInSchedulingOrder) {
     struct World {
         World()
@@ -299,8 +299,8 @@ TEST_F(OrbFixture, ManyCallsToACrashedPeerTimeOutWithABoundedTable) {
 }
 
 // Destroying an ORB takes its call deadlines with it: no event of the old
-// ORB stays queued, and its deadline lane goes back to the scheduler, so
-// ORBs replaced over and over (a restarting process) open no new lanes.
+// ORB stays queued, and ORBs replaced over and over (a restarting process)
+// leave no scheduler lane behind.
 TEST_F(OrbFixture, DestroyedOrbCancelsItsDeadlinesAndRecyclesItsLanes) {
     net.crash(server_node);
     const NodeId node = net.add_node(SiteId(0));
@@ -319,6 +319,72 @@ TEST_F(OrbFixture, DestroyedOrbCancelsItsDeadlinesAndRecyclesItsLanes) {
         if (life == 0) lanes_after_first = scheduler.lane_count();
     }
     EXPECT_EQ(scheduler.lane_count(), lanes_after_first);
+}
+
+// -- Unawaited two-way calls --------------------------------------------------
+
+// The reply is charged to the caller like any reply (counted, and its
+// unmarshalling queued on the CPU), but nothing waits for it.
+TEST_F(OrbFixture, UnawaitedCallChargesTheReplyAndTracksNothing) {
+    client.invoke_unawaited(target, kEcho, Bytes(64, 7));
+    EXPECT_EQ(client.pending_calls(), 0u);
+    EXPECT_EQ(client.call_table_size(), 0u);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kOrbInvocations), 1u);
+    // Run until the server has executed the request: the client's
+    // marshalling is charged, and the reply is not back yet.
+    while (servant->calls == 0) ASSERT_TRUE(scheduler.step());
+    const SimDuration charged = net.node(client_node).cpu().consumed();
+    scheduler.run();
+    EXPECT_EQ(servant->calls, 1);
+    EXPECT_EQ(net.node(client_node).cpu().consumed() - charged, calibration::unmarshal_cost(64));
+    EXPECT_EQ(net.metrics().counter(obs::metric::kOrbRepliesReceived), 1u);
+    EXPECT_EQ(client.pending_calls(), 0u);
+    EXPECT_EQ(client.call_table_size(), 0u);
+}
+
+// The same call made both ways, with an empty reply as a GCS leg gets,
+// costs the client the same CPU time; the unawaited one runs one event
+// fewer, the completion nobody waits for.
+TEST_F(OrbFixture, UnawaitedCallRunsOneEventFewerThanInvoke) {
+    CpuQueue& cpu = net.node(client_node).cpu();
+    client.invoke_unawaited(target, kEcho, Bytes{});
+    const std::size_t unawaited_events = scheduler.run();
+    const SimDuration unawaited_cpu = cpu.consumed();
+
+    int completions = 0;
+    client.invoke(target, kEcho, Bytes{}, [&](ReplyStatus s, const Bytes&) {
+        ++completions;
+        EXPECT_EQ(s, ReplyStatus::kOk);
+    });
+    const std::size_t awaited_events = scheduler.run();
+    EXPECT_EQ(completions, 1);
+    EXPECT_EQ(awaited_events, unawaited_events + 1);
+    EXPECT_EQ(cpu.consumed() - unawaited_cpu, unawaited_cpu);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kOrbRepliesReceived), 2u);
+}
+
+TEST_F(OrbFixture, UnawaitedNoObjectReplyIsChargedToo) {
+    const Ior bogus{server_node, ObjectKey(9999), "Test"};
+    client.invoke_unawaited(bogus, kEcho, Bytes(32, 0));
+    // The server's unmarshal-and-reject task sends the reply from its CPU.
+    while (net.node(server_node).cpu().consumed() == 0) ASSERT_TRUE(scheduler.step());
+    const SimDuration charged = net.node(client_node).cpu().consumed();
+    scheduler.run();
+    EXPECT_EQ(servant->calls, 0);
+    EXPECT_EQ(net.node(client_node).cpu().consumed() - charged, calibration::unmarshal_cost(0));
+    EXPECT_EQ(net.metrics().counter(obs::metric::kOrbRepliesReceived), 1u);
+}
+
+TEST_F(OrbFixture, UnawaitedReplyToACrashedCallerChargesAndRunsNothing) {
+    client.invoke_unawaited(target, kEcho, Bytes(64, 7));
+    while (servant->calls == 0) ASSERT_TRUE(scheduler.step());
+    net.crash(client_node);
+    const auto tasks = net.metrics().counter(obs::metric::kCpuTasks);
+    const auto busy = net.metrics().counter(obs::metric::kCpuBusyUs);
+    scheduler.run();
+    EXPECT_EQ(net.metrics().counter(obs::metric::kCpuTasks), tasks);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kCpuBusyUs), busy);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kOrbRepliesReceived), 0u);
 }
 
 // -- ProcessTimer ------------------------------------------------------------
