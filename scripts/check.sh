@@ -102,6 +102,8 @@ if [[ "${BENCH_ONLY}" == 1 ]]; then
         cp "build/BENCH_${bench}.json" "BENCH_${bench}.json"
     done
     echo "== bench artifacts refreshed (BENCH_*.json)"
+    python3 scripts/experiments_tables.py
+    echo "== EXPERIMENTS.md tables regenerated"
     exit 0
 fi
 

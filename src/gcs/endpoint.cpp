@@ -68,7 +68,7 @@ GroupCommEndpoint::GroupCommEndpoint(Orb& orb, Directory& directory)
     gauge_registry_ = &metrics();
     gauges_.push_back(gauge_registry_->register_gauge(obs::metric::kGcsHoldback, [this](SimTime) {
         std::uint64_t total = 0;
-        for (const auto& [id, g] : groups_) total += g.engine.pending_count();
+        for (const auto& [id, g] : groups_) total += g.engine.pending_count() + g.unassigned.size();
         return total;
     }));
     gauges_.push_back(
@@ -153,14 +153,14 @@ GroupCommEndpoint::GroupStats GroupCommEndpoint::group_stats(GroupId group) cons
     stats.unstable = g->unstable.size();
     stats.nulls_sent = g->nulls_sent;
     stats.delivered = g->delivered_count;
-    stats.holdback = g->engine.pending_count();
+    stats.holdback = g->engine.pending_count() + g->unassigned.size();
     return stats;
 }
 
 std::size_t GroupCommEndpoint::pending_load() const {
     std::size_t load = 0;
     for (const auto& [id, g] : groups_) {
-        load += g.engine.pending_count();
+        load += g.engine.pending_count() + g.unassigned.size();
         load += g.blocked_sends.size();
         load += g.coalesce_queue.size();
         load += g.release_queue.size();
@@ -358,9 +358,12 @@ void GroupCommEndpoint::drain_coalesced(Group& g) {
     while (!g.coalesce_queue.empty() && g.inflight_sends < window) {
         PendingSend head = std::move(g.coalesce_queue.front());
         g.coalesce_queue.pop_front();
+        const std::size_t followers = std::min(g.coalesce_queue.size(), kOrderMaxBatch - 1);
         std::vector<Bytes> batch;
         std::vector<obs::SpanContext> batch_spans;
-        while (!g.coalesce_queue.empty() && batch.size() + 1 < kOrderMaxBatch) {
+        batch.reserve(followers);
+        batch_spans.reserve(followers);
+        while (batch.size() < followers) {
             batch.push_back(std::move(g.coalesce_queue.front().payload));
             batch_spans.push_back(g.coalesce_queue.front().span);
             g.coalesce_queue.pop_front();
@@ -400,10 +403,6 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     msg.batch = std::move(batch);
     msg.span = span;
     msg.batch_spans = std::move(batch_spans);
-    // The held frame of a stream message: encoded before knowledge and
-    // causal_vc are attached below, so NACK retransmits and FLUSH carry
-    // neither field.
-    const UnstableStore::Held* held = nullptr;
     if (kind == DataKind::kNull) {
         msg.seq = 0;  // nulls are ephemeral: no stream seqno, no retransmit
         msg.received_counts = received_counts(g);
@@ -412,7 +411,6 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
         metrics().trace(obs::TraceKind::kNullOnWire, now, id_.value(), g.id.value());
     } else {
         msg.seq = g.next_send_seq++;
-        held = &g.unstable.add(msg, encode_gcs_message(msg));
         if (kind == DataKind::kOrder) {
             order_sent_.add();
             metrics().trace(obs::TraceKind::kOrderOnWire, now, id_.value(), g.id.value(),
@@ -452,16 +450,18 @@ void GroupCommEndpoint::send_data(Group& g, DataKind kind, Bytes payload, obs::S
     g.received_since_send = false;
     g.last_sent_ts = msg.ts;
 
-    // The held frame is the wire frame unless fields were attached since.
-    if (held != nullptr && msg.knowledge.empty() && msg.causal_vc.empty()) {
-        multicast_wire(g, held->wire);
-    } else {
+    // One frame, encoded once every field is attached: the multicast, and
+    // for a stream message also the copy held for NACK retransmits and
+    // FLUSH, which so carry the same knowledge and causal_vc.
+    if (kind == DataKind::kNull) {
         multicast_wire(g, encode_gcs_message(msg));
+    } else {
+        multicast_wire(g, g.unstable.add(msg, encode_gcs_message(msg)).wire);
     }
 
     // Local self-ingest: feed our own message straight to the engine.
     if (kind == DataKind::kApplication) note_payload_arrival(msg);
-    g.engine.on_data(std::move(msg));
+    feed_engine(g, std::move(msg));
     pump(g);
     kick_liveness(g);
 }
@@ -501,7 +501,10 @@ void GroupCommEndpoint::handle_data(DataMsg msg, BytesView wire) {
     }
     stream.last_heard = heard_at;
     g.received_since_send = true;
-    ensure_phi_gauge(msg.sender);
+    if (!stream.phi_gauge) {
+        ensure_phi_gauge(msg.sender);
+        stream.phi_gauge = true;
+    }
     // A message from a peer we suspect refutes the suspicion: it was slow,
     // not dead.  Classification only — the membership protocol still runs
     // its course, so agreement never depends on this bookkeeping.
@@ -585,10 +588,58 @@ void GroupCommEndpoint::ingest_in_order(Group& g, DataMsg msg, Bytes wire) {
     note_payload_arrival(msg);
     g.unstable.add(msg, std::move(wire));
     try {
-        g.engine.on_data(std::move(msg));
+        feed_engine(g, std::move(msg));
     } catch (const DecodeError& err) {
         NEWTOP_WARN("endpoint " << id_ << ": bad order payload: " << err.what());
     }
+}
+
+void GroupCommEndpoint::feed_engine(Group& g, DataMsg msg) {
+    // The sequencer fixes a message's place in the group's total order when
+    // it assigns the order number, and every member then delivers in that
+    // order.  Were it to order a message whose causal predecessors in an
+    // overlapping group are not yet delivered here, a member of both groups
+    // could find that message's barrier waiting on the other group's head,
+    // while that head's barrier waits on a message ordered behind this one:
+    // a wait cycle no delivery breaks.  So the sequencer orders a message
+    // only once its barrier holds here, and keeps each sender's messages in
+    // stream order.
+    if (g.engine.assigns_order() && orders_like_app(msg.kind)) {
+        const EndpointId sender = msg.sender;
+        const bool sender_waits =
+            std::any_of(g.unassigned.begin(), g.unassigned.end(),
+                        [sender](const DataMsg& m) { return m.sender == sender; });
+        if (sender_waits || !barrier_satisfied(msg)) {
+            g.unassigned.push_back(std::move(msg));
+            return;
+        }
+    }
+    g.engine.on_data(std::move(msg));
+}
+
+bool GroupCommEndpoint::assign_ready(Group& g) {
+    bool fed = false;
+    for (std::size_t i = 0; i < g.unassigned.size();) {
+        const DataMsg& msg = g.unassigned[i];
+        const auto first = g.unassigned.begin();
+        const bool sender_waits =
+            std::any_of(first, first + static_cast<std::ptrdiff_t>(i),
+                        [&msg](const DataMsg& m) { return m.sender == msg.sender; });
+        if (sender_waits || !barrier_satisfied(msg)) {
+            ++i;
+            continue;
+        }
+        g.engine.on_data(std::move(g.unassigned[i]));
+        g.unassigned.erase(first + static_cast<std::ptrdiff_t>(i));
+        fed = true;
+    }
+    return fed;
+}
+
+void GroupCommEndpoint::queue_deliverable(Group& g) {
+    g.engine.take_deliverable(deliverable_);
+    for (DataMsg& msg : deliverable_) g.release_queue.push(std::move(msg));
+    deliverable_.clear();
 }
 
 void GroupCommEndpoint::pump(Group& g) {
@@ -598,10 +649,8 @@ void GroupCommEndpoint::pump(Group& g) {
     // assigned at this instant shares one multi-assignment ORDER broadcast
     // instead of costing one broadcast each.
     schedule_order_flush(g);
-    g.engine.take_deliverable(deliverable_);
+    queue_deliverable(g);
     holdback_depth_.observe(static_cast<SimDuration>(g.engine.pending_count()));
-    for (DataMsg& msg : deliverable_) g.release_queue.push(std::move(msg));
-    deliverable_.clear();
     try_release_all();
 }
 
@@ -647,25 +696,48 @@ void GroupCommEndpoint::try_release(Group& g) {
 }
 
 void GroupCommEndpoint::try_release_all() {
-    // Delivering in one group can unblock barriers in another; iterate to a
-    // fixpoint.  The barrier graph follows causality, so this terminates.
+    // Delivering in one group can unblock barriers in another, for release
+    // and, at a sequencer, for ordering; iterate to a fixpoint.  The barrier
+    // graph follows causality, so this terminates.  Another pass is needed
+    // only while some message still waits: a delivery fills no queue but its
+    // own group's (a drained coalesced send pumps that group), and each
+    // group's queues are read after its release.
     bool progressed = true;
     while (progressed) {
         progressed = false;
+        bool waiting = false;
         for (auto& [id, g] : groups_) {
-            const std::uint64_t before = g.delivered_count;
-            try_release(g);
-            progressed |= g.delivered_count != before;
+            if (g.state == Group::State::kNormal && !g.unassigned.empty() && assign_ready(g)) {
+                progressed = true;
+                schedule_order_flush(g);
+                queue_deliverable(g);
+            }
+            if (!g.release_queue.empty()) {
+                const std::uint64_t before = g.delivered_count;
+                try_release(g);
+                progressed |= g.delivered_count != before;
+            }
+            waiting |= !g.release_queue.empty() || !g.unassigned.empty();
         }
+        progressed = progressed && waiting;
     }
 }
 
 bool GroupCommEndpoint::barrier_satisfied(const DataMsg& msg) const {
+    // Entries come sorted by group, so the group and the membership test are
+    // resolved once per run of same-group entries; `g` stays null for a run
+    // the barrier ignores.
+    const Group* g = nullptr;
+    const KnowledgeEntry* run = nullptr;
     for (const KnowledgeEntry& entry : msg.knowledge) {
-        if (entry.group == msg.group) continue;  // in-group order handles it
-        if (entry.sender == id_) continue;       // our own sends
-        const Group* g = find_group(entry.group);
-        if (g == nullptr || !g->installed || !g->view.contains(id_)) continue;
+        if (run == nullptr || entry.group != run->group) {
+            run = &entry;
+            // In-group order covers the message's own group.
+            g = entry.group == msg.group ? nullptr : find_group(entry.group);
+            if (g != nullptr && (!g->installed || !g->view.contains(id_))) g = nullptr;
+        }
+        if (g == nullptr) continue;
+        if (entry.sender == id_) continue;          // our own sends
         if (entry.epoch < g->view.epoch) continue;  // flushed by a view change
         if (entry.epoch > g->view.epoch) return false;  // our install is behind
         if (!g->view.contains(entry.sender)) continue;  // departed member

@@ -169,6 +169,9 @@ private:
         /// always describes the current view's traffic pattern.
         std::vector<SimDuration> intervals;
         std::size_t interval_next{0};
+        /// The sender's φ gauge is registered (ensure_phi_gauge), so later
+        /// arrivals on this stream skip the per-peer set.
+        bool phi_gauge{false};
     };
 
     /// φ-accrual history bounds: how many inter-arrival gaps the detector
@@ -231,6 +234,10 @@ private:
         // receive side
         std::map<EndpointId, InboundStream> inbound;
         FifoRing<DataMsg> release_queue;  // ordered, awaiting cross-group barrier
+        /// At the sequencer: stream messages not yet given an order number
+        /// because their cross-group barrier does not hold here yet, in
+        /// arrival order (see feed_engine).
+        std::vector<DataMsg> unassigned;
         UnstableStore unstable;  // own + received, this epoch
 
         /// The protocol config.order names, rebuilt at each view install.
@@ -314,6 +321,16 @@ private:
     void note_payload_arrival(const DataMsg& msg);
     /// `wire` is msg's frame, which the unstable store keeps.
     void ingest_in_order(Group& g, DataMsg msg, Bytes wire);
+    /// Hand a FIFO-contiguous stream message to the engine, unless this
+    /// member is the group's sequencer and the message's cross-group
+    /// barrier does not hold here yet: then it waits in `unassigned`.
+    void feed_engine(Group& g, DataMsg msg);
+    /// Feed the engine every unassigned message whose barrier now holds and
+    /// that no earlier unassigned message of its sender precedes; true if
+    /// any was fed.
+    bool assign_ready(Group& g);
+    /// Move the engine's deliverable messages to the release queue.
+    void queue_deliverable(Group& g);
     void pump(Group& g);
     void schedule_order_flush(Group& g);
     void flush_order(Group& g);

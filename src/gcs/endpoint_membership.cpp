@@ -15,6 +15,7 @@
 #include "gcs/endpoint.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/names.hpp"
 #include "util/check.hpp"
@@ -375,6 +376,7 @@ void GroupCommEndpoint::deliver_cut(Group& g, const InstallMsg& msg) {
         }
     };
     absorb(g.engine.drain_pending());
+    absorb(std::exchange(g.unassigned, {}));
     std::vector<DataMsg> released;
     released.reserve(g.release_queue.size());
     while (!g.release_queue.empty()) released.push_back(g.release_queue.pop_front());
@@ -462,6 +464,7 @@ void GroupCommEndpoint::install_view(Group& g, const InstallMsg& msg) {
     g.inflight_sends = 0;  // the old epoch's in-flight sends died with it
     g.inbound.clear();
     g.release_queue.clear();
+    g.unassigned.clear();
     g.unstable.clear();
     g.stability_reports.clear();
     g.vc_flushed.clear();

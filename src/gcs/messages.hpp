@@ -16,12 +16,14 @@
 
 namespace newtop {
 
-// Each wire struct's format is the NEWTOP_WIRE field list beside it
-// (serial/wire.hpp); encode, the counting pass and decode all walk it.
+// Each wire struct's format is the field list beside it (serial/wire.hpp);
+// encode, the counting pass and decode all walk it.  NewTop's own messages
+// travel compact (varint integers and lengths); span ids stay fixed-width,
+// as 64-bit hashes would only grow as varints.
 
 NEWTOP_WIRE(obs::SpanContext, trace, span);
-NEWTOP_WIRE(GroupConfig, order, liveness, order_window, adaptive_asym_threshold,
-            phi_threshold_milli);
+NEWTOP_WIRE_COMPACT(GroupConfig, order, liveness, order_window, adaptive_asym_threshold,
+                    phi_threshold_milli);
 
 /// A (group, sender, seqno) coordinate naming one data message.
 struct MsgRef {
@@ -30,7 +32,7 @@ struct MsgRef {
 
     friend auto operator<=>(const MsgRef&, const MsgRef&) = default;
 };
-NEWTOP_WIRE(MsgRef, sender, seq);
+NEWTOP_WIRE_COMPACT(MsgRef, sender, seq);
 
 /// One entry of a causal-knowledge vector: "I know (directly or
 /// transitively) that in epoch `epoch` of `group`, `sender` has sent at
@@ -47,7 +49,7 @@ struct KnowledgeEntry {
 
     friend auto operator<=>(const KnowledgeEntry&, const KnowledgeEntry&) = default;
 };
-NEWTOP_WIRE(KnowledgeEntry, group, epoch, sender, count);
+NEWTOP_WIRE_COMPACT(KnowledgeEntry, group, epoch, sender, count);
 
 enum class DataKind : std::uint8_t {
     kApplication = 0,
@@ -117,8 +119,8 @@ struct DataMsg {
     /// when no batch entry carries a span).
     std::vector<obs::SpanContext> batch_spans;
 };
-NEWTOP_WIRE(DataMsg, group, epoch, sender, seq, ts, kind, knowledge, payload, batch,
-            received_counts, causal_vc, sent_at, span, batch_spans);
+NEWTOP_WIRE_COMPACT(DataMsg, group, epoch, sender, seq, ts, kind, knowledge, payload, batch,
+                    received_counts, causal_vc, sent_at, span, batch_spans);
 
 /// A runtime reconfiguration proposal, shipped as the payload of a
 /// DataKind::kConfig stream message so it is totally ordered against the
@@ -138,7 +140,7 @@ struct ConfigChangeMsg {
 
     friend bool operator==(const ConfigChangeMsg&, const ConfigChangeMsg&) = default;
 };
-NEWTOP_WIRE(ConfigChangeMsg, group, next, nonce);
+NEWTOP_WIRE_COMPACT(ConfigChangeMsg, group, next, nonce);
 
 /// Retransmission request: "resend your messages with these seqnos".
 struct NackMsg {
@@ -147,21 +149,21 @@ struct NackMsg {
     EndpointId requester;
     std::vector<Seqno> missing;
 };
-NEWTOP_WIRE(NackMsg, group, epoch, requester, missing);
+NEWTOP_WIRE_COMPACT(NackMsg, group, epoch, requester, missing);
 
 /// Ask a current member to bring `joiner` into the group.
 struct JoinReq {
     GroupId group;
     EndpointId joiner;
 };
-NEWTOP_WIRE(JoinReq, group, joiner);
+NEWTOP_WIRE_COMPACT(JoinReq, group, joiner);
 
 /// Ask the group to let `leaver` go.
 struct LeaveReq {
     GroupId group;
     EndpointId leaver;
 };
-NEWTOP_WIRE(LeaveReq, group, leaver);
+NEWTOP_WIRE_COMPACT(LeaveReq, group, leaver);
 
 /// Gossip that `suspects` are believed failed (drives everyone's suspicion
 /// state toward agreement so the same coordinator is chosen).
@@ -171,7 +173,7 @@ struct SuspectMsg {
     EndpointId reporter;
     std::vector<EndpointId> suspects;
 };
-NEWTOP_WIRE(SuspectMsg, group, epoch, reporter, suspects);
+NEWTOP_WIRE_COMPACT(SuspectMsg, group, epoch, reporter, suspects);
 
 /// A view-change round is identified by (new_epoch, coordinator); higher
 /// pairs supersede lower ones.
@@ -182,7 +184,7 @@ struct ProposeMsg {
     EndpointId coordinator;
     std::vector<EndpointId> proposed_members;
 };
-NEWTOP_WIRE(ProposeMsg, group, old_epoch, new_epoch, coordinator, proposed_members);
+NEWTOP_WIRE_COMPACT(ProposeMsg, group, old_epoch, new_epoch, coordinator, proposed_members);
 
 /// Flush reply: everything the member has received in the old epoch that
 /// is not yet known stable, so the coordinator can compute a common cut.
@@ -196,7 +198,7 @@ struct FlushMsg {
     std::vector<DataMsg> unstable;
     std::vector<std::pair<std::uint64_t, MsgRef>> orders;
 };
-NEWTOP_WIRE(FlushMsg, group, new_epoch, coordinator, sender, unstable, orders);
+NEWTOP_WIRE_COMPACT(FlushMsg, group, new_epoch, coordinator, sender, unstable, orders);
 
 /// Install the new view.  `cut` is the union of unstable messages; members
 /// of the old view deliver any of them not yet delivered — first those with
@@ -220,8 +222,8 @@ struct InstallMsg {
     /// change carried the old config forward unchanged).
     std::uint64_t applied_nonce{0};
 };
-NEWTOP_WIRE(InstallMsg, group, view, coordinator, cut, orders, config, config_epoch,
-            applied_nonce);
+NEWTOP_WIRE_COMPACT(InstallMsg, group, view, coordinator, cut, orders, config, config_epoch,
+                    applied_nonce);
 
 /// Sequencer order records are not a message of their own: they ride a
 /// DataKind::kOrder DataMsg as an OrderRecord payload.

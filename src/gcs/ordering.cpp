@@ -434,6 +434,11 @@ std::vector<std::pair<EndpointId, Seqno>> OrderingEngine::causal_vector() const 
                              : causal->delivered_vector();
 }
 
+bool OrderingEngine::assigns_order() const {
+    const auto* sequencer = std::get_if<SequencerOrder>(&engine_);
+    return sequencer != nullptr && sequencer->is_sequencer();
+}
+
 std::size_t OrderingEngine::fresh_count() const {
     const auto* sequencer = std::get_if<SequencerOrder>(&engine_);
     return sequencer == nullptr ? 0 : sequencer->fresh_count();

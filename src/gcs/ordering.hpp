@@ -40,7 +40,7 @@ struct OrderRecord {
     std::uint64_t first_order{0};
     std::vector<MsgRef> refs;
 };
-NEWTOP_WIRE(OrderRecord, first_order, refs);
+NEWTOP_WIRE_COMPACT(OrderRecord, first_order, refs);
 
 /// Symmetric total order.  Deterministic rule shared by all members:
 /// deliver pending messages in (ts, sender) order, releasing the head once
@@ -350,6 +350,9 @@ public:
     [[nodiscard]] std::vector<std::pair<std::uint64_t, MsgRef>> flush_orders() const;
     /// Causal: the delivered counts to stamp on an outgoing message.
     [[nodiscard]] std::vector<std::pair<EndpointId, Seqno>> causal_vector() const;
+    /// Asymmetric, at the sequencer: true, since on_data assigns the
+    /// message its order number.  False for every other member and mode.
+    [[nodiscard]] bool assigns_order() const;
     /// Asymmetric, at the sequencer: the assignments not yet broadcast, and
     /// the order record that hands them all out.
     [[nodiscard]] std::size_t fresh_count() const;

@@ -39,7 +39,7 @@ struct View {
     friend bool operator==(const View&, const View&) = default;
 };
 
-NEWTOP_WIRE(View, group, epoch, members);
+NEWTOP_WIRE_COMPACT(View, group, epoch, members);
 
 /// Post-decode check: members arrive sorted, defending downstream rank logic
 /// against malformed input.

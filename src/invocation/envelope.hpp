@@ -16,10 +16,12 @@
 
 namespace newtop {
 
-// Wire formats (serial/wire.hpp); obs::SpanContext's lives in gcs/messages.hpp,
-// since DATA messages carry spans too.
-NEWTOP_WIRE(CallId, origin, seq, group_origin);
-NEWTOP_WIRE(ReplyEntry, replier, ok, value);
+// Compact wire formats (serial/wire.hpp); obs::SpanContext's fixed-width one
+// lives in gcs/messages.hpp, since DATA messages carry spans too.  `args` and
+// reply values are opaque blobs: only their lengths are varints, the
+// application's own encoding inside them is untouched.
+NEWTOP_WIRE_COMPACT(CallId, origin, seq, group_origin);
+NEWTOP_WIRE_COMPACT(ReplyEntry, replier, ok, value);
 
 /// Request flags (bit set).
 inline constexpr std::uint8_t kFlagAsyncForwarding = 1 << 0;
@@ -44,7 +46,8 @@ struct RequestEnv {
     /// replies nobody is waiting for.
     SimTime deadline{0};
 };
-NEWTOP_WIRE(RequestEnv, call, span, mode, flags, server_group, bind, method, args, deadline);
+NEWTOP_WIRE_COMPACT(RequestEnv, call, span, mode, flags, server_group, bind, method, args,
+                    deadline);
 
 /// Request manager -> server group (step (ii) of fig. 4).
 struct ForwardEnv {
@@ -58,7 +61,7 @@ struct ForwardEnv {
     /// Client deadline carried over from the RequestEnv (0 = none).
     SimTime deadline{0};
 };
-NEWTOP_WIRE(ForwardEnv, call, span, mode, flags, manager, method, args, deadline);
+NEWTOP_WIRE_COMPACT(ForwardEnv, call, span, mode, flags, manager, method, args, deadline);
 
 /// One server's reply.  Multicast within the server group (open mode,
 /// fig. 4(iii)) or sent directly to the client (closed mode).
@@ -69,7 +72,7 @@ struct ReplyEnv {
     bool ok{true};
     Bytes value;
 };
-NEWTOP_WIRE(ReplyEnv, call, span, replier, ok, value);
+NEWTOP_WIRE_COMPACT(ReplyEnv, call, span, replier, ok, value);
 
 /// Request manager -> client(s): the gathered replies (fig. 4(iv)).
 struct AggregateEnv {
@@ -78,7 +81,7 @@ struct AggregateEnv {
     bool complete{true};
     std::vector<ReplyEntry> replies;
 };
-NEWTOP_WIRE(AggregateEnv, call, span, complete, replies);
+NEWTOP_WIRE_COMPACT(AggregateEnv, call, span, complete, replies);
 
 using InvocationEnvelope = std::variant<RequestEnv, ForwardEnv, ReplyEnv, AggregateEnv>;
 

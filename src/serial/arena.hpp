@@ -23,7 +23,10 @@ namespace newtop {
 class EncodeArena {
 public:
     /// A cleared buffer with at least `reserve_hint` capacity — recycled
-    /// when possible, freshly reserved otherwise.
+    /// when possible, freshly reserved otherwise.  A fresh reserve rounds up
+    /// to a multiple of kCapacityStep: compact (varint) messages of one kind
+    /// differ by a byte or two, and the slack lets the next one reuse the
+    /// buffer instead of reallocating it.
     [[nodiscard]] Bytes acquire(std::size_t reserve_hint) {
         Bytes b;
         if (!pool_.empty()) {
@@ -31,7 +34,9 @@ public:
             pool_.pop_back();
             b.clear();
         }
-        if (b.capacity() < reserve_hint) b.reserve(reserve_hint);
+        if (b.capacity() < reserve_hint) {
+            b.reserve((reserve_hint + kCapacityStep - 1) / kCapacityStep * kCapacityStep);
+        }
         return b;
     }
 
@@ -47,6 +52,7 @@ public:
 
 private:
     static constexpr std::size_t kMaxPooled = 16;
+    static constexpr std::size_t kCapacityStep = 64;
     static constexpr std::size_t kMaxPooledCapacity = std::size_t{1} << 20;  // 1 MiB
 
     std::vector<Bytes> pool_;

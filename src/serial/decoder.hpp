@@ -50,6 +50,23 @@ public:
     /// the wire message is released.
     BytesView get_blob_view();
 
+    /// Minimal unsigned LEB128 (Encoder::put_varint).  Throws DecodeError
+    /// for a truncated varint, one past 64 bits (an 11th byte, or a 10th
+    /// above 1), and a non-minimal one (a trailing zero byte, as `80 00`),
+    /// so every value has exactly one encoding.
+    std::uint64_t get_varint() {
+        if (pos_ < size_ && data_[pos_] < 0x80) return data_[pos_++];
+        return get_varint_long();
+    }
+
+    /// The next `n` bytes as a zero-copy view (bounds-checked).
+    BytesView get_view(std::size_t n) {
+        require(n);
+        const BytesView v{data_ + pos_, n};
+        pos_ += n;
+        return v;
+    }
+
     /// True when the whole buffer has been consumed.
     [[nodiscard]] bool exhausted() const { return pos_ == size_; }
 
@@ -78,6 +95,7 @@ private:
         if (size_ - pos_ < n) throw_truncated();
     }
     [[noreturn]] static void throw_truncated();
+    std::uint64_t get_varint_long();
 
     const std::uint8_t* data_;
     std::size_t size_;

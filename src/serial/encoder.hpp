@@ -7,7 +7,9 @@
 //
 // Format: little-endian fixed-width integers, length-prefixed strings and
 // sequences, one byte per bool.  There is no alignment padding; the format
-// is private to this library.
+// is private to this library.  put_varint writes the compact integer form
+// that NewTop's own protocol structs use (serial/wire.hpp,
+// NEWTOP_WIRE_COMPACT): minimal unsigned LEB128, seven bits a byte.
 //
 // Allocation discipline: the hot encode paths run once per simulated wire
 // message, so the encoder supports exact pre-sizing.  A *counting* encoder
@@ -25,6 +27,7 @@
 // its whole capacity.  take() trims the buffer to the cursor.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -62,6 +65,25 @@ public:
     void put_string(std::string_view v);
     void put_blob(const Bytes& v);
     void put_blob(BytesView v);
+
+    /// Minimal unsigned LEB128: seven bits a byte, low group first, the high
+    /// bit set on every byte but the last.  Sized before it is stored, so a
+    /// buffer reserved to the counted size never grows for it.
+    void put_varint(std::uint64_t v) {
+        const std::size_t n = varint_size(v);
+        if (!counting_) {
+            if (buf_.size() - len_ < n) grow(n);
+            std::uint8_t* out = buf_.data() + len_;
+            for (; v >= 0x80; v >>= 7) *out++ = static_cast<std::uint8_t>(v | 0x80);
+            *out = static_cast<std::uint8_t>(v);
+        }
+        len_ += n;
+    }
+
+    /// Bytes put_varint(v) writes: 1 for 0..127, up to 10 for 2^63 and above.
+    [[nodiscard]] static constexpr std::size_t varint_size(std::uint64_t v) {
+        return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+    }
 
     /// Append `n` raw bytes in one bulk write.
     void put_bytes(const std::uint8_t* data, std::size_t n);

@@ -597,7 +597,9 @@ TEST_F(LanGcs, EventDrivenGroupGoesQuietAfterDelivery) {
 // world: three LAN members, ten multicasts, run until no event is left.
 // Each leg is a two-way ORB call whose empty reply the sender still
 // unmarshals (§2.2), so a change that stops charging the reply leg, or
-// charges it twice, moves both counters.
+// charges it twice, moves both counters.  A receiver's unmarshal is charged
+// per byte of the GCS frame, so a change to the frames' wire size moves
+// the busy time (but not the task count).
 TEST_F(LanGcs, ProtocolLegsCpuCostIsPinned) {
     for (int i = 0; i < 3; ++i) world.add_endpoint(SiteId(0));
     const GroupId g = world.ep(0).create_group("g", config_for(OrderMode::kTotalAsymmetric));
@@ -611,7 +613,7 @@ TEST_F(LanGcs, ProtocolLegsCpuCostIsPinned) {
     constexpr std::size_t kEventLimit = 1'000'000;
     ASSERT_LT(world.scheduler.run(kEventLimit), kEventLimit) << "the group never went quiet";
     for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(world.log_of(i, g).size(), 10u);
-    EXPECT_EQ(world.net.metrics().counter(obs::metric::kCpuBusyUs), 24'676u);
+    EXPECT_EQ(world.net.metrics().counter(obs::metric::kCpuBusyUs), 23'932u);
     EXPECT_EQ(world.net.metrics().counter(obs::metric::kCpuTasks), 302u);
 }
 
@@ -734,11 +736,11 @@ std::optional<Bytes> gcs_frame(const Bytes& orb_wire) {
     return Bytes(args.begin(), args.end());
 }
 
-// An own message is held for retransmission as it was before the
-// cross-group knowledge and the causal vector were attached, and a NACK
-// gets exactly those bytes back.  The original multicast carries both
-// fields; the retransmit is the encoding of the same message without them.
-TEST_F(LanGcs, NackRetransmitsOwnMessageAsHeldBeforeKnowledge) {
+// An own message is held for retransmission as it was multicast, with its
+// cross-group knowledge and causal vector attached, so a NACK gets the
+// original frame back byte for byte and a member that lost the original
+// still sees the message's causal predecessors.
+TEST_F(LanGcs, NackRetransmitsOwnMessageWithItsKnowledge) {
     const auto a = world.add_endpoint(SiteId(0));
     const auto b = world.add_endpoint(SiteId(0));
     const GroupId other = world.ep(a).create_group("other", config_for(OrderMode::kTotalSymmetric));
@@ -781,10 +783,7 @@ TEST_F(LanGcs, NackRetransmitsOwnMessageAsHeldBeforeKnowledge) {
                           1_s);
     world.run_for(20_ms);
     ASSERT_EQ(frames.size(), 2u);
-    DataMsg held = original;
-    held.knowledge.clear();
-    held.causal_vc.clear();
-    EXPECT_EQ(frames[1], encode_gcs_message(GcsMessage{held}));
+    EXPECT_EQ(frames[1], frames[0]);
     EXPECT_EQ(world.net.metrics().counter(obs::metric::kGcsRetransmits), 1u);
 }
 

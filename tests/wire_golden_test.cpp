@@ -167,82 +167,90 @@ Iogr golden_iogr() {
 }
 
 // -- golden encodings --------------------------------------------------------
-// Little-endian integers, u32 length prefixes, one byte per bool and enum;
-// GCS messages and envelopes lead with a one-byte variant tag.
+// GCS messages and invocation envelopes travel compact: every integer wider
+// than a byte, id and length is a minimal LEB128 varint (seven bits a byte,
+// low group first, 0x80 on every byte but the last), a signed time is a
+// ZigZag varint (v -> 2v for v >= 0), and bytes, bools, one-byte enums and
+// span ids (two fixed 8-byte little-endian words) are as they were.  GCS
+// messages and envelopes lead with a one-byte variant tag.  IORs keep the
+// fixed-width form: little-endian integers and u32 lengths.
 
 constexpr std::string_view kDataMsg =
     "01"                                                  // tag: DataMsg
-    "0300000000000000" "0700000000000000"                 // group, epoch
-    "0900000000000000" "2a00000000000000"                 // sender, seq
-    "d204000000000000" "00"                               // ts, kind
-    "01000000" "0100000000000000" "0200000000000000"      // knowledge
-    "0400000000000000" "0500000000000000"
-    "02000000" "6869"                                     // payload
-    "02000000" "01000000" "62" "00000000"                 // batch
-    "01000000" "0900000000000000" "2b00000000000000"      // received_counts
-    "01000000" "0100000000000000" "0200000000000000"      // causal_vc
-    "8813000000000000"                                    // sent_at
-    "1100000000000000" "2200000000000000"                 // span
-    "02000000" "3300000000000000" "4400000000000000"      // batch_spans
+    "03" "07" "09" "2a"                                   // group 3, epoch 7, sender 9, seq 42
+    "d209" "00"                                           // ts 1234 = 0x52|0x80, 9; kind
+    "01" "01" "02" "04" "05"                              // knowledge: 1 x {1, 2, 4, 5}
+    "02" "6869"                                           // payload "hi"
+    "02" "01" "62" "00"                                   // batch: "b", ""
+    "01" "09" "2b"                                        // received_counts: {9, 43}
+    "01" "01" "02"                                        // causal_vc: {1, 2}
+    "904e"                                                // sent_at 5000: 10000 = 0x10|0x80, 0x4e
+    "1100000000000000" "2200000000000000"                 // span (fixed)
+    "02" "3300000000000000" "4400000000000000"            // batch_spans: count, 2 spans
     "0000000000000000" "0000000000000000";
-constexpr std::size_t kDataKindAt = 41;
+constexpr std::size_t kDataKindAt = 7;
 
 constexpr std::string_view kSmallData =
-    "0100000000000000" "0200000000000000" "0200000000000000" "0000000000000000"
-    "0800000000000000" "03" "00000000" "01000000" "63" "00000000" "00000000" "00000000"
-    "0000000000000000" "0000000000000000" "0000000000000000" "00000000";
+    "01" "02" "02" "00" "08" "03"                         // group, epoch, sender, seq, ts, kind
+    "00" "01" "63" "00" "00" "00"                         // knowledge, payload "c", batch,
+                                                          // received_counts, causal_vc
+    "00"                                                  // sent_at 0
+    "0000000000000000" "0000000000000000" "00";           // span, batch_spans
 
 /// Payload of a DataKind::kOrder stream message: the sequencer's
 /// assignment record (first order number, then the refs it orders).
 constexpr std::string_view kOrderRecord =
-    "0700000000000000"                                    // first_order
-    "02000000" "0100000000000000" "0000000000000000"      // refs
-    "0200000000000000" "0300000000000000";
+    "07"                                                  // first_order
+    "02" "01" "00" "02" "03";                             // refs: {1, 0}, {2, 3}
 
 constexpr std::string_view kOrderRecordData =
-    "0100000000000000" "0200000000000000" "0100000000000000" "0000000000000000"
-    "0800000000000000" "02" "00000000" "2c000000";        // ... kind, knowledge, payload
+    "01" "02" "01" "00" "08" "02"                         // group, epoch, sender, seq, ts, kind
+    "00" "06";                                            // knowledge, payload length
 constexpr std::string_view kOrderRecordDataTail =
-    "00000000" "00000000" "00000000" "0000000000000000" "0000000000000000" "0000000000000000"
-    "00000000";
+    "00" "00" "00" "00"                                   // batch, received_counts, causal_vc,
+                                                          // sent_at
+    "0000000000000000" "0000000000000000" "00";           // span, batch_spans
 
 constexpr std::string_view kGroupConfig =
-    "02" "00"  // order, liveness
-    "0600000000000000" "0800000000000000" "0900000000000000";
+    "02" "00"                                             // order, liveness
+    "06" "08" "09";                                       // order_window, adaptive, phi
 
-constexpr std::string_view kConfigChange = "0400000000000000";  // + config + nonce
-constexpr std::size_t kOrderModeAt = 8;
-constexpr std::size_t kLivenessModeAt = 9;
+constexpr std::string_view kConfigChange = "04";          // group; + config + nonce
+constexpr std::string_view kNonce = "888e98a8c0e0808101"; // 0x0102030405060708, 7 bits a byte
+constexpr std::size_t kOrderModeAt = 1;
+constexpr std::size_t kLivenessModeAt = 2;
 
-constexpr std::string_view kViewHex =
-    "0100000000000000" "0300000000000000" "02000000" "0100000000000000" "0200000000000000";
-constexpr std::size_t kFirstViewMemberAt = 20;
+constexpr std::string_view kViewHex = "01" "03" "02" "01" "02";  // group, epoch, members
+constexpr std::size_t kFirstViewMemberAt = 3;
 
 constexpr std::string_view kRequestEnv =
     "01"                                                  // tag: RequestEnv
-    "0500000000000000" "0600000000000000" "01"            // call
+    "05" "06" "01"                                        // call
     "1100000000000000" "2200000000000000"                 // span
-    "03" "01" "0400000000000000" "00"                     // mode, flags, server_group, bind
-    "02010000" "02000000" "6162" "2823000000000000";      // method, args, deadline
-constexpr std::size_t kRequestModeAt = 34;
-constexpr std::size_t kRequestBindAt = 44;
+    "03" "01" "04" "00"                                   // mode, flags, server_group, bind
+    "8202"                                                // method 0x0102 = 0x02|0x80, 0x02
+    "02" "6162"                                           // args "ab"
+    "d08c01";                                             // deadline 9000: 18000 in 3 groups
+constexpr std::size_t kRequestModeAt = 20;
+constexpr std::size_t kRequestBindAt = 23;
 
 constexpr std::string_view kForwardEnv =
     "02"                                                  // tag: ForwardEnv
-    "0500000000000000" "0600000000000000" "00"            // call
+    "05" "06" "00"                                        // call
     "3300000000000000" "4400000000000000"                 // span
-    "02" "02" "0700000000000000"                          // mode, flags, manager
-    "03000000" "01000000" "78" "2923000000000000";        // method, args, deadline
-constexpr std::size_t kForwardModeAt = 34;
+    "02" "02" "07"                                        // mode, flags, manager
+    "03" "01" "78" "d28c01";                              // method, args "x", deadline 9001
+constexpr std::size_t kForwardModeAt = 20;
 
 constexpr std::string_view kReplyEnv =
-    "03" "0500000000000000" "0600000000000000" "00" "5500000000000000" "6600000000000000"
-    "0800000000000000" "00" "03000000" "657272";
+    "03" "05" "06" "00" "5500000000000000" "6600000000000000"  // tag, call, span
+    "08" "00" "03" "657272";                              // replier, ok, value "err"
 
 constexpr std::string_view kAggregateEnv =
-    "04" "0500000000000000" "0600000000000000" "00" "7700000000000000" "8800000000000000"
-    "01" "02000000" "0100000000000000" "01" "01000000" "76"
-    "0200000000000000" "00" "00000000";
+    "04" "05" "06" "00" "7700000000000000" "8800000000000000"  // tag, call, span
+    "01" "02"                                             // complete, 2 replies
+    "01" "01" "01" "76"                                   // {1, ok, "v"}
+    "02" "00" "00";                                       // {2, failed, ""}
 
 constexpr std::string_view kIogrHex =
     "02000000" "01000000" "0a00000000000000" "03000000" "537663"
@@ -258,8 +266,7 @@ TEST(WireGolden, DataMsgWithEveryFieldSet) { expect_golden(golden_data(), kDataM
 
 TEST(WireGolden, NackMsg) {
     expect_golden(NackMsg{GroupId(1), 2, EndpointId(3), {4, 5}},
-                  "02" "0100000000000000" "0200000000000000" "0300000000000000"
-                  "02000000" "0400000000000000" "0500000000000000");
+                  "02" "01" "02" "03" "02" "04" "05");
 }
 
 TEST(WireGolden, OrderRecordDataMsg) {
@@ -278,38 +285,36 @@ TEST(WireGolden, OrderRecordDataMsg) {
 }
 
 TEST(WireGolden, JoinAndLeave) {
-    expect_golden(JoinReq{GroupId(1), EndpointId(5)}, "03" "0100000000000000" "0500000000000000");
-    expect_golden(LeaveReq{GroupId(1), EndpointId(6)}, "04" "0100000000000000" "0600000000000000");
+    expect_golden(JoinReq{GroupId(1), EndpointId(5)}, "03" "01" "05");
+    expect_golden(LeaveReq{GroupId(1), EndpointId(6)}, "04" "01" "06");
 }
 
 TEST(WireGolden, SuspectMsg) {
     expect_golden(SuspectMsg{GroupId(1), 2, EndpointId(1), {EndpointId(9)}},
-                  "05" "0100000000000000" "0200000000000000" "0100000000000000"
-                  "01000000" "0900000000000000");
+                  "05" "01" "02" "01" "01" "09");
 }
 
 TEST(WireGolden, ProposeMsg) {
     expect_golden(ProposeMsg{GroupId(1), 2, 3, EndpointId(1), {EndpointId(1), EndpointId(2)}},
-                  "06" "0100000000000000" "0200000000000000" "0300000000000000"
-                  "0100000000000000" "02000000" "0100000000000000" "0200000000000000");
+                  "06" "01" "02" "03" "01" "02" "01" "02");
 }
 
 TEST(WireGolden, FlushMsg) {
     expect_golden(FlushMsg{GroupId(1), 3, EndpointId(1), EndpointId(2), {small_data()},
                            {{4, MsgRef{EndpointId(2), 0}}}},
-                  cat({"07" "0100000000000000" "0300000000000000" "0100000000000000"
-                       "0200000000000000" "01000000",
+                  cat({"07" "01" "03" "01" "02"   // tag, group, new_epoch, coordinator, sender
+                       "01",                      // unstable: 1 message
                        kSmallData,
-                       "01000000" "0400000000000000" "0200000000000000" "0000000000000000"}));
+                       "01" "04" "02" "00"}));    // orders: {4, {2, 0}}
 }
 
 TEST(WireGolden, InstallMsg) {
     expect_golden(InstallMsg{GroupId(1), golden_view(), EndpointId(1), {small_data()},
                              {{4, MsgRef{EndpointId(2), 0}}}, golden_config(), 2, 7},
-                  cat({"08" "0100000000000000", kViewHex, "0100000000000000" "01000000",
-                       kSmallData,
-                       "01000000" "0400000000000000" "0200000000000000" "0000000000000000",
-                       kGroupConfig, "0200000000000000" "0700000000000000"}));
+                  cat({"08" "01", kViewHex,       // tag, group, view
+                       "01" "01", kSmallData,     // coordinator, cut: 1 message
+                       "01" "04" "02" "00",       // orders: {4, {2, 0}}
+                       kGroupConfig, "02" "07"}));  // config, config_epoch, applied_nonce
 }
 
 TEST(WireGolden, Envelopes) {
@@ -321,7 +326,7 @@ TEST(WireGolden, Envelopes) {
 
 TEST(WireGolden, ConfigChangeMsg) {
     expect_golden_value(ConfigChangeMsg{GroupId(4), golden_config(), 0x0102030405060708ULL},
-                        cat({kConfigChange, kGroupConfig, "0807060504030201"}));
+                        cat({kConfigChange, kGroupConfig, kNonce}));
 }
 
 TEST(WireGolden, ViewAndIogr) {
@@ -351,7 +356,7 @@ TEST(WireGoldenRejects, DataKindAboveConfig) {
 }
 
 TEST(WireGoldenRejects, GroupConfigEnumsAboveTheirRange) {
-    const Bytes change = unhex(cat({kConfigChange, kGroupConfig, "0807060504030201"}));
+    const Bytes change = unhex(cat({kConfigChange, kGroupConfig, kNonce}));
     EXPECT_NO_THROW(decode_from_bytes<ConfigChangeMsg>(with_byte(change, kOrderModeAt, 2)));
     EXPECT_THROW(decode_from_bytes<ConfigChangeMsg>(with_byte(change, kOrderModeAt, 3)),
                  DecodeError);
