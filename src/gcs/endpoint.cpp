@@ -796,21 +796,22 @@ void GroupCommEndpoint::deliver_to_app(Group& g, DataMsg msg) {
 
     const bool own = msg.sender == id_;
     if (deliver_handler_) {
-        // Hand each payload to the application object over the colocated ORB
-        // boundary (message m3 of fig. 9): costs CPU but no wire traffic.
-        // Coalesced payloads unpack here, in their submission order.  The
-        // payload moves from the message into the closure and on to the
-        // handler; no copy is made on the way.
-        auto hand_off = [&](Bytes payload) {
-            Delivery delivery{g.id, msg.sender, msg.ts, std::move(payload)};
-            orb_->network().node(orb_->node_id()).cpu().execute(
-                calibration::kLocalHandoffCost,
-                [handler = deliver_handler_, delivery = std::move(delivery)]() mutable {
-                    handler(std::move(delivery));
-                });
-        };
-        hand_off(std::move(msg.payload));
-        for (Bytes& extra : msg.batch) hand_off(std::move(extra));
+        // Hand the message to the application object in one colocated ORB
+        // invocation (message m3 of fig. 9): costs CPU but no wire traffic,
+        // and kLocalHandoffCost is charged once per invocation however many
+        // payloads it carries.  Coalesced payloads unpack inside it, in
+        // their submission order, at one sim instant.  The message's own
+        // payload storage moves into the closure and on to the handler; no
+        // copy is made and nothing is allocated on the way.  A crash while
+        // the hand-off is queued drops the whole batch, which shares one
+        // (sender, seq) ref and so is one unit everywhere else too.
+        orb_->network().node(orb_->node_id()).cpu().execute(
+            calibration::kLocalHandoffCost,
+            [handler = deliver_handler_, group = g.id, sender = msg.sender, ts = msg.ts,
+             payload = std::move(msg.payload), batch = std::move(msg.batch)]() mutable {
+                handler(Delivery{group, sender, ts, std::move(payload)});
+                for (Bytes& extra : batch) handler(Delivery{group, sender, ts, std::move(extra)});
+            });
     }
 
     // Self-delivery returns a window credit; drain *after* the handler

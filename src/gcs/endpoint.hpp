@@ -44,7 +44,11 @@ class GroupCommEndpoint {
 public:
     /// An application message delivered in agreed order.  The handler
     /// receives it as an rvalue and may take the payload; a handler taking
-    /// `const Delivery&` binds as well.
+    /// `const Delivery&` binds as well.  Each ordered DATA message reaches
+    /// the application in one colocated hand-off (one kLocalHandoffCost CPU
+    /// task): a coalesced batch calls the handler once per payload, in
+    /// submission order, at one sim instant, and a crash while the hand-off
+    /// is queued drops the whole batch.
     struct Delivery {
         GroupId group;
         EndpointId sender;

@@ -37,11 +37,16 @@ void Orb::send_request(const Ior& target, std::uint64_t request_id, bool oneway,
     e.reserve(counter.size());
     write_request(e, request_id, oneway, target.key, method, args);
     Bytes wire = std::move(e).take();
+    // The frame is charged as an empty message: the per-message term only.
+    // That is what the simulation has always charged here (the size used to
+    // be read in the same call whose lambda moved the buffer, and GCC
+    // builds the lambda first).  Charging the bytes too would move nearly
+    // every sim result, so it is a calibration change of its own.
+    const SimDuration cost = calibration::marshal_cost(0);
     Node& self = network_->node(node_);
-    self.cpu().execute(calibration::marshal_cost(wire.size()),
-                       [this, to = target.node, wire = std::move(wire)]() mutable {
-                           network_->send(node_, to, std::move(wire));
-                       });
+    self.cpu().execute(cost, [this, to = target.node, wire = std::move(wire)]() mutable {
+        network_->send(node_, to, std::move(wire));
+    });
 }
 
 Orb::Orb(Network& network, NodeId node)
@@ -208,9 +213,10 @@ void Orb::send_reply(NodeId to, std::uint64_t request_id, ReplyStatus status, By
     e.put_blob(payload);
     Bytes wire = std::move(e).take();
 
+    // Per-message term only, as in send_request.
+    const SimDuration cost = calibration::marshal_cost(0);
     Node& self = network_->node(node_);
-    self.cpu().execute(calibration::marshal_cost(wire.size()),
-                       [this, to, wire = std::move(wire)]() mutable {
+    self.cpu().execute(cost, [this, to, wire = std::move(wire)]() mutable {
         network_->send(node_, to, std::move(wire));
     });
 }
@@ -232,11 +238,13 @@ void Orb::handle_reply(Decoder& d) {
     if (find_call(request_id) == nullptr) return;  // late or duplicate reply
     replies_received_.add();
 
-    self.cpu().execute(calibration::unmarshal_cost(payload.size()),
-                       [this, request_id, status = static_cast<ReplyStatus>(raw_status),
-                        payload = std::move(payload)] {
-                           complete(request_id, status, payload);
-                       });
+    // Per-message term only, as in send_request: an awaited reply has
+    // always been charged as empty (an unawaited one pays its bytes above).
+    const SimDuration cost = calibration::unmarshal_cost(0);
+    self.cpu().execute(cost, [this, request_id, status = static_cast<ReplyStatus>(raw_status),
+                              payload = std::move(payload)] {
+        complete(request_id, status, payload);
+    });
 }
 
 void Orb::complete(std::uint64_t request_id, ReplyStatus status, const Bytes& payload) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -641,6 +642,110 @@ TEST_F(LanGcs, BurstCoalescesUnderSendWindow) {
     const auto* batches = world.net.metrics().histogram("gcs.send_batch_payloads");
     ASSERT_NE(batches, nullptr);
     EXPECT_GT(batches->max(), SimDuration{1});
+}
+
+/// Records every trace event, calls `on_event` with it and passes it on to
+/// the sink it replaced (restored on destruction).
+class ForwardingSink final : public obs::TraceSink {
+public:
+    explicit ForwardingSink(obs::MetricsRegistry& metrics)
+        : metrics_(&metrics), next_(metrics.trace_sink()) {
+        metrics.set_trace_sink(this);
+    }
+    ForwardingSink(const ForwardingSink&) = delete;
+    ForwardingSink& operator=(const ForwardingSink&) = delete;
+    ~ForwardingSink() override { metrics_->set_trace_sink(next_); }
+
+    void record(const obs::TraceEvent& event) override {
+        events.push_back(event);
+        if (next_ != nullptr) next_->record(event);
+        if (on_event) on_event(event);
+    }
+
+    std::vector<obs::TraceEvent> events;
+    std::function<void(const obs::TraceEvent&)> on_event;
+
+private:
+    obs::MetricsRegistry* metrics_;
+    obs::TraceSink* next_;
+};
+
+// A coalesced DATA message reaches the application in one colocated
+// hand-off: every payload at one sim instant (one CPU task runs them all;
+// one task per payload would space them kLocalHandoffCost apart), in
+// submission order; a crash while that hand-off is queued drops the whole
+// batch.
+TEST_F(LanGcs, CoalescedBatchIsOneHandoff) {
+    for (int i = 0; i < 3; ++i) world.add_endpoint(SiteId(0));
+    GroupConfig cfg = config_for(OrderMode::kTotalAsymmetric);
+    cfg.order_window = 4;
+    const GroupId g = world.ep(0).create_group("g", cfg);
+    for (std::size_t i = 1; i < 3; ++i) {
+        world.ep(i).join_group("g");
+        world.run_for(100_ms);
+    }
+    std::vector<SimTime> handed_at[3];
+    for (std::size_t i = 0; i < 3; ++i) {
+        world.ep(i).set_deliver_handler([this, i, &handed_at](const GroupCommEndpoint::Delivery& d) {
+            world.delivered[i].push_back({d.group, d.sender, to_string(d.payload)});
+            handed_at[i].push_back(world.scheduler.now());
+        });
+    }
+    ForwardingSink sink(world.net.metrics());
+    std::vector<std::string> expected;
+    for (int k = 0; k < 30; ++k) {
+        expected.push_back(numbered("m", k));
+        world.ep(1).multicast(g, payload_of(expected.back()));
+    }
+    world.run_for(2_s);
+
+    // Per member: each delivered DATA message, in order, with its payloads.
+    std::map<std::uint64_t, std::vector<std::size_t>> batch_sizes;
+    for (const obs::TraceEvent& e : sink.events) {
+        if (e.subject != g.value()) continue;
+        if (e.kind == obs::TraceKind::kDataDelivered) batch_sizes[e.actor].push_back(0);
+        if (e.kind == obs::TraceKind::kPayloadDelivered) ++batch_sizes[e.actor].back();
+    }
+    bool coalesced = false;
+    for (std::size_t i = 0; i < 3; ++i) {
+        ASSERT_EQ(world.log_of(i, g), expected) << "member " << i;
+        std::size_t next = 0;
+        for (const std::size_t size : batch_sizes[world.ep(i).id().value()]) {
+            coalesced |= size > 1;
+            for (std::size_t p = 1; p < size; ++p) {
+                EXPECT_EQ(handed_at[i][next + p], handed_at[i][next]) << "member " << i;
+            }
+            next += size;
+        }
+        EXPECT_EQ(next, expected.size());
+    }
+    ASSERT_TRUE(coalesced) << "the burst never coalesced";
+
+    const std::uint64_t receiver = world.ep(2).id().value();
+
+    // Crash the receiver while the hand-off of a coalesced message is queued.
+    std::size_t delivered_before_crash = 0;
+    bool crashed = false;
+    sink.on_event = [&](const obs::TraceEvent& e) {
+        if (crashed || e.actor != receiver || e.subject != g.value() ||
+            e.kind != obs::TraceKind::kDataDelivered) {
+            return;
+        }
+        crashed = true;
+        delivered_before_crash = world.log_of(2, g).size();
+        world.scheduler.schedule_after(0, [&] { world.net.crash(world.orbs[2]->node_id()); });
+    };
+    std::vector<std::string> second;
+    for (int k = 0; k < 30; ++k) {
+        second.push_back(numbered("n", k));
+        world.ep(1).multicast(g, payload_of(second.back()));
+    }
+    world.run_for(2_s);
+    ASSERT_TRUE(crashed);
+    // The crash landed after the first message of the second burst was
+    // released at the receiver, before its hand-off ran: none of it arrived.
+    EXPECT_EQ(world.log_of(2, g).size(), delivered_before_crash);
+    EXPECT_EQ(world.log_of(2, g), expected);
 }
 
 TEST_F(LanGcs, ZeroWindowDisablesCoalescing) {

@@ -321,6 +321,28 @@ TEST_F(OrbFixture, DestroyedOrbCancelsItsDeadlinesAndRecyclesItsLanes) {
     EXPECT_EQ(scheduler.lane_count(), lanes_after_first);
 }
 
+// The CPU charge of a two-way call with a 4 KiB argument, pinned.  The
+// server pays the argument's bytes when it unmarshals the request; both
+// marshals and the awaited reply's unmarshal are charged as empty frames
+// (the per-message term only), whatever the frame's size.
+TEST_F(OrbFixture, TwoWayCallCpuChargeIsPinned) {
+    constexpr std::size_t kArgBytes = 4096;
+    int completions = 0;
+    client.invoke(target, kEcho, Bytes(kArgBytes, 7), [&](ReplyStatus s, const Bytes& payload) {
+        ++completions;
+        EXPECT_EQ(s, ReplyStatus::kOk);
+        EXPECT_EQ(payload.size(), kArgBytes);
+    });
+    scheduler.run();
+    EXPECT_EQ(completions, 1);
+    // Request marshal + reply unmarshal.
+    EXPECT_EQ(net.node(client_node).cpu().consumed(), 150);
+    // Request unmarshal (75 + 0.15 * 4096 = 689) + servant + reply marshal.
+    EXPECT_EQ(net.node(server_node).cpu().consumed(),
+              689 + calibration::kTrivialServantCost + 75);
+    EXPECT_EQ(net.metrics().counter(obs::metric::kCpuTasks), 4u);
+}
+
 // -- Unawaited two-way calls --------------------------------------------------
 
 // The reply is charged to the caller like any reply (counted, and its
