@@ -108,6 +108,15 @@ TEST(LintFixtures, RawTimerTriggersOnce) {
     EXPECT_EQ(findings[0].line, 12);
 }
 
+TEST(LintFixtures, MoveInCallTriggersOncePerCall) {
+    const auto findings = scan_fixture("move_in_call.cpp", "src/orb/fixture.cpp");
+    ASSERT_EQ(findings.size(), 3u);
+    for (const auto& f : findings) EXPECT_EQ(f.rule, kRuleMoveInCall);
+    EXPECT_EQ(findings[0].line, 7);
+    EXPECT_EQ(findings[1].line, 11);
+    EXPECT_EQ(findings[2].line, 16);
+}
+
 // --- clean and suppression fixtures --------------------------------------
 
 TEST(LintFixtures, CleanFixturePasses) {

@@ -33,11 +33,15 @@ inline constexpr std::string_view kRuleMetricName = "metric-name";
 inline constexpr std::string_view kRuleBadSuppression = "bad-suppression";
 inline constexpr std::string_view kRuleHotAlloc = "hot-path-alloc";
 inline constexpr std::string_view kRuleRawTimer = "raw-timer";
+/// A call whose one argument reads `x` (`x.size()`, ...) while a lambda in
+/// another argument init-captures `std::move(x)`: argument evaluation order
+/// is unspecified, so the read may see the moved-from object.
+inline constexpr std::string_view kRuleMoveInCall = "move-in-call";
 
-inline constexpr std::array<std::string_view, 11> kAllRules = {
+inline constexpr std::array<std::string_view, 12> kAllRules = {
     kRuleWallClock, kRuleRawRandom,  kRuleGetenv,         kRuleUnordered,
     kRulePointerKey, kRuleFloatSim,  kRuleLayerDag,       kRuleMetricName,
-    kRuleBadSuppression, kRuleHotAlloc, kRuleRawTimer,
+    kRuleBadSuppression, kRuleHotAlloc, kRuleRawTimer,    kRuleMoveInCall,
 };
 
 // ---------------------------------------------------------------------------

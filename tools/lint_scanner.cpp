@@ -156,6 +156,64 @@ void check_raw_timers(std::string_view rel_path, const std::vector<Token>& t,
     }
 }
 
+/// move-in-call: within one call's argument list, an argument that reads
+/// `x.` or `x->` while a lambda init-capture in another argument moves from
+/// `x` (`name = std::move(x)`).  Applies everywhere.
+void check_move_in_call(const std::vector<Token>& t, std::vector<Finding>& out) {
+    for (std::size_t open = 0; open < t.size(); ++open) {
+        if (!is_punct(t[open], "(") || open == 0 || t[open - 1].kind != TokKind::kIdentifier) {
+            continue;
+        }
+        // Split the argument list at depth-one commas.
+        std::vector<std::pair<std::size_t, std::size_t>> args;  // [begin, end)
+        int depth = 0;
+        std::size_t begin = open + 1;
+        std::size_t close = open;
+        for (std::size_t i = open; i < t.size(); ++i) {
+            const Token& tok = t[i];
+            if (tok.kind != TokKind::kPunct) continue;
+            if (tok.text == "(" || tok.text == "[" || tok.text == "{") ++depth;
+            if (tok.text == ")" || tok.text == "]" || tok.text == "}") {
+                if (--depth == 0) {
+                    close = i;
+                    break;
+                }
+            }
+            if (depth == 1 && tok.text == ",") {
+                args.emplace_back(begin, i);
+                begin = i + 1;
+            }
+        }
+        if (close == open) continue;
+        args.emplace_back(begin, close);
+        if (args.size() < 2) continue;
+        // Names moved by an init-capture: `= std :: move ( x )` inside `[...]`.
+        for (std::size_t a = 0; a < args.size(); ++a) {
+            for (std::size_t i = args[a].first; i + 5 < args[a].second; ++i) {
+                if (!is_punct(t[i], "=") || !is_ident(t[i + 1], "std") ||
+                    !is_punct(t[i + 2], "::") || !is_ident(t[i + 3], "move") ||
+                    !is_punct(t[i + 4], "(") || t[i + 5].kind != TokKind::kIdentifier) {
+                    continue;
+                }
+                const std::string& moved = t[i + 5].text;
+                for (std::size_t b = 0; b < args.size(); ++b) {
+                    if (b == a) continue;
+                    for (std::size_t j = args[b].first; j + 1 < args[b].second; ++j) {
+                        if (is_ident(t[j], moved) &&
+                            (is_punct(t[j + 1], ".") || is_punct(t[j + 1], "->")) &&
+                            (j == 0 || (!is_punct(t[j - 1], ".") && !is_punct(t[j - 1], "->")))) {
+                            add(out, t[j].line, kRuleMoveInCall,
+                                "'" + moved + "' is read in one argument and moved by a lambda "
+                                "capture in another; argument order is unspecified, so compute "
+                                "the value into a local first");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// unordered-container + pointer-key, in protocol/trace-visible directories.
 void check_containers(std::string_view rel_path, const std::vector<Token>& t,
                       std::vector<Finding>& out) {
@@ -456,6 +514,7 @@ std::vector<Finding> scan_source(std::string_view rel_path, std::string_view con
     check_layering(rel_path, find_includes(lx), raw);
     check_hot_alloc(rel_path, lx.tokens, raw);
     check_raw_timers(rel_path, lx.tokens, raw);
+    check_move_in_call(lx.tokens, raw);
 
     std::vector<Finding> out;
     for (Finding& f : raw) {
