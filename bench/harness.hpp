@@ -122,10 +122,12 @@ struct RequestReplyOptions {
     int requests_per_client{100};
     int warmup_per_client{5};
     std::uint64_t seed{1};
-    /// Trace the whole run (bounded ring), sample the queue/credit gauges,
-    /// and attribute every invocation's latency to protocol phases; the
-    /// report lands in RequestReplyResult::profile.  NEWTOP_TRACE_DUMP_OUT
-    /// additionally writes the raw TraceDump for offline `newtop_prof`.
+    /// Trace the whole run (bounded ring) and attribute every invocation's
+    /// latency to protocol phases; the report lands in
+    /// RequestReplyResult::profile.  Tracing schedules no event, so a
+    /// profiled run simulates exactly what an unprofiled one does.
+    /// NEWTOP_TRACE_DUMP_OUT additionally writes the raw TraceDump for
+    /// offline `newtop_prof`.
     bool profile{false};
 
     /// Deterministic experiment label, e.g.
@@ -231,12 +233,6 @@ private:
             trace_sink = std::make_unique<obs::RingTraceSink>(std::size_t{1} << 20);
             trace_sink->attach_metrics(&network_.metrics());
             network_.metrics().set_trace_sink(trace_sink.get());
-        }
-        if (options_.profile) {
-            // Queue/credit time series ride along with the trace: holdback
-            // depth, credits in flight, blocked sends, CPU backlog and
-            // directory size sampled on fixed sim-time ticks.
-            network_.enable_gauge_sampling(100_ms, 700_s);
         }
 
         // Servers.
@@ -361,11 +357,13 @@ inline void emit_metrics(const std::string& metrics_json) {
     if (!metrics_json.empty()) std::cout << "# metrics " << metrics_json << "\n";
 }
 
-/// One configuration of a bench artifact.  `lower` and `higher` metrics are
-/// compared by scripts/bench_diff.py in their tagged direction; `info`
-/// values describe the configuration and are never diffed, only noted when
-/// they change.  Names and string values are plain identifiers (no JSON
-/// escaping).
+/// One configuration of a bench artifact.  `lower`, `higher` and `info`
+/// values are simulation results (deterministic for a seed), so
+/// scripts/bench_diff.py fails when one differs from the baseline; `lower`
+/// and `higher` also tag the better direction.  `host` metrics measure the
+/// machine running the simulation (wall time, heap traffic) and are only
+/// printed as notes.  Names and string values are plain identifiers (no
+/// JSON escaping).
 class ArtifactRow {
 public:
     explicit ArtifactRow(std::string name) : name_(std::move(name)) {}
@@ -384,10 +382,17 @@ public:
         quoted.append(value).push_back('"');
         return add(info_, key, quoted);
     }
+    ArtifactRow& host(std::string_view metric, std::convertible_to<double> auto value) {
+        return add(host_, metric, format_number(static_cast<double>(value)));
+    }
 
+    /// The "host" bucket is written only when it has members, so rows that
+    /// measure nothing on the host keep the three-bucket form.
     [[nodiscard]] std::string to_json() const {
-        return "{\"name\":\"" + name_ + "\",\"lower\":{" + lower_ + "},\"higher\":{" +
-               higher_ + "},\"info\":{" + info_ + "}}";
+        std::string out = "{\"name\":\"" + name_ + "\",\"lower\":{" + lower_ +
+                          "},\"higher\":{" + higher_ + "},\"info\":{" + info_ + "}";
+        if (!host_.empty()) out += ",\"host\":{" + host_ + "}";
+        return out + "}";
     }
 
 private:
@@ -413,13 +418,15 @@ private:
     std::string lower_;
     std::string higher_;
     std::string info_;
+    std::string host_;
 };
 
 /// The one artifact schema every BENCH_<bench>.json uses:
 ///   {"bench":..,"seed":..,"rows":[{"name":..,"lower":{..},"higher":{..},
-///    "info":{..}}, ..],"checks":{"<invariant>":true|false}}
+///    "info":{..}[,"host":{..}]}, ..],"checks":{"<invariant>":true|false}}
 /// A check records an invariant the run must hold; scripts/bench_diff.py
-/// fails on any false check, while metric drift stays advisory.
+/// fails on any false check and on any sim value that differs from the
+/// baseline, while host values stay advisory.
 class Artifact {
 public:
     Artifact(std::string bench, std::uint64_t seed) : bench_(std::move(bench)), seed_(seed) {}

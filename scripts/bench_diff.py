@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Compare two bench artifacts: warn on metric regressions, fail on checks.
+"""Compare two bench artifacts: fail on sim drift and on failed checks.
 
-Usage: bench_diff.py CURRENT [PREVIOUS] [--threshold PCT] [--strict]
+Usage: bench_diff.py CURRENT [PREVIOUS]
 
 PREVIOUS defaults to the committed baseline at the repository root with the
 same file name as CURRENT — the BENCH_*.json artifacts are committed, so
@@ -11,18 +11,19 @@ Every artifact has one schema (written by bench/harness.hpp `Artifact`):
 
   {"bench": ..., "seed": ...,
    "rows": [{"name": ..., "lower": {metric: value}, "higher": {metric: value},
-             "info": {key: value}}, ...],
+             "info": {key: value}, "host": {metric: value}}, ...],
    "checks": {invariant: true|false}}
 
-For each row and metric in CURRENT the matching PREVIOUS value is compared
-in the metric's tagged direction ("lower" or "higher" is better).  A move
-the wrong way by more than the threshold (default 10%) prints a WARNING;
-the metric diff is advisory, so the exit code stays 0 unless --strict is
-given (sim-time numbers are deterministic, so a warning means the *code*
-changed, not the machine).  A changed `info` value prints as a note and is
-never a regression.  Any check in CURRENT that is not true fails the run
-with exit code 1, with or without --strict, and so does a row name that
-appears twice in either artifact (rows are matched by name).
+"lower", "higher" and "info" hold simulation results.  The simulation is
+seeded and wall-clock free, so the same code gives the same values on any
+machine and in any build tree: a sim value in PREVIOUS that differs in
+CURRENT, or that CURRENT no longer reports, is DRIFT and fails the run
+(exit 1).  A change that moves sim results commits the refreshed baselines
+with it.  "host" metrics (the optional fourth bucket) measure the machine
+running the simulation and only print as notes.  A row or metric that
+PREVIOUS lacks prints "(no previous data)" and passes.  Any check in CURRENT
+that is not true fails the run, and so does a row name that appears twice
+in either artifact (rows are matched by name).
 """
 
 import argparse
@@ -31,6 +32,8 @@ import json
 import math
 import pathlib
 import sys
+
+SIM_BUCKETS = ("lower", "higher", "info")
 
 
 def load(path):
@@ -44,15 +47,26 @@ def percent_change(before, now):
     return (now - before) / abs(before) * 100.0
 
 
+def describe(before, now, bucket):
+    """One value's move, with its percent and direction when numeric."""
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (before, now))
+    if not numeric:
+        return f"{before} -> {now} ({bucket})"
+    delta = percent_change(before, now)
+    direction = f", {bucket} is better" if bucket in ("lower", "higher") else f", {bucket}"
+    return f"{before:g} -> {now:g} ({delta:+.1f}%{direction})"
+
+
 def duplicate_names(artifact):
     counts = collections.Counter(row["name"] for row in artifact.get("rows", []))
     return sorted(name for name, count in counts.items() if count > 1)
 
 
-def diff_rows(current, previous, threshold):
-    """Print every changed metric; return how many regressed past threshold."""
+def diff_rows(current, previous):
+    """Print every changed value; return how many sim values drifted."""
     prev_rows = {row["name"]: row for row in previous.get("rows", [])}
-    regressions = 0
+    drifts = 0
     for row in current["rows"]:
         name = row["name"]
         before_row = prev_rows.pop(name, None)
@@ -60,45 +74,37 @@ def diff_rows(current, previous, threshold):
             print(f"{name}: (no previous data)")
             continue
         unchanged = 0
-        for direction, worse_sign in (("lower", 1.0), ("higher", -1.0)):
-            before_metrics = before_row.get(direction, {})
-            for metric, now in row.get(direction, {}).items():
-                if metric not in before_metrics:
-                    print(f"{name}.{metric}: {now:g} (no previous data)")
-                    continue
-                before = before_metrics[metric]
-                delta = percent_change(before, now)
-                line = (f"{name}.{metric}: {before:g} -> {now:g} "
-                        f"({delta:+.1f}%, {direction} is better)")
-                if worse_sign * delta > threshold:
-                    regressions += 1
-                    print(f"WARNING: regression over {threshold:g}%: {line}")
-                elif delta != 0.0:
-                    print(line)
+        for bucket in SIM_BUCKETS:
+            before_values = before_row.get(bucket, {})
+            for key, now in row.get(bucket, {}).items():
+                if key not in before_values:
+                    print(f"{name}.{key}: {now} (no previous data)")
+                elif before_values[key] != now:
+                    drifts += 1
+                    print(f"DRIFT: {name}.{key}: {describe(before_values[key], now, bucket)}")
                 else:
                     unchanged += 1
-            for metric in sorted(before_metrics.keys() - row.get(direction, {}).keys()):
-                print(f"  note: {name}.{metric} no longer reported")
-        for key, now in row.get("info", {}).items():
-            before = before_row.get("info", {}).get(key, now)
-            if before != now:
-                print(f"  note: {name}.{key} changed: {before} -> {now}")
-        print(f"{name}: {unchanged} metrics unchanged (+0.0%)")
+            for key in sorted(before_values.keys() - row.get(bucket, {}).keys()):
+                drifts += 1
+                print(f"DRIFT: {name}.{key} ({bucket}) no longer reported")
+        before_host = before_row.get("host", {})
+        for metric, now in row.get("host", {}).items():
+            if metric in before_host and before_host[metric] != now:
+                print(f"  note: host {name}.{metric}: {describe(before_host[metric], now, 'host')}")
+        print(f"{name}: {unchanged} sim values unchanged (+0.0%)")
     for name in prev_rows:
-        print(f"  note: row {name} no longer reported")
-    return regressions
+        drifts += 1
+        print(f"DRIFT: row {name} no longer reported")
+    return drifts
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("current")
     parser.add_argument("previous", nargs="?", default=None,
                         help="baseline artifact (default: the committed "
                              "repo-root file with CURRENT's name)")
-    parser.add_argument("--threshold", type=float, default=10.0,
-                        help="regression warning threshold in percent")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero when a regression is found")
     args = parser.parse_args()
 
     previous_path = args.previous
@@ -120,14 +126,13 @@ def main():
     if duplicates:
         return 1
 
-    regressions = diff_rows(current, previous, args.threshold)
+    drifts = diff_rows(current, previous)
     failed = [name for name, holds in current.get("checks", {}).items() if holds is not True]
     for name in failed:
         print(f"FAILED check: {name}")
-    print(f"{current.get('bench', args.current)}: {regressions} regression(s) over "
-          f"{args.threshold:g}%, {len(failed)} of {len(current.get('checks', {}))} "
-          f"check(s) failed")
-    return 1 if failed or (regressions and args.strict) else 0
+    print(f"{current.get('bench', args.current)}: {drifts} sim value(s) drifted, "
+          f"{len(failed)} of {len(current.get('checks', {}))} check(s) failed")
+    return 1 if failed or drifts else 0
 
 
 if __name__ == "__main__":

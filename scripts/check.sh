@@ -22,10 +22,13 @@
 #   --bench          fast path: build and run the artifact benches (BENCHES)
 #                    into build/, gate the trace dumps through newtop_prof
 #                    (phase sums must reconcile with the histograms within
-#                    1%), diff against the committed BENCH_*.json baselines
-#                    (metric drift is advisory, a failed artifact check
-#                    fails), then refresh the repo-root artifacts so the
-#                    new numbers can be committed; no tests
+#                    1%), diff against the committed BENCH_*.json baselines,
+#                    refresh the repo-root artifacts and EXPERIMENTS.md's
+#                    tables, then fail if any sim value (lower/higher/info)
+#                    drifted or an artifact check is false; host values only
+#                    print.  A change that moves sim results commits the
+#                    refreshed files, so CI's run on the committed tree
+#                    passes; no tests
 #   --perfbench      fast path: build perfbench/ and run each of its
 #                    workloads once, traced, for one second on seed 3
 #                    (python3 perfbench/run.py ... --trace 1).  run.py fails
@@ -94,9 +97,12 @@ if [[ "${BENCH_ONLY}" == 1 ]]; then
         build/tools/newtop_prof --json -o "build/prof_reports/${name}.json" "${dump}"
         build/tools/newtop_prof "${dump}" | head -2
     done
-    echo "== diff vs committed baselines (a failed check fails the run)"
+    echo "== diff vs committed baselines (sim drift or a failed check fails the run)"
+    DIFF_FAILED=()
     for bench in "${BENCHES[@]}"; do
-        python3 scripts/bench_diff.py "build/BENCH_${bench}.json"
+        if ! python3 scripts/bench_diff.py "build/BENCH_${bench}.json"; then
+            DIFF_FAILED+=("${bench}")
+        fi
     done
     for bench in "${BENCHES[@]}"; do
         cp "build/BENCH_${bench}.json" "BENCH_${bench}.json"
@@ -104,6 +110,12 @@ if [[ "${BENCH_ONLY}" == 1 ]]; then
     echo "== bench artifacts refreshed (BENCH_*.json)"
     python3 scripts/experiments_tables.py
     echo "== EXPERIMENTS.md tables regenerated"
+    if [[ ${#DIFF_FAILED[@]} -gt 0 ]]; then
+        echo "!! bench_diff failed for: ${DIFF_FAILED[*]}"
+        echo "!! the refreshed BENCH_*.json and EXPERIMENTS.md hold the new values;"
+        echo "!! commit them with a change that is meant to move them"
+        exit 1
+    fi
     exit 0
 fi
 

@@ -27,6 +27,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 START = re.compile(r"^<!-- table: ([a-z0-9_]+) -->$")
 END = "<!-- end table -->"
+# A row's buckets (bench/harness.hpp ArtifactRow); "host" is optional.  A
+# table that quotes a host value goes stale on every run on another machine.
+SECTIONS = ("lower", "higher", "info", "host")
 
 
 def sig3(value):
@@ -67,14 +70,14 @@ class Artifacts:
 
     def get(self, bench, name, metric):
         row = self.rows[bench][name]
-        for section in ("lower", "higher", "info"):
-            if metric in row[section]:
+        for section in SECTIONS:
+            if metric in row.get(section, {}):
                 return row[section][metric]
         raise KeyError("%s: row %s has no %s" % (bench, name, metric))
 
     def has(self, bench, name, metric):
         row = self.rows[bench][name]
-        return any(metric in row[section] for section in ("lower", "higher", "info"))
+        return any(metric in row.get(section, {}) for section in SECTIONS)
 
 
 def rr(setting, servers, clients, binding, mode, order="asymmetric"):

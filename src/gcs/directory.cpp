@@ -6,24 +6,6 @@
 
 namespace newtop {
 
-Directory::~Directory() {
-    if (metrics_ != nullptr && size_gauge_ != 0) metrics_->unregister_gauge(size_gauge_);
-}
-
-void Directory::attach_metrics(obs::MetricsRegistry* metrics) {
-    if (metrics == metrics_) return;
-    if (metrics_ != nullptr && size_gauge_ != 0) {
-        metrics_->unregister_gauge(size_gauge_);
-        size_gauge_ = 0;
-    }
-    metrics_ = metrics;
-    if (metrics_ != nullptr) {
-        size_gauge_ = metrics_->register_gauge(obs::metric::kDirectorySize, [this](SimTime) {
-            return static_cast<std::uint64_t>(nso_iors_.size());
-        });
-    }
-}
-
 EndpointId Directory::register_endpoint(Ior service_ior) {
     endpoint_iors_.push_back(std::move(service_ior));
     return EndpointId(endpoint_iors_.size() - 1);

@@ -65,15 +65,13 @@ public:
     [[nodiscard]] bool known_defunct(EndpointId id) const;
 
     Directory() = default;
-    ~Directory();
     Directory(const Directory&) = delete;
     Directory& operator=(const Directory&) = delete;
 
     /// Attach a metrics registry (the directory is world-global and built
-    /// before the network, so this is wired explicitly after construction).
-    /// Also registers the directory.size gauge; re-attaching the same
-    /// registry (every endpoint constructor calls this) is idempotent.
-    void attach_metrics(obs::MetricsRegistry* metrics);
+    /// before the network, so this is wired explicitly after construction;
+    /// every endpoint constructor attaches its world's registry).
+    void attach_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
     /// Register a new group.  Throws if the name is taken.
     GroupId register_group(const std::string& name, const GroupConfig& config,
@@ -102,7 +100,6 @@ public:
 
 private:
     obs::MetricsRegistry* metrics_{nullptr};
-    std::uint64_t size_gauge_{0};
     std::vector<Ior> endpoint_iors_;
     std::map<EndpointId, Ior> nso_iors_;
     std::set<EndpointId> evicted_;

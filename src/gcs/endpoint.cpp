@@ -62,54 +62,6 @@ GroupCommEndpoint::GroupCommEndpoint(Orb& orb, Directory& directory)
     directory_->attach_metrics(&orb_->network().metrics());
     service_ior_ = orb_->adapter().activate(std::make_shared<GcsServant>(this), "NewTopGCS");
     id_ = directory_->register_endpoint(service_ior_);
-
-    // Flow-control / ordering occupancy gauges, summed over this endpoint's
-    // groups; sampled on the world's gauge ticks (enable_gauge_sampling).
-    gauge_registry_ = &metrics();
-    gauges_.push_back(gauge_registry_->register_gauge(obs::metric::kGcsHoldback, [this](SimTime) {
-        std::uint64_t total = 0;
-        for (const auto& [id, g] : groups_) total += g.engine.pending_count() + g.unassigned.size();
-        return total;
-    }));
-    gauges_.push_back(
-        gauge_registry_->register_gauge(obs::metric::kGcsCreditsInFlight, [this](SimTime) {
-            std::uint64_t total = 0;
-            for (const auto& [id, g] : groups_) total += g.inflight_sends;
-            return total;
-        }));
-    gauges_.push_back(
-        gauge_registry_->register_gauge(obs::metric::kGcsBlockedSends, [this](SimTime) {
-            std::uint64_t total = 0;
-            for (const auto& [id, g] : groups_) {
-                total += g.coalesce_queue.size() + g.blocked_sends.size();
-            }
-            return total;
-        }));
-    gauges_.push_back(
-        gauge_registry_->register_gauge(obs::metric::kGcsConfigEpoch, [this](SimTime) {
-            std::uint64_t total = 0;
-            for (const auto& [id, g] : groups_) total += g.config_epoch;
-            return total;
-        }));
-}
-
-void GroupCommEndpoint::ensure_phi_gauge(EndpointId peer) {
-    if (!phi_gauge_peers_.insert(peer).second) return;
-    // Composed at runtime like the per-link counters; one gauge per peer
-    // this endpoint has ever heard from, torn down with the other gauges.
-    const std::string name =
-        std::string(obs::metric::kGcsPhiPrefix) + std::to_string(peer.value());
-    gauges_.push_back(gauge_registry_->register_gauge(
-        name, [this, peer](SimTime at) { return sample_phi_milli(peer, at); }));
-}
-
-GroupCommEndpoint::~GroupCommEndpoint() {
-    // The registry outlives every endpoint (it is owned by the network);
-    // crash-recovery rebuilds endpoints, so a stale gauge here would read
-    // freed group state on the next sampling tick.
-    if (gauge_registry_ != nullptr) {
-        for (const obs::GaugeHandle handle : gauges_) gauge_registry_->unregister_gauge(handle);
-    }
 }
 
 // -- small accessors ----------------------------------------------------------
@@ -501,10 +453,6 @@ void GroupCommEndpoint::handle_data(DataMsg msg, BytesView wire) {
     }
     stream.last_heard = heard_at;
     g.received_since_send = true;
-    if (!stream.phi_gauge) {
-        ensure_phi_gauge(msg.sender);
-        stream.phi_gauge = true;
-    }
     // A message from a peer we suspect refutes the suspicion: it was slow,
     // not dead.  Classification only — the membership protocol still runs
     // its course, so agreement never depends on this bookkeeping.

@@ -70,7 +70,6 @@ public:
     using RemovedHandler = std::function<void(GroupId)>;
 
     GroupCommEndpoint(Orb& orb, Directory& directory);
-    ~GroupCommEndpoint();
 
     GroupCommEndpoint(const GroupCommEndpoint&) = delete;
     GroupCommEndpoint& operator=(const GroupCommEndpoint&) = delete;
@@ -173,9 +172,6 @@ private:
         /// always describes the current view's traffic pattern.
         std::vector<SimDuration> intervals;
         std::size_t interval_next{0};
-        /// The sender's φ gauge is registered (ensure_phi_gauge), so later
-        /// arrivals on this stream skip the per-peer set.
-        bool phi_gauge{false};
     };
 
     /// φ-accrual history bounds: how many inter-arrival gaps the detector
@@ -377,10 +373,6 @@ private:
     /// kSuspicionTimeout (floor) and kPhiCeiling.
     [[nodiscard]] static bool suspicion_due(const GroupConfig& config,
                                             const InboundStream* stream, SimDuration silence);
-    /// Lazily register the sampled "gcs.phi.<peer>" gauge for a peer.
-    void ensure_phi_gauge(EndpointId peer);
-    /// Max milli-φ for `peer` across this endpoint's groups at time `at`.
-    [[nodiscard]] std::uint64_t sample_phi_milli(EndpointId peer, SimTime at) const;
 
     // -- membership (endpoint_membership.cpp) -------------------------------------
     void install_first_view(Group& g);
@@ -421,12 +413,7 @@ private:
     /// it makes every ConfigChangeMsg nonce unique group-wide, so members
     /// can tell exactly which pending proposal an install honoured.
     std::uint64_t reconfig_seq_{0};
-    /// Registry the gauges below registered with, cached so the destructor
-    /// can unregister without reaching through the orb (the registry, owned
-    /// by the network, outlives every endpoint generation).
-    obs::MetricsRegistry* gauge_registry_{nullptr};
-    std::vector<obs::GaugeHandle> gauges_;
-    /// Per-message metrics, bumped through handles into the same registry.
+    /// Per-message metrics, bumped through handles into the world's registry.
     obs::Counter multicasts_;
     obs::Counter data_sent_;
     obs::Counter order_sent_;
@@ -437,9 +424,6 @@ private:
     obs::Histogram holdback_depth_;
     obs::Histogram order_batch_refs_;
     obs::Histogram send_batch_payloads_;
-    /// Peers whose "gcs.phi.<peer>" gauge is already registered (handles
-    /// live in gauges_ and unregister with the rest).
-    std::set<EndpointId> phi_gauge_peers_;
 
     std::map<GroupId, Group> groups_;
     /// Cross-group causal knowledge, spanning all of this endpoint's groups.

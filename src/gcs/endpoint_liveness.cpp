@@ -167,22 +167,6 @@ bool GroupCommEndpoint::suspicion_due(const GroupConfig& config, const InboundSt
            static_cast<double>(config.phi_threshold_milli);
 }
 
-std::uint64_t GroupCommEndpoint::sample_phi_milli(EndpointId peer, SimTime at) const {
-    // A peer can be watched in several groups; report the most alarmed view
-    // of it (groups share the wire, so the histories rarely disagree much).
-    double max_phi = 0.0;
-    for (const auto& [id, g] : groups_) {
-        if (!g.installed || !g.view.contains(peer)) continue;
-        const auto it = g.inbound.find(peer);
-        if (it == g.inbound.end()) continue;
-        const SimTime last =
-            std::max({it->second.last_heard, g.view_installed_at, g.active_since});
-        if (at <= last) continue;
-        max_phi = std::max(max_phi, phi_of(it->second, at - last));
-    }
-    return static_cast<std::uint64_t>(max_phi * 1000.0);
-}
-
 void GroupCommEndpoint::on_suspicion_scan(Group& g) {
     if (!mechanisms_active(g)) return;
     const GroupId id = g.id;

@@ -38,24 +38,10 @@ NodeId Network::add_node(SiteId site) {
     const NodeId id(static_cast<NodeId::rep_type>(nodes_.size()));
     nodes_.push_back(std::make_unique<Node>(id, site, *scheduler_));
     nodes_.back()->cpu().attach_metrics(metrics_);
-    // Nodes live as long as the network, so the gauge never dangles.
-    Node* raw = nodes_.back().get();
-    metrics_.register_gauge(obs::metric::kCpuBacklogUs, [raw](SimTime at) {
-        return static_cast<std::uint64_t>(raw->cpu().backlog(at));
-    });
     partition_cell_.push_back(0);
     for (auto& row : link_lanes_) row.push_back(kNoLane);
     link_lanes_.emplace_back(nodes_.size(), kNoLane);
     return id;
-}
-
-void Network::enable_gauge_sampling(SimDuration interval, SimDuration horizon) {
-    NEWTOP_EXPECTS(interval > 0, "sampling interval must be positive");
-    NEWTOP_EXPECTS(horizon >= 0, "sampling horizon must be non-negative");
-    for (SimDuration offset = interval; offset <= horizon; offset += interval) {
-        scheduler_->schedule_after(offset,
-                                   [this] { metrics_.sample_gauges(scheduler_->now()); });
-    }
 }
 
 Node& Network::node(NodeId id) {

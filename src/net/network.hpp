@@ -40,7 +40,7 @@ class Network {
 public:
     Network(Scheduler& scheduler, Topology topology, std::uint64_t seed);
 
-    // Nodes, gauges, timers and metric handles all point back into the
+    // Nodes, timers and metric handles all point back into the
     // network, so it stays where it was built.
     Network(const Network&) = delete;
     Network& operator=(const Network&) = delete;
@@ -122,13 +122,6 @@ public:
     /// concurrent worlds in one process isolated and runs reproducible.
     [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
     [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
-
-    /// Sample every registered gauge (holdback depth, send credits, CPU
-    /// backlog, directory size, ...) every `interval`, for `horizon` of sim
-    /// time starting now.  All ticks are scheduled up front so the event
-    /// queue still drains — a self-rescheduling tick would keep an
-    /// otherwise-finished simulation alive forever.
-    void enable_gauge_sampling(SimDuration interval, SimDuration horizon);
 
 private:
     /// Per-(sender site, receiver site) traffic counters,

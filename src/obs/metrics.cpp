@@ -110,38 +110,6 @@ const LatencyHistogram* MetricsRegistry::histogram(std::string_view name) const 
     return it == histograms_.end() ? nullptr : &it->second;
 }
 
-GaugeHandle MetricsRegistry::register_gauge(std::string_view name, GaugeFn fn) {
-    const GaugeHandle handle = next_gauge_++;
-    gauges_.emplace(handle, Gauge{std::string(name), std::move(fn)});
-    return handle;
-}
-
-void MetricsRegistry::unregister_gauge(GaugeHandle handle) { gauges_.erase(handle); }
-
-void MetricsRegistry::sample_gauges(SimTime at) {
-    // Sum same-named gauges first, then append one point per name; the
-    // intermediate map keeps the result independent of registration order.
-    std::map<std::string_view, std::uint64_t, std::less<>> totals;
-    for (const auto& [handle, gauge] : gauges_) totals[gauge.name] += gauge.fn(at);
-    for (const auto& [name, value] : totals) sample(name, at, value);
-}
-
-void MetricsRegistry::sample(std::string_view name, SimTime at, std::uint64_t value) {
-    auto it = series_.find(name);
-    if (it == series_.end()) {
-        it = series_.emplace(std::string(name),
-                             std::vector<std::pair<SimTime, std::uint64_t>>{})
-                 .first;
-    }
-    it->second.emplace_back(at, value);
-}
-
-const std::vector<std::pair<SimTime, std::uint64_t>>* MetricsRegistry::series(
-    std::string_view name) const {
-    const auto it = series_.find(name);
-    return it == series_.end() ? nullptr : &it->second;
-}
-
 std::string MetricsRegistry::to_json() const {
     std::string out = "{\"counters\":{";
     bool first = true;
@@ -163,33 +131,7 @@ std::string MetricsRegistry::to_json() const {
         out += "\":";
         histogram.append_json(out);
     }
-    out += '}';
-    // Emitted only when samples exist, so worlds without gauge sampling
-    // produce the exact pre-series JSON (golden outputs stay stable).
-    if (!series_.empty()) {
-        out += ",\"series\":{";
-        first = true;
-        for (const auto& [name, points] : series_) {
-            if (!first) out += ',';
-            first = false;
-            out += '"';
-            out += name;
-            out += "\":[";
-            bool first_point = true;
-            for (const auto& [at, value] : points) {
-                if (!first_point) out += ',';
-                first_point = false;
-                out += '[';
-                out += std::to_string(at);
-                out += ',';
-                out += std::to_string(value);
-                out += ']';
-            }
-            out += ']';
-        }
-        out += '}';
-    }
-    out += '}';
+    out += "}}";
     return out;
 }
 

@@ -13,8 +13,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "util/time.hpp"
@@ -60,12 +58,6 @@ private:
     SimDuration max_{0};
     std::array<std::uint64_t, kBucketCount> buckets_{};
 };
-
-/// Reads one instantaneous value (queue depth, credit occupancy, ...) at a
-/// sampling tick; `at` is the tick's sim time for values derived from it
-/// (e.g. CPU backlog = busy_until - now).
-using GaugeFn = std::function<std::uint64_t(SimTime at)>;
-using GaugeHandle = std::uint64_t;
 
 class MetricsRegistry;
 
@@ -140,35 +132,9 @@ public:
 
     /// Everything, as one deterministic JSON object:
     ///   {"counters":{...},"histograms":{...}}
-    /// plus a "series" member when any time series has samples.
     /// Ordered-map iteration plus integer-only fields make the string a
     /// pure function of the recorded data.
     [[nodiscard]] std::string to_json() const;
-
-    // -- time series ---------------------------------------------------------
-    //
-    // Sampled gauges: layers register a reader for an instantaneous value
-    // (holdback depth, send credits, CPU backlog, directory size) and the
-    // world drives sampling ticks (Network::enable_gauge_sampling).  Every
-    // gauge registered under the same name is summed into one world-level
-    // series per tick.  Registration order is irrelevant to the output
-    // (samples are keyed by name), so runs stay byte-identical.
-
-    /// Register a gauge under `name`; the handle unregisters it.  `fn` must
-    /// outlive the registration — owners unregister in their destructor.
-    GaugeHandle register_gauge(std::string_view name, GaugeFn fn);
-    void unregister_gauge(GaugeHandle handle);
-
-    /// Read every registered gauge, summing same-named gauges, and append
-    /// one sample per name to its series.
-    void sample_gauges(SimTime at);
-
-    /// Append one sample directly (for values no gauge models).
-    void sample(std::string_view name, SimTime at, std::uint64_t value);
-
-    /// The sampled points of one series, oldest first; nullptr if none.
-    [[nodiscard]] const std::vector<std::pair<SimTime, std::uint64_t>>* series(
-        std::string_view name) const;
 
     // -- tracing -------------------------------------------------------------
 
@@ -198,20 +164,12 @@ private:
     friend class Counter;
     friend class Histogram;
 
-    struct Gauge {
-        std::string name;
-        GaugeFn fn;
-    };
-
     /// The named entry, created at zero / empty on first use.
     std::uint64_t& counter_slot(std::string_view name);
     LatencyHistogram& histogram_slot(std::string_view name);
 
     std::map<std::string, std::uint64_t, std::less<>> counters_;
     std::map<std::string, LatencyHistogram, std::less<>> histograms_;
-    std::map<std::string, std::vector<std::pair<SimTime, std::uint64_t>>, std::less<>> series_;
-    std::map<GaugeHandle, Gauge> gauges_;
-    GaugeHandle next_gauge_{1};
     TraceSink* trace_sink_{nullptr};
 };
 

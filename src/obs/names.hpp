@@ -1,9 +1,9 @@
-// Central registry of metric, gauge and phase names.
+// Central registry of metric and phase names.
 //
-// Every counter/histogram/gauge name and every profiler phase label lives
+// Every counter/histogram name and every profiler phase label lives
 // here as a named constant.  Emission sites reference the constants instead
 // of spelling string literals, so a typo becomes a compile error instead of
-// a silently separate metric series — enforced by the newtop_lint
+// a silently separate metric — enforced by the newtop_lint
 // "metric-name" rule, which flags metric-prefixed string literals anywhere
 // in src/ outside this file.
 #pragma once
@@ -16,8 +16,6 @@ namespace newtop::obs::metric {
 inline constexpr std::string_view kCpuTasks = "cpu.tasks";
 inline constexpr std::string_view kCpuBusyUs = "cpu.busy_us";
 inline constexpr std::string_view kCpuQueueWaitUs = "cpu.queue_wait_us";
-/// Gauge: microseconds of queued-but-unexecuted work, summed over nodes.
-inline constexpr std::string_view kCpuBacklogUs = "cpu.backlog_us";
 
 // -- net ----------------------------------------------------------------------
 inline constexpr std::string_view kNetMessagesSent = "net.messages_sent";
@@ -60,20 +58,9 @@ inline constexpr std::string_view kGcsRetransmits = "gcs.retransmits";
 inline constexpr std::string_view kGcsGroupRefounds = "gcs.group_refounds";
 inline constexpr std::string_view kGcsFlushesSent = "gcs.flushes_sent";
 inline constexpr std::string_view kGcsViewsInstalled = "gcs.views_installed";
-/// Gauge: messages parked in holdback queues, summed over endpoints.
-inline constexpr std::string_view kGcsHoldback = "gcs.holdback";
-/// Gauge: send credits in flight (unacknowledged own sends counted against
-/// the order window), summed over endpoints.
-inline constexpr std::string_view kGcsCreditsInFlight = "gcs.credits_in_flight";
-/// Gauge: payloads queued waiting for a send credit, summed over endpoints
-/// (includes sends blocked by a view change).
-inline constexpr std::string_view kGcsBlockedSends = "gcs.blocked_sends";
 /// View installs that applied a new configuration (runtime reconfigurations
 /// honoured, counted once per member that switched).
 inline constexpr std::string_view kGcsReconfigs = "gcs.reconfigs";
-/// Gauge: highest config epoch installed, summed over endpoints (a stuck
-/// member shows up as the sum lagging members x epoch).
-inline constexpr std::string_view kGcsConfigEpoch = "gcs.config_epoch";
 /// Histogram: proposal delivery -> reconfigured view install, per member —
 /// the flush stall an in-flight reconfiguration imposes on the group.
 inline constexpr std::string_view kGcsReconfigStallUs = "gcs.reconfig_stall_us";
@@ -86,10 +73,6 @@ inline constexpr std::string_view kGcsSuspicionFalse = "gcs.suspicion_false";
 /// Histogram: silence accrued when a suspicion was raised (last heard ->
 /// suspected), the detector's detection latency per suspicion.
 inline constexpr std::string_view kGcsDetectionLatencyUs = "gcs.detection_latency_us";
-/// Prefix for the per-peer φ-accrual suspicion-level gauges
-/// ("gcs.phi.<endpoint>", sampled in milli-φ); composed at runtime like the
-/// per-link counters above.
-inline constexpr std::string_view kGcsPhiPrefix = "gcs.phi.";
 
 // -- invocation ---------------------------------------------------------------
 inline constexpr std::string_view kInvRebinds = "invocation.rebinds";
@@ -117,8 +100,6 @@ inline constexpr std::string_view kInvBindShed = "invocation.bind_shed";
 
 // -- directory ----------------------------------------------------------------
 inline constexpr std::string_view kDirectoryEvictions = "directory.evictions";
-/// Gauge: live NSO registrations in the bootstrap directory.
-inline constexpr std::string_view kDirectorySize = "directory.size";
 
 // -- replication / recovery ---------------------------------------------------
 inline constexpr std::string_view kReplicationStateRefounds = "replication.state_refounds";

@@ -64,13 +64,6 @@ public:
     /// Time at which currently queued work completes.
     [[nodiscard]] SimTime busy_until() const { return busy_until_; }
 
-    /// Microseconds of accepted-but-unfinished work as seen at time `at`
-    /// (0 when idle or dead) — the instantaneous queue depth the
-    /// cpu.backlog_us gauge samples.
-    [[nodiscard]] SimDuration backlog(SimTime at) const {
-        return (dead_ || busy_until_ <= at) ? 0 : busy_until_ - at;
-    }
-
     /// Total CPU time consumed so far (for utilisation reporting).
     [[nodiscard]] SimDuration consumed() const { return consumed_; }
 

@@ -15,9 +15,9 @@ SCRIPT = REPO / "scripts" / "bench_diff.py"
 FIXTURES = REPO / "tests" / "bench_diff_fixtures"
 
 
-def bench_diff(current, previous, *flags):
+def bench_diff(current, previous):
     return subprocess.run(
-        [sys.executable, str(SCRIPT), str(current), str(previous), *flags],
+        [sys.executable, str(SCRIPT), str(current), str(previous)],
         capture_output=True, text=True, check=False)
 
 
@@ -25,34 +25,43 @@ class BenchDiffTest(unittest.TestCase):
     def test_identical_files_pass(self):
         run = bench_diff(FIXTURES / "baseline.json", FIXTURES / "baseline.json")
         self.assertEqual(run.returncode, 0, run.stdout)
-        self.assertNotIn("WARNING", run.stdout)
-        self.assertIn("alpha: 2 metrics unchanged (+0.0%)", run.stdout)
+        self.assertNotIn("DRIFT", run.stdout)
+        self.assertIn("alpha: 3 sim values unchanged (+0.0%)", run.stdout)
 
-    def test_regression_in_either_direction_warns(self):
-        run = bench_diff(FIXTURES / "regressed.json", FIXTURES / "baseline.json")
-        self.assertEqual(run.returncode, 0, run.stdout)
-        self.assertIn("WARNING: regression over 10%: alpha.latency_ms: 10 -> 12 (+20.0%",
-                      run.stdout)
-        self.assertIn("WARNING: regression over 10%: alpha.ops_per_sec: 100 -> 80 (-20.0%",
-                      run.stdout)
-        self.assertIn("note: alpha.dominant changed: wire -> order_wait", run.stdout)
-
-    def test_strict_turns_regressions_into_failure(self):
-        run = bench_diff(FIXTURES / "regressed.json", FIXTURES / "baseline.json", "--strict")
+    def test_changed_sim_metric_fails_even_when_better(self):
+        run = bench_diff(FIXTURES / "sim_drift.json", FIXTURES / "baseline.json")
         self.assertEqual(run.returncode, 1, run.stdout)
+        self.assertIn("DRIFT: alpha.latency_ms: 10 -> 9 (-10.0%, lower is better)", run.stdout)
+        self.assertIn("fixture: 1 sim value(s) drifted", run.stdout)
 
-    def test_threshold_above_the_change_is_quiet(self):
-        run = bench_diff(FIXTURES / "regressed.json", FIXTURES / "baseline.json",
-                         "--threshold", "25", "--strict")
+    def test_changed_info_value_fails(self):
+        run = bench_diff(FIXTURES / "info_drift.json", FIXTURES / "baseline.json")
+        self.assertEqual(run.returncode, 1, run.stdout)
+        self.assertIn("DRIFT: alpha.dominant: wire -> order_wait (info)", run.stdout)
+
+    def test_sim_metric_no_longer_reported_fails(self):
+        run = bench_diff(FIXTURES / "missing_metric.json", FIXTURES / "baseline.json")
+        self.assertEqual(run.returncode, 1, run.stdout)
+        self.assertIn("DRIFT: alpha.latency_ms (lower) no longer reported", run.stdout)
+
+    def test_row_no_longer_reported_fails(self):
+        run = bench_diff(FIXTURES / "baseline.json", FIXTURES / "new_row.json")
+        self.assertEqual(run.returncode, 1, run.stdout)
+        self.assertIn("DRIFT: row beta no longer reported", run.stdout)
+
+    def test_changed_host_metric_is_a_note(self):
+        run = bench_diff(FIXTURES / "host_drift.json", FIXTURES / "baseline.json")
         self.assertEqual(run.returncode, 0, run.stdout)
-        self.assertNotIn("WARNING", run.stdout)
+        self.assertNotIn("DRIFT", run.stdout)
+        self.assertIn("note: host alpha.events_per_sec: 1000 -> 750 (-25.0%, host)",
+                      run.stdout)
 
     def test_row_missing_from_previous_has_no_previous_data(self):
-        run = bench_diff(FIXTURES / "new_row.json", FIXTURES / "baseline.json", "--strict")
+        run = bench_diff(FIXTURES / "new_row.json", FIXTURES / "baseline.json")
         self.assertEqual(run.returncode, 0, run.stdout)
         self.assertIn("beta: (no previous data)", run.stdout)
 
-    def test_failed_check_fails_without_strict(self):
+    def test_failed_check_fails(self):
         run = bench_diff(FIXTURES / "failed_check.json", FIXTURES / "baseline.json")
         self.assertEqual(run.returncode, 1, run.stdout)
         self.assertIn("FAILED check: alpha.ok", run.stdout)
@@ -70,7 +79,7 @@ class BenchDiffTest(unittest.TestCase):
         self.assertTrue(baselines)
         for path in baselines:
             with self.subTest(path.name):
-                run = bench_diff(path, path, "--strict")
+                run = bench_diff(path, path)
                 self.assertEqual(run.returncode, 0, run.stdout)
 
 

@@ -14,6 +14,7 @@
 #include "net/calibration.hpp"
 #include "newtop/newtop_service.hpp"
 #include "obs/names.hpp"
+#include "obs/trace.hpp"
 #include "orb/orb.hpp"
 #include "util/check.hpp"
 
@@ -29,13 +30,21 @@ public:
     Bytes handle(std::uint32_t, const Bytes& args) override { return args; }
 };
 
-/// Runs a small mixed scenario (request/reply + peer traffic + a crash) and
-/// returns a full history fingerprint.
-std::string run_scenario(std::uint64_t seed) {
+/// A scenario's history fingerprint and the scheduler events it ran.
+struct ScenarioRun {
+    std::string history;
+    std::size_t events{0};
+};
+
+/// Runs a small mixed scenario (request/reply + peer traffic + a crash),
+/// traced into `sink` when one is given.
+ScenarioRun run_scenario(std::uint64_t seed, obs::TraceSink* sink = nullptr) {
     auto sites = calibration::make_paper_topology();
     Scheduler scheduler;
     Network net(scheduler, std::move(sites.topology), seed);
+    net.metrics().set_trace_sink(sink);
     Directory directory;
+    std::size_t events = 0;
 
     std::vector<std::unique_ptr<Orb>> orbs;
     std::vector<std::unique_ptr<NewTopService>> nsos;
@@ -54,7 +63,7 @@ std::string run_scenario(std::uint64_t seed) {
     for (int i = 0; i < 3; ++i) {
         add(sites.newcastle).serve("svc", cfg,
                                    std::make_shared<EchoServant>());
-        scheduler.run_until(scheduler.now() + 300_ms);
+        events += scheduler.run_until(scheduler.now() + 300_ms);
     }
     NewTopService& client = add(sites.pisa);
     GroupProxy proxy = client.bind("svc", {.mode = BindMode::kOpen, .restricted = true});
@@ -70,13 +79,13 @@ std::string run_scenario(std::uint64_t seed) {
             history << "p1@" << scheduler.now() << ":"
                     << std::string(m.payload.begin(), m.payload.end()) << "\n";
         });
-    scheduler.run_until(scheduler.now() + 300_ms);
+    events += scheduler.run_until(scheduler.now() + 300_ms);
     PeerGroup room2 = peer2.join_peer_group(
         "room", peer_cfg, [&](const NewTopService::PeerMessage& m) {
             history << "p2@" << scheduler.now() << ":"
                     << std::string(m.payload.begin(), m.payload.end()) << "\n";
         });
-    scheduler.run_until(scheduler.now() + 500_ms);
+    events += scheduler.run_until(scheduler.now() + 500_ms);
 
     for (int k = 0; k < 5; ++k) {
         const std::string text = "peer" + std::to_string(k);
@@ -86,7 +95,7 @@ std::string run_scenario(std::uint64_t seed) {
                          history << "call" << k << "@" << scheduler.now() << ":"
                                  << reply.replies.size() << "\n";
                      });
-        scheduler.run_until(scheduler.now() + 200_ms);
+        events += scheduler.run_until(scheduler.now() + 200_ms);
     }
     // Crash one server mid-run.
     net.crash(orbs[1]->node_id());
@@ -95,25 +104,37 @@ std::string run_scenario(std::uint64_t seed) {
                      history << "post@" << scheduler.now() << ":" << reply.replies.size()
                              << "\n";
                  });
-    scheduler.run_until(scheduler.now() + 10_s);
+    events += scheduler.run_until(scheduler.now() + 10_s);
 
     history << "msgs=" << net.metrics().counter(obs::metric::kNetMessagesSent)
             << " bytes=" << net.metrics().counter(obs::metric::kNetBytesSent)
             << " t=" << scheduler.now();
-    return history.str();
+    return {history.str(), events};
 }
 
 TEST(Determinism, IdenticalSeedsProduceIdenticalHistories) {
-    const std::string a = run_scenario(2026);
-    const std::string b = run_scenario(2026);
-    EXPECT_EQ(a, b);
+    const ScenarioRun a = run_scenario(2026);
+    const ScenarioRun b = run_scenario(2026);
+    EXPECT_EQ(a.history, b.history);
+    EXPECT_EQ(a.events, b.events);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {
     // Jitter and loss draws differ, so message counts/timings should too.
-    const std::string a = run_scenario(1);
-    const std::string b = run_scenario(2);
-    EXPECT_NE(a, b);
+    const ScenarioRun a = run_scenario(1);
+    const ScenarioRun b = run_scenario(2);
+    EXPECT_NE(a.history, b.history);
+}
+
+TEST(Determinism, TracingLeavesTheHistoryUnchanged) {
+    // Observing must not perturb the simulation: a trace sink records
+    // events but schedules none and changes no protocol decision.
+    obs::VectorTraceSink sink;
+    const ScenarioRun traced = run_scenario(2026, &sink);
+    const ScenarioRun untraced = run_scenario(2026);
+    EXPECT_GT(sink.events().size(), 0u);
+    EXPECT_EQ(traced.history, untraced.history);
+    EXPECT_EQ(traced.events, untraced.events);
 }
 
 // -- container-order regression -------------------------------------------------------

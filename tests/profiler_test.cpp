@@ -3,7 +3,7 @@
 // service time -> execution, holdback stall -> order_wait, ...), real
 // traced worlds whose phase sums must reconcile exactly with the reply-wait
 // histograms, the truncated-dump refusal (profiler and oracle), dump JSON
-// round-trips, gauge time-series summation and edge-case dumps.
+// round-trips and edge-case dumps.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -223,29 +223,6 @@ TEST(TraceDump, JsonRoundTrips) {
     EXPECT_EQ(parsed.expectations, dump.expectations);
     ASSERT_EQ(parsed.events.size(), dump.events.size());
     EXPECT_EQ(parsed.to_json(), json);
-}
-
-// -- gauge time series --------------------------------------------------------
-
-TEST(Gauges, SameNamedGaugesSumPerTickAndAppearInJson) {
-    obs::MetricsRegistry metrics;
-    std::uint64_t a = 3, b = 4;
-    const auto h1 = metrics.register_gauge(obs::metric::kGcsHoldback, [&](SimTime) { return a; });
-    const auto h2 = metrics.register_gauge(obs::metric::kGcsHoldback, [&](SimTime) { return b; });
-    metrics.sample_gauges(10);
-    a = 10;
-    b = 0;
-    metrics.sample_gauges(20);
-    metrics.unregister_gauge(h2);
-    metrics.sample_gauges(30);
-    const auto* series = metrics.series(obs::metric::kGcsHoldback);
-    ASSERT_NE(series, nullptr);
-    ASSERT_EQ(series->size(), 3u);
-    EXPECT_EQ((*series)[0], (std::pair<SimTime, std::uint64_t>{10, 7}));
-    EXPECT_EQ((*series)[1], (std::pair<SimTime, std::uint64_t>{20, 10}));
-    EXPECT_EQ((*series)[2], (std::pair<SimTime, std::uint64_t>{30, 10}));
-    EXPECT_NE(metrics.to_json().find("\"series\""), std::string::npos);
-    metrics.unregister_gauge(h1);
 }
 
 // -- real traced worlds: phase sums must reconcile exactly --------------------

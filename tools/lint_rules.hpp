@@ -113,7 +113,7 @@ inline constexpr std::array<std::string_view, 1> kEnvSanctionedDirs = {"src/util
 
 /// Metric / phase name prefixes that must come from the central table
 /// (src/obs/names.hpp).  A typo'd literal would silently fork a new counter
-/// or time series and break the profiler's reconciliation, so string
+/// or histogram and break the profiler's reconciliation, so string
 /// literals with these prefixes are banned in src/ outside that header —
 /// call sites spell obs::metric::k... / obs::phase::k... instead.
 inline constexpr std::array<std::string_view, 10> kMetricPrefixes = {

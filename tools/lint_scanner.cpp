@@ -283,7 +283,7 @@ void check_float(std::string_view rel_path, const std::vector<Token>& t,
 
 /// metric-name: metric/phase name literals under src/ must come from the
 /// central table (src/obs/names.hpp); a typo'd literal would silently fork
-/// a new counter or series and break profiler reconciliation.
+/// a new counter or histogram and break profiler reconciliation.
 void check_metric_names(std::string_view rel_path, const std::vector<Token>& t,
                         std::vector<Finding>& out) {
     if (rel_path.substr(0, kMetricScopeDir.size()) != kMetricScopeDir) return;
